@@ -17,6 +17,7 @@ from .casesearch import (
     search_exceptional,
 )
 from .certify import (
+    BudgetExhausted,
     Certificate,
     CertificationFailure,
     PreconditionError,
@@ -67,6 +68,7 @@ from .recognition import (
 __all__ = [
     "BoundStrategy",
     "BetweenPacking",
+    "BudgetExhausted",
     "CaseFunctionReport",
     "CaseProfile",
     "Certificate",

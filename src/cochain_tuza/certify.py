@@ -71,6 +71,10 @@ class CertificationFailure(RuntimeError):
         super().__init__(f"{case}: {details}" if details else case)
 
 
+class BudgetExhausted(CertificationFailure):
+    """An exact oracle ran out of its node budget before proving optimality."""
+
+
 class RecipeInapplicable(Exception):
     """A packing recipe's structural preconditions do not hold here."""
 
@@ -686,9 +690,11 @@ def _exact_certificate(G: GeneralGraph, tag: str) -> Certificate:
     r_tau = exact_tau(G, budget)
     r_nu = exact_nu(G, budget)
     if not (r_tau.proven and r_nu.proven):
-        raise CertificationFailure(tag, "oracle budget exhausted")
-    assert isinstance(r_tau.witness, HittingSet)
-    assert isinstance(r_nu.witness, TrianglePacking)
+        raise BudgetExhausted(tag, "oracle budget exhausted")
+    if not isinstance(r_tau.witness, HittingSet):
+        raise CertificationFailure(tag, "tau oracle returned no hitting set")
+    if not isinstance(r_nu.witness, TrianglePacking):
+        raise CertificationFailure(tag, "nu oracle returned no packing")
     return make_certificate(G, r_tau.witness, r_nu.witness, tag)
 
 
@@ -697,10 +703,11 @@ def _deferred(ctx: _Ctx, tag: str) -> Certificate:
     exact oracles on small instances, otherwise an explicit failure."""
     cand = _portfolio_core(ctx.g)
     if cand is not None and cand.ratio_ok:
+        recipe = cand.method.removeprefix("portfolio")
         return Certificate(
             cand.hitting,
             cand.packing,
-            f"portfolio({tag})",
+            f"portfolio({tag}){recipe}",
             cand.h_size,
             cand.p_size,
             cand.ratio_ok,

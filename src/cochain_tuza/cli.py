@@ -25,7 +25,7 @@ from .casesearch import (
     evaluate_case_functions,
     search_exceptional,
 )
-from .certify import CertificationFailure, PreconditionError, certify
+from .certify import BudgetExhausted, CertificationFailure, PreconditionError, certify
 from .generators import complete_join, disjoint_cliques, fuzz_instances, random_cochain
 from .graphs import CoChainGraph, build_cochain, profile, verify_hitting, verify_packing
 from .oracles import exact_nu, exact_tau
@@ -110,7 +110,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         print(f"certify: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CertificationFailure as exc:
-        code = EXIT_BUDGET if "budget" in str(exc) else EXIT_VERIFY
+        code = EXIT_BUDGET if isinstance(exc, BudgetExhausted) else EXIT_VERIFY
         print(f"certify: {exc}", file=sys.stderr)
         return code
 

@@ -2,16 +2,20 @@
 
 These solvers are the independent ground truth that every certificate is
 checked against, so they deliberately use no result from the constructive
-modules: upper bounds for the packing search come from edge counts and the
+modules.  Upper bounds for the packing search come from edge counts and the
 degree bound sum_v floor(deg(v)/2) (each triangle at v consumes two edges at
-v), and lower bounds for the hitting search come from greedily packed
-edge-disjoint triangles plus exact hitting numbers of complete subgraphs,
-which the solver bootstraps for itself on K_3, K_4, ... and memoizes.
+v).  Lower bounds for the hitting search are the largest of three: a greedy
+packing of edge-disjoint uncovered triangles; greedy vertex-disjoint cliques
+of the remaining graph, each scored by tau(K_r) = C(r, 2) - floor(r^2 / 4);
+and Mantel's bound on the live edges, those still in an uncovered triangle.
+The hitting search starts from the better of two feasible hitting sets: a
+greedy one, and the triangle edges inside the two sides of a local-search
+maximum cut, which is optimal on complete and near-complete graphs.
 
 Both searches are complete: nu branches on the lowest-index undecided edge
 (use it in one of its remaining triangles, or never use it), tau branches on
 an uncovered triangle with the fewest removable edges, keeping already-tried
-edges to avoid symmetric duplicates.  A node budget caps the work; on
+edges to avoid symmetric duplicates.  A node budget caps the total work; on
 exhaustion the best feasible witness found so far is returned with
 proven=False, never a false optimum.
 """
@@ -19,7 +23,6 @@ proven=False, never a false optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import (
     GeneralGraph,
@@ -142,30 +145,19 @@ def exact_nu(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
 
 # -- exact tau --------------------------------------------------------------
 
-_TAU_COMPLETE_CACHE: dict[int, int] = {0: 0, 1: 0, 2: 0, 3: 1}
+
+def tau_complete(r: int) -> int:
+    """tau(K_r) = C(r, 2) - floor(r^2 / 4).
+
+    By Mantel's theorem a triangle-free graph on r vertices has at most
+    floor(r^2 / 4) edges, so every hitting set of K_r removes at least the
+    rest; removing the edges inside both halves of a balanced bipartition
+    removes exactly that many.
+    """
+    return r * (r - 1) // 2 - r * r // 4
 
 
-def _tau_complete(r: int, budget: int) -> None:
-    """Fill the exact tau(K_rr) cache up to r, best-effort under the budget."""
-    for rr in range(3, r + 1):
-        if rr not in _TAU_COMPLETE_CACHE:
-            kg = GeneralGraph.from_edges(rr, combinations(range(rr), 2))
-            res = _solve_tau(kg, budget, clique_cap=rr - 1)
-            if not res.proven:
-                return
-            _TAU_COMPLETE_CACHE[rr] = res.value
-
-
-def _tau_clique_lb(r: int) -> int:
-    """Largest cached tau(K_rr) with rr <= r; sound since tau(K_r) is monotone."""
-    while r >= 3:
-        if r in _TAU_COMPLETE_CACHE:
-            return _TAU_COMPLETE_CACHE[r]
-        r -= 1
-    return 0
-
-
-def _greedy_cliques(adj: list[int], vertices: int, cap: int | None) -> list[int]:
+def _greedy_cliques(adj: list[int], vertices: int) -> list[int]:
     """Greedy vertex-disjoint cliques (sizes >= 3) in the graph given by adj."""
     sizes = []
     avail = vertices
@@ -182,23 +174,48 @@ def _greedy_cliques(adj: list[int], vertices: int, cap: int | None) -> list[int]
         clique = 1 << best_v
         cand = adj[best_v] & avail
         size = 1
-        while cand and (cap is None or size < cap):
+        while cand:
             low = cand & -cand
             w = low.bit_length() - 1
             clique |= low
             size += 1
             cand &= adj[w]
         avail &= ~clique
-        if cap is not None and size > cap:
-            size = cap
         if size >= 3:
             sizes.append(size)
     return sizes
 
 
-def _solve_tau(
-    g: GeneralGraph, budget: int, clique_cap: int | None = None
-) -> ExactResult:
+def _max_cut_sides(adj: list[int]) -> int:
+    """Local-search maximum cut from the empty side: a vertex mask whose every
+    vertex has at least as many neighbours across the cut as on its own side."""
+    side = 0
+    moved = True
+    while moved:  # each move grows the cut, so this terminates
+        moved = False
+        for v, nbrs in enumerate(adj):
+            own = side if side >> v & 1 else ~side
+            if 2 * (nbrs & own).bit_count() > nbrs.bit_count():
+                side ^= 1 << v
+                moved = True
+    return side
+
+
+def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
+    """Minimum triangle hitting size, with an optimal hitting set as witness.
+
+    Branch and bound over edge removals; a node's uncovered triangles are
+    exactly the triangles of the graph with its removed edges deleted.
+
+    Mantel bound: let E_L be the edges that lie in an uncovered triangle and
+    V_L their endpoints.  Every triangle of the graph (V_L, E_L) is uncovered,
+    so a hitting set H leaves E_L minus H triangle-free on |V_L| vertices,
+    which by Mantel's theorem has at most floor(|V_L|^2 / 4) edges: at least
+    |E_L| - floor(|V_L|^2 / 4) more edges must go.
+
+    Bipartite incumbent: no triangle has all three edges across a cut, so the
+    triangle edges inside the two sides hit every triangle.
+    """
     tris = enumerate_triangles(g)
     if not tris:
         return ExactResult(0, HittingSet(frozenset()), 0, True)
@@ -206,103 +223,108 @@ def _solve_tau(
     n_edges = len(edges)
     tri_edge_ids = []
     tri_masks = []
-    for a, b, c in tris:
+    tri_verts = []
+    edge_tris = [0] * n_edges  # bitmask of the triangles through each edge
+    for ti, (a, b, c) in enumerate(tris):
         ids = (eidx[(a, b)], eidx[(a, c)], eidx[(b, c)])
         tri_edge_ids.append(ids)
         tri_masks.append((1 << ids[0]) | (1 << ids[1]) | (1 << ids[2]))
-    n_tris = len(tris)
-    edge_cover_count = [0] * n_edges
-    for ids in tri_edge_ids:
+        tri_verts.append((1 << a) | (1 << b) | (1 << c))
         for e in ids:
-            edge_cover_count[e] += 1
-
-    # make sure exact hitting numbers of complete subgraphs are available
-    max_clique = max(
-        _greedy_cliques(list(g.adj), (1 << g.n) - 1, clique_cap), default=0
-    )
-    if max_clique >= 3:
-        _tau_complete(max_clique, budget)
+            edge_tris[e] |= 1 << ti
+    all_tris = (1 << len(tris)) - 1
 
     # greedy incumbent: repeatedly remove the edge in most uncovered triangles
-    alive = list(range(n_tris))
+    alive = all_tris
     greedy: list[int] = []
     while alive:
-        counts: dict[int, int] = {}
-        for ti in alive:
-            for e in tri_edge_ids[ti]:
-                counts[e] = counts.get(e, 0) + 1
-        e_best = max(sorted(counts), key=lambda e: counts[e])
+        e_best, most = -1, 0
+        for e in range(n_edges):
+            hits = (edge_tris[e] & alive).bit_count()
+            if hits > most:
+                e_best, most = e, hits
         greedy.append(e_best)
-        alive = [ti for ti in alive if e_best not in tri_edge_ids[ti]]
-    best = list(greedy)
+        alive &= ~edge_tris[e_best]
+
+    # bipartite incumbent: the triangle edges inside the sides of a cut
+    tri_adj = [0] * g.n
+    for e in range(n_edges):
+        if edge_tris[e]:
+            u, v = edges[e]
+            tri_adj[u] |= 1 << v
+            tri_adj[v] |= 1 << u
+    side = _max_cut_sides(tri_adj)
+    bipartite = [
+        e
+        for e in range(n_edges)
+        if edge_tris[e] and (side >> edges[e][0] & 1) == (side >> edges[e][1] & 1)
+    ]
+    best = min(greedy, bipartite, key=len)
     best_size = len(best)
 
     bgt = _Budget(budget)
     aborted = False
+    removed: list[int] = []
 
-    def lower_bound(removed_mask: int, uncovered: list[int]) -> int:
-        # edge-disjoint greedy packing over uncovered triangles
-        used = 0
-        cnt = 0
-        for ti in uncovered:
-            if not tri_masks[ti] & used:
-                used |= tri_masks[ti]
-                cnt += 1
-        # vertex-disjoint cliques in the remaining graph, scored by exact tau,
-        # plus a greedy packing outside the clique vertices
-        adj = list(g.adj)
-        m = removed_mask
-        while m:
-            low = m & -m
-            u, v = edges[low.bit_length() - 1]
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            m ^= low
-        sizes = _greedy_cliques(adj, (1 << g.n) - 1, clique_cap)
-        clique_lb = sum(_tau_clique_lb(r) for r in sizes)
-        return max(cnt, clique_lb)
-
-    def dfs(removed_mask: int, kept_mask: int, removed: list[int]) -> None:
+    def dfs(unc: int, kept_mask: int, adj: list[int]) -> None:
         nonlocal best, best_size, aborted
-        if aborted:
-            return
         if not bgt.tick():
             aborted = True
             return
-        uncovered = [ti for ti in range(n_tris) if not tri_masks[ti] & removed_mask]
-        if not uncovered:
-            if len(removed) < best_size:
+        depth = len(removed)
+        if not unc:
+            if depth < best_size:
                 best = list(removed)
-                best_size = len(removed)
+                best_size = depth
             return
-        if len(removed) + lower_bound(removed_mask, uncovered) >= best_size:
-            return
-        # fail-first: uncovered triangle with fewest removable edges
+        room = best_size - depth  # a bound >= room prunes this node
+        if room <= 1:
+            return  # an uncovered triangle needs one more edge
+        # one pass over the uncovered triangles: an edge-disjoint greedy
+        # packing, the live edges and vertices, and the branch triangle
+        # (fail-first: fewest removable edges)
+        used = packed = live_e = live_v = 0
         pick, pick_free = -1, 4
-        for ti in uncovered:
-            free = 3 - (tri_masks[ti] & kept_mask).bit_count()
+        m = unc
+        while m:
+            low = m & -m
+            ti = low.bit_length() - 1
+            m ^= low
+            tm = tri_masks[ti]
+            live_e |= tm
+            live_v |= tri_verts[ti]
+            if not tm & used:
+                used |= tm
+                packed += 1
+            free = 3 - (tm & kept_mask).bit_count()
             if free < pick_free:
-                pick, pick_free = ti, free
                 if free == 0:
                     return  # all its edges are kept: infeasible branch
+                pick, pick_free = ti, free
+        if packed >= room:
+            return
+        r = live_v.bit_count()
+        if live_e.bit_count() - r * r // 4 >= room:
+            return
+        if sum(tau_complete(s) for s in _greedy_cliques(adj, live_v)) >= room:
+            return
         branch_edges = [
             e for e in tri_edge_ids[pick] if not kept_mask & (1 << e)
         ]
-        branch_edges.sort(key=lambda e: -edge_cover_count[e])
+        branch_edges.sort(key=lambda e: -(edge_tris[e] & unc).bit_count())
         kept_here = 0
         for e in branch_edges:
+            u, v = edges[e]
+            child = adj.copy()
+            child[u] &= ~(1 << v)
+            child[v] &= ~(1 << u)
             removed.append(e)
-            dfs(removed_mask | (1 << e), kept_mask | kept_here, removed)
+            dfs(unc & ~edge_tris[e], kept_mask | kept_here, child)
             removed.pop()
             if aborted:
                 return
             kept_here |= 1 << e
 
-    dfs(0, 0, [])
+    dfs(all_tris, 0, list(g.adj))
     witness = HittingSet.of(edges[e] for e in best)
     return ExactResult(best_size, witness, budget - bgt.left, not aborted)
-
-
-def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
-    """Minimum triangle hitting size, with an optimal hitting set as witness."""
-    return _solve_tau(g, budget)

@@ -198,6 +198,12 @@ def test_named_case_paths_are_reachable():
     _instance_with_method(8, 8, (8, 0, 0, 0, 0, 0, 0, 0), "3.2.1-P13")
 
 
+def test_balanced_even_deferral_names_its_recipe():
+    _instance_with_method(
+        4, 4, (4, 3, 2, 1), "portfolio(3.1-case2.1-balanced-even)[P10'+T1]"
+    )
+
+
 def test_p5_prime_instance():
     g = build_cochain(4, 8, (8, 8, 8, 8))
     assert profile(g).as_tuple() == (2, 4, 4, 8)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from cochain_tuza.cli import (
+    EXIT_BUDGET,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
@@ -84,6 +85,13 @@ def test_certify_exact_mode_on_k4(tmp_path):
     assert run(["certify", str(graph), "--mode", "exact", "--out", str(cert)]) == EXIT_OK
     doc = read_certificate(cert)
     assert (doc["h_size"], doc["p_size"]) == (2, 1)
+
+
+def test_certify_exact_mode_budget_exhaustion_exit_code(tmp_path, monkeypatch):
+    graph = tmp_path / "g.json"
+    run(["gen", "--l-size", "4", "--m-size", "6", "--complete", "--out", str(graph)])
+    monkeypatch.setenv("COCHAIN_TUZA_ORACLE_BUDGET", "3")
+    assert run(["certify", str(graph), "--mode", "exact"]) == EXIT_BUDGET
 
 
 def test_certify_unparseable_file(tmp_path):

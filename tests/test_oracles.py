@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from cochain_tuza.graphs import (
     verify_hitting,
     verify_packing,
 )
-from cochain_tuza.oracles import exact_nu, exact_tau
+from cochain_tuza.oracles import exact_nu, exact_tau, tau_complete
 from cochain_tuza.packings import feder_count
 
 from conftest import brute_nu, brute_tau, complete_graph, monotone_sequences
@@ -54,11 +55,15 @@ def test_nu_matches_feder_counts():
 
 
 def test_budget_exhaustion_never_reports_proven():
-    g = complete_graph(10)
+    # a dense n = 10 co-chain graph whose tau search needs far more than 40
+    # nodes (complete graphs are proven at the root)
+    g = build_cochain(4, 6, (6, 6, 5, 4)).to_general()
+    true_tau = exact_tau(g)
+    assert true_tau.proven
     r = exact_tau(g, budget=40)
     assert not r.proven
     assert verify_hitting(g, r.witness)  # still a feasible upper bound
-    assert r.value >= 20
+    assert r.value >= true_tau.value
     r2 = exact_nu(g, budget=3)
     assert not r2.proven and verify_packing(g, r2.witness)
 
@@ -100,3 +105,32 @@ def test_duality_on_random_graphs(data):
     assert r_nu.proven and r_tau.proven
     assert r_nu.value <= r_tau.value <= 3 * r_nu.value
     assert r_nu.value == brute_nu(g)
+
+
+def test_tau_complete_closed_form_matches_brute_force():
+    for r in range(3, 7):
+        expected = brute_tau(complete_graph(r), cap=comb(r, 2))
+        assert comb(r, 2) - r * r // 4 == tau_complete(r) == expected
+
+
+def test_complete_graphs_are_proven_at_the_root():
+    for r in range(3, 13):
+        g = complete_graph(r)
+        res = exact_tau(g)
+        assert res.proven and res.value == tau_complete(r)
+        assert res.explored == 1
+        assert verify_hitting(g, res.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tau_matches_brute_force_on_random_graphs(data):
+    n = data.draw(st.integers(3, 6))
+    edges = [
+        e for e in combinations(range(n), 2) if data.draw(st.booleans())
+    ]
+    g = GeneralGraph.from_edges(n, edges)
+    r_tau = exact_tau(g)
+    assert r_tau.proven
+    assert verify_hitting(g, r_tau.witness) and len(r_tau.witness) == r_tau.value
+    assert r_tau.value == brute_tau(g, cap=len(edges))
