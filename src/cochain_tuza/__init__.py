@@ -48,12 +48,10 @@ from .graphs import (
 )
 from .oracles import ExactResult, exact_nu, exact_tau
 from .packings import (
-    BetweenPacking,
     CliquePackingCount,
     UnsupportedCliqueSize,
     feder_count,
     one_factorization,
-    pack_between,
     pack_clique,
     pack_side,
 )
@@ -67,7 +65,6 @@ from .recognition import (
 
 __all__ = [
     "BoundStrategy",
-    "BetweenPacking",
     "BudgetExhausted",
     "CaseFunctionReport",
     "CaseProfile",
@@ -102,7 +99,6 @@ __all__ = [
     "fuzz_instances",
     "make_certificate",
     "one_factorization",
-    "pack_between",
     "pack_clique",
     "pack_side",
     "profile",

@@ -1,12 +1,20 @@
-"""Exhaustive case search over (ell, m, x_ell, x_m) and the inequality audit.
+"""The packing-recipe table, the exhaustive case search over (ell, m, x_ell,
+x_m), and the inequality audit.
+
+A packing recipe is a union of clique packings p(K_n) and apex-over-matching
+packings p(S, K) over named vertex groups (top and bottom halves, X_ell,
+X_m and a few derived groups).  ``RECIPES`` declares each pure-term recipe
+once: an optional profile precondition plus its terms ``Clique(group)`` and
+``Side(S, K)``.  ``group_intervals`` maps a profile to every group's
+vertices as half-open intervals of vertex ids, so the one declaration gives
+both the construction (the certifier packs the intervals' vertices) and the
+profile-level lower bound (the interval lengths feed the count bounds).
 
 For profiles with x_ell < ell the certificate pairs the hitting set T2 with
-one of eight packing recipes (P13, P14, P15^l, P15^m, P16^l, P16^m, P17^l,
-P17^m).  Each recipe is a union of clique packings p(K_n) and apex-over-
-matching packings p(S, K), so its size admits a profile-level lower bound
-assembled from the corresponding count bounds.  Scaling by 6 keeps all
-arithmetic in integers: f_i = 6*|P_recipe| - 3*|T2|, and a recipe settles a
-profile when f_i > -3 (then 2|P| - |T2| >= 0 by integrality).
+one of the eight T2 recipes (P13, P14, P15^l, P15^m, P16^l, P16^m, P17^l,
+P17^m).  Scaling by 6 keeps all arithmetic in integers: f_i = 6*|P_recipe| -
+3*|T2|, and a recipe settles a profile when f_i > -3 (then 2|P| - |T2| >= 0
+by integrality).
 
 The search enumerates all constrained profiles with ell, m <= limit and
 collects the tuples where every f_i fails.  Which exact lower-bound variant
@@ -60,7 +68,173 @@ EXPECTED_EXCEPTIONAL: frozenset[tuple[int, int, int, int]] = frozenset(
     }
 )
 
-F_RECIPE_IDS = ("P13", "P14", "P15l", "P15m", "P16l", "P16m", "P17l", "P17m")
+
+# ---------------------------------------------------------------------------
+# The recipe table
+# ---------------------------------------------------------------------------
+
+Intervals = tuple[tuple[int, int], ...]
+
+
+def group_intervals(ell: int, m: int, xl: int, xm: int) -> dict[str, Intervals]:
+    """Every named vertex group of the profile as half-open id intervals.
+
+    The numbering is that of graphs.py: c_i is vertex i-1, d_j is vertex
+    2*ell + j - 1; X_ell is the prefix of x_ell c's and X_m the suffix of x_m
+    d's.  A name, read left to right, joins groups or single vertices with
+    '+' and removes them with '-'.
+    """
+    L = 2 * ell
+    n = L + 2 * m
+    l_top, l_bot = (0, ell), (ell, L)
+    m_top, m_bot = (L, L + m), (L + m, n)
+    x_l, x_m = (0, xl), (n - xm, n)
+    return {
+        "l_top": (l_top,),
+        "l_bot": (l_bot,),
+        "m_top": (m_top,),
+        "m_bot": (m_bot,),
+        "side_l": ((0, L),),
+        "side_m": ((L, n),),
+        "X_ell": (x_l,),
+        "X_m": (x_m,),
+        "X_ell+m_bot": (x_l, m_bot),
+        "l_top+X_m": (l_top, x_m),
+        "X_ell+X_m": (x_l, x_m),
+        "X_ell-l_top": ((ell, max(xl, ell)),),
+        "X_m-m_bot": ((n - max(xm, m), L + m),),
+        "l_top-X_ell": ((min(xl, ell), ell),),
+        "side_l-X_ell": ((xl, L),),
+        "l_top-X_ell+m_bot-X_m": ((min(xl, ell), ell), (L + m, max(L + m, n - xm))),
+        # P8 moves d_m into the bottom half of the d-side
+        "X_ell+m_bot+d_m": (x_l, (L + m - 1, n)),
+        "m_top-d_m": ((L, L + m - 1),),
+        # P17^l moves d_2m into the top half, P17^m moves c_1 into the bottom
+        "m_bot-d_2m": ((L + m, n - 1),),
+        "m_top+d_2m": (m_top, (n - 1, n)),
+        "l_top-c_1": ((1, ell),),
+        "l_bot+c_1": ((0, 1), l_bot),
+    }
+
+
+GROUP_NAMES = tuple(group_intervals(1, 1, 0, 0))
+
+
+@dataclass(frozen=True)
+class Clique:
+    """p(K_n): a maximum packing of the clique on a vertex group."""
+
+    group: str
+
+
+@dataclass(frozen=True)
+class Side:
+    """p(S, K): apexes from group S over matchings of the clique on group K."""
+
+    apexes: str
+    clique: str
+
+
+Term = Clique | Side
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """A packing assembled from terms, paired with hitting set T1 or T2.
+
+    ``applies`` is a precondition on the profile (ell, m, x_ell, x_m),
+    stated in words by ``needs``; the terms' own structural requirements
+    (a clique group, apexes complete to the clique) are checked on the
+    graph when the recipe is built.
+    """
+
+    hitting: str
+    terms: tuple[Term, ...]
+    applies: Callable[[int, int, int, int], bool] | None = None
+    needs: str = ""
+
+
+_HALF_M = Side("m_bot", "m_top")
+_HALF_L = Side("l_top", "l_bot")
+
+RECIPES: dict[str, Recipe] = {
+    "P1": Recipe("T1", (Clique("side_m"),)),
+    "P2": Recipe("T1", (Clique("X_ell+m_bot"), _HALF_M)),
+    "P3": Recipe(
+        "T1",
+        (Side("X_ell", "m_bot"), Side("X_m-m_bot", "l_top"), _HALF_M, _HALF_L),
+    ),
+    "P4": Recipe("T1", (Clique("l_top+X_m"), _HALF_L)),
+    "P7": Recipe(
+        "T1",
+        (Clique("X_ell+m_bot"), _HALF_L, _HALF_M),
+        lambda ell, m, xl, xm: xl <= ell,
+        "X_ell inside the top half",
+    ),
+    "P8": Recipe(
+        "T1",
+        (Clique("X_ell+m_bot+d_m"), _HALF_L, Side("m_bot", "m_top-d_m")),
+        lambda ell, m, xl, xm: xl <= ell and xm > m,
+        "X_ell inside the top half and d_m inside X_m",
+    ),
+    "P9": Recipe("T1", (Clique("X_ell+X_m"),)),
+    "P10": Recipe(
+        "T1",
+        (_HALF_M, _HALF_L, Side("m_bot", "l_top"), Side("X_ell-l_top", "m_bot")),
+        lambda ell, m, xl, xm: xl >= ell,
+        "x_ell >= ell",
+    ),
+    "P11": Recipe(
+        "T1", (Clique("X_ell+m_bot"), Side("X_ell", "side_l-X_ell"), _HALF_M)
+    ),
+    "P12": Recipe(
+        "T1",
+        (Side("m_bot", "X_ell"), Side("l_top", "X_m-m_bot"), Side("m_top", "m_bot")),
+    ),
+    "P13": Recipe(
+        "T2",
+        (Clique("X_ell+m_bot"), Side("X_ell+X_m", "l_top-X_ell"), _HALF_M, _HALF_L),
+        lambda ell, m, xl, xm: xl <= ell,
+        "X_ell inside the top half",
+    ),
+    "P14": Recipe(
+        "T2", (_HALF_M, _HALF_L, Side("l_top-X_ell+m_bot-X_m", "X_ell+X_m"))
+    ),
+    "P15l": Recipe("T2", (Clique("l_top"), Side("X_ell", "m_bot"), _HALF_M, _HALF_L)),
+    "P15m": Recipe("T2", (Clique("m_bot"), Side("X_m", "l_top"), _HALF_M, _HALF_L)),
+    "P16l": Recipe("T2", (Clique("side_l"), Side("X_ell", "m_bot"), _HALF_M)),
+    "P16m": Recipe("T2", (Clique("side_m"), Side("X_m", "l_top"), _HALF_L)),
+    "P17l": Recipe(
+        "T2",
+        (
+            Clique("side_l"),
+            Side("X_ell", "m_bot-d_2m"),
+            Side("m_bot-d_2m", "m_top+d_2m"),
+        ),
+    ),
+    "P17m": Recipe(
+        "T2",
+        (
+            Clique("side_m"),
+            Side("X_m", "l_top-c_1"),
+            Side("l_top-c_1", "l_bot+c_1"),
+        ),
+    ),
+}
+
+F_RECIPE_IDS = tuple(rid for rid, r in RECIPES.items() if r.hitting == "T2")
+
+# each term as the indices of its groups in GROUP_NAMES: (K,) or (S, K)
+_COMPILED: dict[str, tuple[tuple[int, ...], ...]] = {
+    rid: tuple(
+        (GROUP_NAMES.index(t.group),)
+        if isinstance(t, Clique)
+        else (GROUP_NAMES.index(t.apexes), GROUP_NAMES.index(t.clique))
+        for t in r.terms
+    )
+    for rid, r in RECIPES.items()
+}
+_F_COMPILED = tuple(_COMPILED[rid] for rid in F_RECIPE_IDS)
 
 
 @dataclass(frozen=True)
@@ -121,52 +295,42 @@ def t2_size(p: CaseProfile) -> int:
     )
 
 
-def _recipe_terms(
-    recipe: str, p: CaseProfile
-) -> list[tuple[str, tuple[int, ...]]]:
-    """The clique/apex terms a recipe is assembled from, at profile level."""
-    ell, m, xl, xm = p.as_tuple()
-    half_m = ("side", (m, m))
-    half_l = ("side", (ell, ell))
-    table: dict[str, list[tuple[str, tuple[int, ...]]]] = {
-        "P13": [
-            ("clique", (m + xl,)),
-            ("side", (xl + xm, ell - xl)),
-            half_m,
-            half_l,
-        ],
-        "P14": [half_m, half_l, ("side", ((ell - xl) + (m - xm), xl + xm))],
-        "P15l": [("clique", (ell,)), ("side", (xl, m)), half_m, half_l],
-        "P15m": [("clique", (m,)), ("side", (xm, ell)), half_m, half_l],
-        "P16l": [("clique", (2 * ell,)), ("side", (xl, m)), half_m],
-        "P16m": [("clique", (2 * m,)), ("side", (xm, ell)), half_l],
-        "P17l": [
-            ("clique", (2 * ell,)),
-            ("side", (xl, m - 1)),
-            ("side", (m - 1, m + 1)),
-        ],
-        "P17m": [
-            ("clique", (2 * m,)),
-            ("side", (xm, ell - 1)),
-            ("side", (ell - 1, ell + 1)),
-        ],
-    }
-    if recipe not in table:
+def _group_sizes(p: CaseProfile) -> list[int]:
+    """Size of every group of GROUP_NAMES at the profile, in that order."""
+    sizes = []
+    for intervals in group_intervals(p.ell, p.m, p.x_ell, p.x_m).values():
+        size = 0
+        for lo, hi in intervals:
+            size += hi - lo
+        sizes.append(size)
+    return sizes
+
+
+def _term_bounds6(
+    terms: tuple[tuple[int, ...], ...], sizes: list[int], strategy: BoundStrategy
+) -> list[int]:
+    return [
+        _clique_bound6(sizes[t[0]], strategy)
+        if len(t) == 1
+        else _side_bound6(sizes[t[0]], sizes[t[1]], strategy)
+        for t in terms
+    ]
+
+
+def recipe_term_bounds(
+    recipe: str, p: CaseProfile, strategy: BoundStrategy = DEFAULT_STRATEGY
+) -> list[int]:
+    """6 times the profile-level lower bound of each of the recipe's terms."""
+    if recipe not in _COMPILED:
         raise ValueError(f"unknown recipe id {recipe!r}")
-    return table[recipe]
+    return _term_bounds6(_COMPILED[recipe], _group_sizes(p), strategy)
 
 
 def recipe_lower_bound(
     recipe: str, p: CaseProfile, strategy: BoundStrategy = DEFAULT_STRATEGY
 ) -> int:
     """6 times the certified lower bound on the recipe's packing size."""
-    total = 0
-    for kind, args in _recipe_terms(recipe, p):
-        if kind == "clique":
-            total += _clique_bound6(args[0], strategy)
-        else:
-            total += _side_bound6(args[0], args[1], strategy)
-    return total
+    return sum(recipe_term_bounds(recipe, p, strategy))
 
 
 @dataclass(frozen=True)
@@ -178,7 +342,8 @@ class CaseFunctionReport:
     strategy: BoundStrategy = DEFAULT_STRATEGY
 
     def __post_init__(self) -> None:
-        assert self.exceptional == (not self.passing)
+        if self.exceptional != (not self.passing):
+            raise ValueError("a profile is exceptional exactly when no recipe passes")
 
 
 def _check_search_constraints(p: CaseProfile) -> None:
@@ -196,9 +361,10 @@ def evaluate_case_functions(
 ) -> CaseFunctionReport:
     """f_1..f_8 at a profile; a recipe passes when its f-value exceeds -3."""
     _check_search_constraints(p)
-    t2 = t2_size(p)
+    t2_3 = 3 * t2_size(p)
+    sizes = _group_sizes(p)
     values = tuple(
-        recipe_lower_bound(rid, p, strategy) - 3 * t2 for rid in F_RECIPE_IDS
+        sum(_term_bounds6(terms, sizes, strategy)) - t2_3 for terms in _F_COMPILED
     )
     passing = frozenset(i for i, v in enumerate(values) if v > -3)
     return CaseFunctionReport(p, values, passing, not passing, strategy)

@@ -13,23 +13,38 @@ P13..P19.  The analysis defers a few corners to external results; those are
 handled here by the portfolio and, on small instances, by the exact oracles,
 never by a silent gap.
 
+The recipes that are plain unions of clique and apex packings are declared
+once, in ``casesearch.RECIPES``; ``_build`` assembles any of them from the
+profile's vertex groups with ``pack_clique``/``pack_side``, and the case
+search derives its profile-level bounds from the same rows.  P5', P6, P10'
+(the P10 row plus an absorption scan), P18 and P19 need unused edges or a
+missing edge located in the graph, and stay as code.  A recipe whose
+preconditions fail raises ``RecipeInapplicable``.
+
 Every packing is realized, not assumed: wherever the analysis asserts that
 some edge or perfect matching was left unused, the construction locates one
-by scanning (relabeling within a packed clique, or augmenting-path matching
-over the unused cross pairs) and fails loudly if it is absent.  Every
-returned certificate re-verifies both sides against the host graph, and
-guided mode checks the realized sizes directly instead of trusting the
-symbolic bound chains.
+by scanning (relabeling within a packed clique, or a scan over the unused
+cross pairs) and fails if it is absent.  Every returned certificate
+re-verifies both sides against the host graph, and guided mode checks the
+realized sizes directly instead of trusting the symbolic bound chains.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .casesearch import evaluate_case_functions
+from .casesearch import (
+    F_RECIPE_IDS,
+    RECIPES,
+    Clique,
+    Intervals,
+    evaluate_case_functions,
+    group_intervals,
+)
 from .graphs import (
     CoChainGraph,
     Edge,
@@ -41,6 +56,7 @@ from .graphs import (
     enumerate_triangles,
     profile,
     triangle,
+    triangle_edges,
     verify_hitting,
     verify_packing,
 )
@@ -148,7 +164,8 @@ def build_T1(g: CoChainGraph) -> HittingSet:
             + 2 * (m * (m - 1) // 2)
             + 2 * (ell * (ell - 1) // 2)
         )
-        assert len(h) <= bound, (len(h), bound, prof)
+        if len(h) > bound:
+            raise RuntimeError(f"T1 has {len(h)} edges, above {bound} at {prof}")
     return h
 
 
@@ -173,7 +190,8 @@ def build_T2(g: CoChainGraph) -> HittingSet:
         + ell * xm
         - xl * xm
     )
-    assert len(h) == expected, (len(h), expected, prof)
+    if len(h) != expected:
+        raise RuntimeError(f"T2 has {len(h)} edges, not {expected} at {prof}")
     G = g.to_general()
     if not verify_hitting(G, h):
         raise RuntimeError("T2 failed to hit all triangles")
@@ -296,7 +314,8 @@ def _clique_packing_unused_at(
     )
     transpose(second, target[1])
     mapped = [triangle(perm[a], perm[b], perm[c]) for a, b, c in tris]
-    assert target not in _used_edges(mapped), "relabeling failed to free target"
+    if target in _used_edges(mapped):
+        raise RuntimeError(f"relabeling failed to free the pair {target}")
     return mapped
 
 
@@ -313,65 +332,56 @@ class _Ctx:
     m: int
     xl: int
     xm: int
+    #: the profile's named vertex groups, as casesearch.group_intervals
+    groups: dict[str, Intervals]
     #: set when a clique exceeded the optimal constructions' cap and a
     #: greedy packing was substituted; surfaces in the method tag
     greedy_fallback: bool = False
 
     @classmethod
     def of(cls, g: CoChainGraph) -> "_Ctx":
-        prof = profile(g)
-        return cls(g, g.to_general(), *prof.as_tuple())
+        prof = profile(g).as_tuple()
+        return cls(g, g.to_general(), *prof, group_intervals(*prof))
 
-    # frequently used vertex groups
-    @property
-    def l_top(self) -> tuple[int, ...]:
-        return self.g.l_top()
-
-    @property
-    def l_bot(self) -> tuple[int, ...]:
-        return self.g.l_bot()
-
-    @property
-    def m_top(self) -> tuple[int, ...]:
-        return self.g.m_top()
-
-    @property
-    def m_bot(self) -> tuple[int, ...]:
-        return self.g.m_bot()
-
-    @property
-    def xl_set(self) -> tuple[int, ...]:
-        return self.g.x_l_vertices()
-
-    @property
-    def xm_set(self) -> tuple[int, ...]:
-        return self.g.x_m_vertices()
+    def vertices(self, group: str) -> tuple[int, ...]:
+        return tuple(v for lo, hi in self.groups[group] for v in range(lo, hi))
 
 
-def _p1(ctx: _Ctx) -> list[Triangle]:
-    return _clique_packing(ctx, ctx.g.side_m())
+def _term_packings(rid: str, ctx: _Ctx) -> list[list[Triangle]]:
+    """Build the table recipe ``rid``: one packing per term, in table order."""
+    recipe = RECIPES[rid]
+    if recipe.applies is not None and not recipe.applies(
+        ctx.ell, ctx.m, ctx.xl, ctx.xm
+    ):
+        raise RecipeInapplicable(f"{rid} needs {recipe.needs}")
+    parts = []
+    for term in recipe.terms:
+        if isinstance(term, Clique):
+            parts.append(_clique_packing(ctx, ctx.vertices(term.group)))
+        else:
+            parts.append(
+                _side_packing(
+                    ctx.G, ctx.vertices(term.apexes), ctx.vertices(term.clique)
+                )
+            )
+    return parts
 
 
-def _p2(ctx: _Ctx) -> list[Triangle]:
-    return _clique_packing(ctx, set(ctx.m_bot) | set(ctx.xl_set)) + _side_packing(
-        ctx.G, ctx.m_bot, ctx.m_top
-    )
+def _build(rid: str, ctx: _Ctx) -> list[Triangle]:
+    return [t for part in _term_packings(rid, ctx) for t in part]
 
 
-def _p3(ctx: _Ctx) -> list[Triangle]:
-    xm_in_top = tuple(v for v in ctx.xm_set if v not in set(ctx.m_bot))
-    return (
-        _side_packing(ctx.G, ctx.xl_set, ctx.m_bot)
-        + _side_packing(ctx.G, xm_in_top, ctx.l_top)
-        + _side_packing(ctx.G, ctx.m_bot, ctx.m_top)
-        + _side_packing(ctx.G, ctx.l_top, ctx.l_bot)
-    )
-
-
-def _p4(ctx: _Ctx) -> list[Triangle]:
-    return _clique_packing(ctx, set(ctx.l_top) | set(ctx.xm_set)) + _side_packing(
-        ctx.G, ctx.l_top, ctx.l_bot
-    )
+def _extend(
+    ctx: _Ctx, base: list[Triangle], extra: list[Triangle], tag: str
+) -> list[Triangle]:
+    """base plus extra triangles whose edges are in the host and unused."""
+    used = _used_edges(base)
+    for t in extra:
+        for e_ in triangle_edges(t):
+            if not ctx.G.has_edge(*e_) or e_ in used:
+                raise RecipeInapplicable(f"{tag}: edge {e_} unavailable")
+            used.add(e_)
+    return base + extra
 
 
 def _p5_prime(ctx: _Ctx) -> list[Triangle]:
@@ -381,91 +391,32 @@ def _p5_prime(ctx: _Ctx) -> list[Triangle]:
     g = ctx.g
     c1, c2, c3, c4 = g.c(1), g.c(2), g.c(3), g.c(4)
     d_last = g.d(g.m_size)
-    base = _clique_packing_unused_at(
-        ctx, set(ctx.l_top) | set(ctx.xm_set), (c1, c2)
+    base = _clique_packing_unused_at(ctx, ctx.vertices("l_top+X_m"), (c1, c2))
+    return _extend(
+        ctx, base, [triangle(c1, c2, c3), triangle(c3, c4, d_last)], "P5'"
     )
-    extra = [triangle(c1, c2, c3), triangle(c3, c4, d_last)]
-    used = _used_edges(base)
-    for t in extra:
-        for e_ in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            if not ctx.G.has_edge(*e_) or e_ in used:
-                raise CertificationFailure("P5'", f"edge {e_} unavailable")
-            used.add(e_)
-    return base + extra
 
 
 def _two_cliques_plus_two(
-    ctx: _Ctx, bridge_d: int, pair_d: tuple[int, int], tag: str
+    ctx: _Ctx, bridge_j: int, pair_j: tuple[int, int], tag: str
 ) -> list[Triangle]:
     """Shared body of P6 and P19: pack both side cliques, then add the two
-    triangles {c1, c2, bridge_d} and {c1, pair_d} over relabeled unused edges."""
-    g = ctx.g
+    triangles {c1, c2, d_bridge} and {c1, d_pair} over relabeled unused edges."""
     if ctx.ell < 2 or ctx.m < 3:
         raise RecipeInapplicable(f"{tag} needs ell >= 2 and m >= 3")
+    g = ctx.g
     c1, c2 = g.c(1), g.c(2)
-    base_l = _clique_packing_unused_at(ctx, g.side_l(), (c1, c2))
-    base_m = _clique_packing_unused_at(ctx, g.side_m(), pair_d)
-    extra = [triangle(c1, c2, bridge_d), triangle(c1, *pair_d)]
-    used = _used_edges(base_l) | _used_edges(base_m)
-    for t in extra:
-        for e_ in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            if not ctx.G.has_edge(*e_) or e_ in used:
-                raise RecipeInapplicable(f"{tag}: edge {e_} unavailable")
-            used.add(e_)
-    return base_l + base_m + extra
+    pair_d = (g.d(pair_j[0]), g.d(pair_j[1]))
+    base = _clique_packing_unused_at(
+        ctx, ctx.vertices("side_l"), (c1, c2)
+    ) + _clique_packing_unused_at(ctx, ctx.vertices("side_m"), pair_d)
+    extra = [triangle(c1, c2, g.d(bridge_j)), triangle(c1, *pair_d)]
+    return _extend(ctx, base, extra, tag)
 
 
 def _p6(ctx: _Ctx) -> list[Triangle]:
-    g = ctx.g
     # bridge through the least-connected bottom vertex, pair at the top end
-    return _two_cliques_plus_two(
-        ctx, g.d(ctx.m + 1), (g.d(g.m_size - 1), g.d(g.m_size)), "P6"
-    )
-
-
-def _p7(ctx: _Ctx) -> list[Triangle]:
-    if ctx.xl > ctx.ell:
-        raise RecipeInapplicable("P7 needs X_ell inside the top half")
-    return (
-        _clique_packing(ctx, set(ctx.xl_set) | set(ctx.m_bot))
-        + _side_packing(ctx.G, ctx.l_top, ctx.l_bot)
-        + _side_packing(ctx.G, ctx.m_bot, ctx.m_top)
-    )
-
-
-def _p8(ctx: _Ctx) -> list[Triangle]:
-    g = ctx.g
-    if ctx.xl > ctx.ell:
-        raise RecipeInapplicable("P8 needs X_ell inside the top half")
-    if ctx.xm < ctx.m + 1:
-        raise RecipeInapplicable("P8 needs d_m inside X_m")
-    d_m = g.d(ctx.m)
-    m_top_rest = tuple(v for v in ctx.m_top if v != d_m)
-    return (
-        _clique_packing(ctx, set(ctx.xl_set) | set(ctx.m_bot) | {d_m})
-        + _side_packing(ctx.G, ctx.l_top, ctx.l_bot)
-        + _side_packing(ctx.G, ctx.m_bot, m_top_rest)
-    )
-
-
-def _p9(ctx: _Ctx) -> list[Triangle]:
-    xl_low = [v for v in ctx.xl_set if v not in set(ctx.l_top)]
-    xm_high = [v for v in ctx.xm_set if v not in set(ctx.m_bot)]
-    if not ctx.G.complete_between(xl_low, xm_high):
-        raise RecipeInapplicable("P9 needs X_ell \\ top complete to X_m \\ bot")
-    return _clique_packing(ctx, set(ctx.xl_set) | set(ctx.xm_set))
-
-
-def _p10(ctx: _Ctx) -> list[Triangle]:
-    if ctx.xl < ctx.ell:
-        raise RecipeInapplicable("P10 needs x_ell >= ell")
-    xl_low = tuple(v for v in ctx.xl_set if v not in set(ctx.l_top))
-    return (
-        _side_packing(ctx.G, ctx.m_bot, ctx.m_top)
-        + _side_packing(ctx.G, ctx.l_top, ctx.l_bot)
-        + _side_packing(ctx.G, ctx.m_bot, ctx.l_top)
-        + _side_packing(ctx.G, xl_low, ctx.m_bot)
-    )
+    return _two_cliques_plus_two(ctx, ctx.m + 1, (2 * ctx.m - 1, 2 * ctx.m), "P6")
 
 
 def _p10_prime(ctx: _Ctx) -> list[Triangle]:
@@ -475,19 +426,20 @@ def _p10_prime(ctx: _Ctx) -> list[Triangle]:
     and an unused within-m edge d'-dd.  For odd halves the unused cross edges
     form perfect matchings (one bye per apex of the near-1-factorization);
     for even halves they form stars at the one unassigned apex.  A scan finds
-    them either way and fails loudly if the required edges are missing.
+    them either way; without them the recipe does not apply.
     """
-    tris = _p10(ctx)
-    xm_high = [v for v in ctx.xm_set if v not in set(ctx.m_bot)]
+    tris = _build("P10", ctx)
+    xm_high = ctx.vertices("X_m-m_bot")
     if not xm_high:
         return tris
     used = _used_edges(tris)
-    for dd in sorted(xm_high):
+    m_bot, l_top = ctx.vertices("m_bot"), ctx.vertices("l_top")
+    for dd in xm_high:
         placed = False
-        for d_bot in sorted(ctx.m_bot, reverse=True):
+        for d_bot in reversed(m_bot):
             if (edge(d_bot, dd) in used) or not ctx.G.has_edge(d_bot, dd):
                 continue
-            for c in ctx.l_top:
+            for c in l_top:
                 e1, e2, e3 = edge(c, d_bot), edge(d_bot, dd), edge(c, dd)
                 if (
                     ctx.G.has_edge(*e1)
@@ -502,107 +454,8 @@ def _p10_prime(ctx: _Ctx) -> list[Triangle]:
             if placed:
                 break
         if not placed:
-            raise CertificationFailure(
-                "P10'", f"no unused edge pair to absorb vertex {dd}"
-            )
+            raise RecipeInapplicable(f"P10': no unused edge pair to absorb vertex {dd}")
     return tris
-
-
-def _p11(ctx: _Ctx) -> list[Triangle]:
-    rest_l = tuple(v for v in ctx.g.side_l() if v not in set(ctx.xl_set))
-    return (
-        _clique_packing(ctx, set(ctx.xl_set) | set(ctx.m_bot))
-        + _side_packing(ctx.G, ctx.xl_set, rest_l)
-        + _side_packing(ctx.G, ctx.m_bot, ctx.m_top)
-    )
-
-
-def _p12(ctx: _Ctx) -> list[Triangle]:
-    xm_high = tuple(v for v in ctx.xm_set if v not in set(ctx.m_bot))
-    return (
-        _side_packing(ctx.G, ctx.m_bot, ctx.xl_set)
-        + _side_packing(ctx.G, ctx.l_top, xm_high)
-        + _side_packing(ctx.G, ctx.m_top, ctx.m_bot)
-    )
-
-
-def _p13(ctx: _Ctx) -> list[Triangle]:
-    if ctx.xl > ctx.ell:
-        raise RecipeInapplicable("P13 needs X_ell inside the top half")
-    top_rest = tuple(v for v in ctx.l_top if v not in set(ctx.xl_set))
-    return (
-        _clique_packing(ctx, set(ctx.m_bot) | set(ctx.xl_set))
-        + _side_packing(ctx.G, set(ctx.xl_set) | set(ctx.xm_set), top_rest)
-        + _side_packing(ctx.G, ctx.m_bot, ctx.m_top)
-        + _side_packing(ctx.G, ctx.l_top, ctx.l_bot)
-    )
-
-
-def _p14(ctx: _Ctx) -> list[Triangle]:
-    s = tuple(v for v in ctx.l_top if v not in set(ctx.xl_set)) + tuple(
-        v for v in ctx.m_bot if v not in set(ctx.xm_set)
-    )
-    return (
-        _side_packing(ctx.G, ctx.m_bot, ctx.m_top)
-        + _side_packing(ctx.G, ctx.l_top, ctx.l_bot)
-        + _side_packing(ctx.G, s, set(ctx.xl_set) | set(ctx.xm_set))
-    )
-
-
-def _p15_l(ctx: _Ctx) -> list[Triangle]:
-    return (
-        _clique_packing(ctx, ctx.l_top)
-        + _side_packing(ctx.G, ctx.xl_set, ctx.m_bot)
-        + _side_packing(ctx.G, ctx.m_bot, ctx.m_top)
-        + _side_packing(ctx.G, ctx.l_top, ctx.l_bot)
-    )
-
-
-def _p15_m(ctx: _Ctx) -> list[Triangle]:
-    return (
-        _clique_packing(ctx, ctx.m_bot)
-        + _side_packing(ctx.G, ctx.xm_set, ctx.l_top)
-        + _side_packing(ctx.G, ctx.m_bot, ctx.m_top)
-        + _side_packing(ctx.G, ctx.l_top, ctx.l_bot)
-    )
-
-
-def _p16_l(ctx: _Ctx) -> list[Triangle]:
-    return (
-        _clique_packing(ctx, ctx.g.side_l())
-        + _side_packing(ctx.G, ctx.xl_set, ctx.m_bot)
-        + _side_packing(ctx.G, ctx.m_bot, ctx.m_top)
-    )
-
-
-def _p16_m(ctx: _Ctx) -> list[Triangle]:
-    return (
-        _clique_packing(ctx, ctx.g.side_m())
-        + _side_packing(ctx.G, ctx.xm_set, ctx.l_top)
-        + _side_packing(ctx.G, ctx.l_top, ctx.l_bot)
-    )
-
-
-def _p17_l(ctx: _Ctx) -> list[Triangle]:
-    g = ctx.g
-    d_last = g.d(g.m_size)
-    bot_rest = tuple(v for v in ctx.m_bot if v != d_last)
-    return (
-        _clique_packing(ctx, g.side_l())
-        + _side_packing(ctx.G, ctx.xl_set, bot_rest)
-        + _side_packing(ctx.G, bot_rest, set(ctx.m_top) | {d_last})
-    )
-
-
-def _p17_m(ctx: _Ctx) -> list[Triangle]:
-    g = ctx.g
-    c1 = g.c(1)
-    top_rest = tuple(v for v in ctx.l_top if v != c1)
-    return (
-        _clique_packing(ctx, g.side_m())
-        + _side_packing(ctx.G, ctx.xm_set, top_rest)
-        + _side_packing(ctx.G, top_rest, set(ctx.l_bot) | {c1})
-    )
 
 
 def _p18(ctx: _Ctx) -> list[Triangle]:
@@ -611,8 +464,10 @@ def _p18(ctx: _Ctx) -> list[Triangle]:
     if not (ctx.ell - ctx.xl == 1 and ctx.m - ctx.xm == 1):
         raise RecipeInapplicable("P18 needs ell - x_ell = 1 and m - x_m = 1")
     missing = edge(g.c(ctx.ell), g.d(ctx.m + 1))
-    verts = sorted(set(ctx.l_top) | set(ctx.m_bot))
-    assert not ctx.G.has_edge(*missing)
+    if ctx.G.has_edge(*missing):
+        raise RuntimeError(f"P18: edge {missing} present although x_ell = ell - 1")
+    l_top, m_bot = ctx.vertices("l_top"), ctx.vertices("m_bot")
+    verts = l_top + m_bot
     for u, v in combinations(verts, 2):
         if (u, v) != missing and not ctx.G.has_edge(u, v):
             raise RecipeInapplicable(f"P18: extra missing edge {(u, v)}")
@@ -623,48 +478,33 @@ def _p18(ctx: _Ctx) -> list[Triangle]:
     near = [t for t in full if not (missing[0] in t and missing[1] in t)]
     return (
         near
-        + _side_packing(ctx.G, ctx.m_bot, ctx.m_top)
-        + _side_packing(ctx.G, ctx.l_top, ctx.l_bot)
+        + _side_packing(ctx.G, m_bot, ctx.vertices("m_top"))
+        + _side_packing(ctx.G, l_top, ctx.vertices("l_bot"))
     )
 
 
 def _p19(ctx: _Ctx) -> list[Triangle]:
-    g = ctx.g
     if ctx.xl < 1 or ctx.xm < 1:
         raise RecipeInapplicable("P19 needs nonempty X_ell and X_m")
-    return _two_cliques_plus_two(
-        ctx, g.d(g.m_size), (g.d(ctx.m + 1), g.d(ctx.m + 2)), "P19"
-    )
+    return _two_cliques_plus_two(ctx, 2 * ctx.m, (ctx.m + 1, ctx.m + 2), "P19")
 
+
+#: the recipes that are not a plain union of table terms
+_CODE_RECIPES: dict[str, Callable[[_Ctx], list[Triangle]]] = {
+    "P5'": _p5_prime,
+    "P6": _p6,
+    "P10'": _p10_prime,
+    "P18": _p18,
+    "P19": _p19,
+}
 
 _F_RECIPES: list[tuple[str, Callable[[_Ctx], list[Triangle]]]] = [
-    ("P13", _p13),
-    ("P14", _p14),
-    ("P15l", _p15_l),
-    ("P15m", _p15_m),
-    ("P16l", _p16_l),
-    ("P16m", _p16_m),
-    ("P17l", _p17_l),
-    ("P17m", _p17_m),
+    (rid, partial(_build, rid)) for rid in F_RECIPE_IDS
 ]
 
 _PORTFOLIO_RECIPES: list[tuple[str, Callable[[_Ctx], list[Triangle]]]] = [
-    ("P1", _p1),
-    ("P2", _p2),
-    ("P3", _p3),
-    ("P4", _p4),
-    ("P5'", _p5_prime),
-    ("P6", _p6),
-    ("P7", _p7),
-    ("P8", _p8),
-    ("P9", _p9),
-    ("P10", _p10),
-    ("P10'", _p10_prime),
-    ("P11", _p11),
-    ("P12", _p12),
-    ("P18", _p18),
-    ("P19", _p19),
-] + _F_RECIPES
+    (rid, partial(_build, rid)) for rid in RECIPES
+] + list(_CODE_RECIPES.items())
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +528,10 @@ def _finish(
 def _exact_certificate(G: GeneralGraph, tag: str) -> Certificate:
     budget = oracle_budget()
     r_tau = exact_tau(G, budget)
+    if not r_tau.proven:
+        raise BudgetExhausted(tag, "oracle budget exhausted")
     r_nu = exact_nu(G, budget)
-    if not (r_tau.proven and r_nu.proven):
+    if not r_nu.proven:
         raise BudgetExhausted(tag, "oracle budget exhausted")
     if not isinstance(r_tau.witness, HittingSet):
         raise CertificationFailure(tag, "tau oracle returned no hitting set")
@@ -724,7 +566,7 @@ def _refined_T1(ctx: _Ctx) -> HittingSet:
     has its third vertex in the top-ell or bot-m half (checked at runtime)."""
     g = ctx.g
     u, v = g.c(ctx.ell), g.d(ctx.m + 1)
-    safe = set(ctx.l_top) | set(ctx.m_bot)
+    safe = set(ctx.vertices("l_top") + ctx.vertices("m_bot"))
     for w in range(ctx.G.n):
         if w not in (u, v) and ctx.G.has_edge(u, w) and ctx.G.has_edge(v, w):
             if w not in safe:
@@ -755,16 +597,23 @@ def _single_clique_certificate(g: CoChainGraph) -> Certificate:
     return cert
 
 
-_PULEO_PROFILES = {(1, 2, 0, 1), (2, 1, 1, 0), (2, 2, 1, 1)}
-_P18_PROFILES = {
-    (2, 5, 1, 4),
-    (5, 2, 4, 1),
-    (3, 4, 2, 3),
-    (4, 3, 3, 2),
-    (3, 6, 2, 5),
-    (6, 3, 5, 2),
+#: how 3.2.2 settles each exceptional profile: a bespoke recipe, the
+#: small-instance route the analysis defers to Puleo's results, or the side
+#: swap onto the mirror profile (2, 3, 1, 2)
+_EXCEPTIONAL_ROUTES: dict[tuple[int, int, int, int], str] = {
+    (1, 2, 0, 1): "deferred",
+    (2, 1, 1, 0): "deferred",
+    (2, 2, 1, 1): "deferred",
+    (2, 5, 1, 4): "P18",
+    (5, 2, 4, 1): "P18",
+    (3, 4, 2, 3): "P18",
+    (4, 3, 3, 2): "P18",
+    (3, 6, 2, 5): "P18",
+    (6, 3, 5, 2): "P18",
+    (2, 3, 1, 2): "P19",
+    (3, 3, 2, 1): "P19",
+    (3, 2, 2, 1): "swap",
 }
-_P19_PROFILES = {(2, 3, 1, 2), (3, 3, 2, 1)}
 
 
 def _guided(g: CoChainGraph, depth: int = 0) -> Certificate:
@@ -798,8 +647,8 @@ def _guided(g: CoChainGraph, depth: int = 0) -> Certificate:
                 if m <= 3:
                     return _deferred(ctx, "3.1-l1-small")
                 if xl == 1:
-                    return finish(_p1(ctx), "3.1-l1-P1", build_T1(g))
-                return finish(_p2(ctx), "3.1-l1-P2", build_T1(g))
+                    return finish(_build("P1", ctx), "3.1-l1-P1", build_T1(g))
+                return finish(_build("P2", ctx), "3.1-l1-P2", build_T1(g))
             if m == 1 or ell > m:
                 return swapped()
             if xl <= m:
@@ -810,7 +659,7 @@ def _guided(g: CoChainGraph, depth: int = 0) -> Certificate:
             return swapped()
         if xm + xl < ell - xl:
             t2 = build_T2(g)
-            tris = _p13(ctx)
+            tris = _build("P13", ctx)
             if len(t2) <= 2 * len(tris):
                 return finish(tris, "3.2.1-P13", t2)
             return _deferred(ctx, "3.2.1-small")
@@ -826,32 +675,32 @@ def _guided_case1(ctx: _Ctx, finish) -> Certificate:
     t1 = build_T1(g)
     if xm - m >= ell:
         if xm < 2 * m or ell >= 3:
-            return finish(_p3(ctx), "3.1-case1-P3", t1)
+            return finish(_build("P3", ctx), "3.1-case1-P3", t1)
         # ell == 2, x_m == 2m
         if m == 2:
             return _deferred(ctx, "3.1-case1-small")
         if xl == 2:
-            return finish(_p3(ctx), "3.1-case1-P3", t1)
+            return finish(_build("P3", ctx), "3.1-case1-P3", t1)
         if xl == 3:
-            return finish(_p4(ctx), "3.1-case1-P4", t1)
+            return finish(_build("P4", ctx), "3.1-case1-P4", t1)
         # x_ell == 4 == 2*ell <= m
         if m >= 5:
-            return finish(_p4(ctx), "3.1-case1-P4", t1)
+            return finish(_build("P4", ctx), "3.1-case1-P4", t1)
         return finish(_p5_prime(ctx), "3.1-case1-P5'", t1)
     # min(x_m - m, ell) = x_m - m
     if xl > ell:
-        return finish(_p3(ctx), "3.1-case1-P3", t1)
+        return finish(_build("P3", ctx), "3.1-case1-P3", t1)
     # x_ell == ell
     if ell + m == 5:
         return finish(_p6(ctx), "3.1-case1-P6", t1)
     if m - ell >= 1 or ell >= 4:
-        return finish(_p7(ctx), "3.1-case1-P7", t1)
+        return finish(_build("P7", ctx), "3.1-case1-P7", t1)
     if ell == 2:  # ell == m == 2
         return _deferred(ctx, "3.1-case1-small")
     # ell == m == x_ell == 3
     if xm == 3:
-        return finish(_p7(ctx), "3.1-case1-P7-refined", _refined_T1(ctx))
-    return finish(_p8(ctx), "3.1-case1-P8", t1)
+        return finish(_build("P7", ctx), "3.1-case1-P7-refined", _refined_T1(ctx))
+    return finish(_build("P8", ctx), "3.1-case1-P8", t1)
 
 
 def _guided_case2(ctx: _Ctx, finish) -> Certificate:
@@ -861,31 +710,31 @@ def _guided_case2(ctx: _Ctx, finish) -> Certificate:
     t1 = build_T1(g)
     if xm <= m + ell:  # subcase 2.1
         if m - ell >= 2:
-            return finish(_p3(ctx), "3.1-case2.1-P3", t1)
+            return finish(_build("P3", ctx), "3.1-case2.1-P3", t1)
         if m - ell == 1:
             if xl < 2 * ell:
-                return finish(_p3(ctx), "3.1-case2.1-P3", t1)
+                return finish(_build("P3", ctx), "3.1-case2.1-P3", t1)
             if xm - m <= ell - 1:
-                return finish(_p2(ctx), "3.1-case2.1-P2", t1)
+                return finish(_build("P2", ctx), "3.1-case2.1-P2", t1)
             # x_m = m + ell: either the cross block is incomplete (T1 is
             # one edge smaller, realized) or X_ell union X_m is a clique
             try:
-                return finish(_p9(ctx), "3.1-case2.1-P9", t1)
+                return finish(_build("P9", ctx), "3.1-case2.1-P9", t1)
             except RecipeInapplicable:
-                return finish(_p2(ctx), "3.1-case2.1-P2", t1)
+                return finish(_build("P2", ctx), "3.1-case2.1-P2", t1)
         # m == ell
         if ell % 2 == 0:
             return _deferred(ctx, "3.1-case2.1-balanced-even")
         if xl > ell + 1 or xm > ell:
             return finish(_p10_prime(ctx), "3.1-case2.1-P10'", t1)
-        return finish(_p11(ctx), "3.1-case2.1-P11", t1)
+        return finish(_build("P11", ctx), "3.1-case2.1-P11", t1)
     # subcase 2.2: x_m > m + ell (forces m > ell)
     if m - ell >= 2:
-        return finish(_p12(ctx), "3.1-case2.2-P12", t1)
+        return finish(_build("P12", ctx), "3.1-case2.2-P12", t1)
     # m = ell + 1, x_m = 2m
     if xl == 2 * ell:
-        return finish(_p12(ctx), "3.1-case2.2-P12", t1)
-    return finish(_p4(ctx), "3.1-case2.2-P4", t1)
+        return finish(_build("P12", ctx), "3.1-case2.2-P12", t1)
+    return finish(_build("P4", ctx), "3.1-case2.2-P4", t1)
 
 
 def _guided_322(ctx: _Ctx, finish, swapped) -> Certificate:
@@ -893,20 +742,19 @@ def _guided_322(ctx: _Ctx, finish, swapped) -> Certificate:
     g = ctx.g
     prof = (ctx.ell, ctx.m, ctx.xl, ctx.xm)
     if ctx.ell > 10 or ctx.m > 10:
-        return finish(_p13(ctx), "3.2.2-P13", build_T2(g))
+        return finish(_build("P13", ctx), "3.2.2-P13", build_T2(g))
     report = evaluate_case_functions(profile(g))
     if report.passing:
         idx = max(report.passing, key=lambda i: (report.f_values[i], -i))
         tag, fn = _F_RECIPES[idx]
         return finish(fn(ctx), f"3.2.2-{tag}", build_T2(g))
     # the exceptional profiles
-    if prof in _P18_PROFILES:
-        return finish(_p18(ctx), "3.2.2-P18", build_T2(g))
-    if prof in _PULEO_PROFILES:
+    route = _EXCEPTIONAL_ROUTES.get(prof)
+    if route in _CODE_RECIPES:
+        return finish(_CODE_RECIPES[route](ctx), f"3.2.2-{route}", build_T2(g))
+    if route == "deferred":
         return _deferred(ctx, "3.2.2-small")
-    if prof in _P19_PROFILES:
-        return finish(_p19(ctx), "3.2.2-P19", build_T2(g))
-    if prof == (3, 2, 2, 1):
+    if route == "swap":
         return swapped()
     raise CertificationFailure(
         "3.2.2-unexpected-exceptional", f"no construction for profile {prof}"
@@ -934,7 +782,7 @@ def _portfolio_core(g: CoChainGraph) -> Certificate | None:
             ctx.greedy_fallback = False
             try:
                 tris = fn(ctx)
-            except (RecipeInapplicable, CertificationFailure, ValueError):
+            except RecipeInapplicable:
                 continue
             if ctx.greedy_fallback:
                 tag += "+greedy-clique"

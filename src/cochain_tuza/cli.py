@@ -93,6 +93,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_PARSE
 
     order = None
+    host = g
     if not isinstance(g, CoChainGraph):
         recognized = recognize_cochain(g)
         if isinstance(recognized, RecognitionFailure):
@@ -117,10 +118,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if order is not None:
         # express the certificate in the input file's vertex labels
         from .certify import make_certificate
-        from .graphs import GeneralGraph, HittingSet, TrianglePacking
+        from .graphs import HittingSet, TrianglePacking
 
-        host = fileio.read_graph(args.graph)
-        assert isinstance(host, GeneralGraph)
         hitting = HittingSet.of((order[u], order[v]) for u, v in cert.hitting.edges)
         packing = TrianglePacking.of(
             (order[a], order[b], order[c]) for a, b, c in cert.packing.triangles

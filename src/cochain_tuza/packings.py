@@ -69,7 +69,8 @@ def feder_count(n: int) -> CliquePackingCount:
     else:  # r == 4
         k = n // 2 + 1
     pairs = comb(n, 2)
-    assert (pairs - k) % 3 == 0
+    if (pairs - k) % 3:
+        raise RuntimeError(f"deficiency {k} leaves a non-multiple of 3 at n = {n}")
     return CliquePackingCount(n, k, (pairs - k) // 3)
 
 
@@ -153,34 +154,6 @@ def pack_side(
         for e in m
     ]
     return TrianglePacking.of(tris)
-
-
-@dataclass(frozen=True)
-class BetweenPacking:
-    """pack_between result: the packing plus the apex restriction applied."""
-
-    packing: TrianglePacking
-    apexes: tuple[int, ...]
-    skipped: tuple[int, ...]
-
-
-def pack_between(
-    S: Iterable[int], K: Iterable[int], host: GeneralGraph
-) -> BetweenPacking:
-    """pack_side restricted to the S-vertices actually complete to K.
-
-    No triangle uses an edge inside S.  S-vertices missing some K-neighbor
-    are skipped and reported in the result.
-    """
-    s_sorted = sorted(set(S))
-    k_sorted = sorted(set(K))
-    kept = [s for s in s_sorted if host.complete_between([s], k_sorted)]
-    skipped = tuple(s for s in s_sorted if s not in set(kept))
-    return BetweenPacking(
-        packing=pack_side(kept, k_sorted, host),
-        apexes=tuple(kept),
-        skipped=skipped,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,27 @@ import pytest
 from cochain_tuza.casesearch import (
     ALL_STRATEGIES,
     EXPECTED_EXCEPTIONAL,
+    GROUP_NAMES,
+    RECIPES,
     audit_inequalities,
     constrained_profiles,
     evaluate_case_functions,
+    group_intervals,
     recipe_lower_bound,
+    recipe_term_bounds,
     search_exceptional,
     t2_size,
     F_RECIPE_IDS,
 )
-from cochain_tuza.certify import _Ctx, _F_RECIPES, build_T2, certify
+from cochain_tuza.certify import (
+    RecipeInapplicable,
+    _Ctx,
+    _F_RECIPES,
+    _term_packings,
+    build_T2,
+    certify,
+)
+from cochain_tuza.generators import random_cochain
 from cochain_tuza.graphs import CaseProfile, profile, verify_packing
 
 from conftest import random_realization, realize_profile
@@ -94,6 +106,79 @@ def test_recipe_lower_bound_at_most_realized_size():
                 len(tris),
             )
             checked += 1
+
+
+def _graph_level_groups(g):
+    """Every table group, built from the graph's own vertex sets."""
+    lt, lb, mt, mb = (set(s) for s in (g.l_top(), g.l_bot(), g.m_top(), g.m_bot()))
+    side_l, side_m = set(g.side_l()), set(g.side_m())
+    xl, xm = set(g.x_l_vertices()), set(g.x_m_vertices())
+    d_m, d_2m, c_1 = g.d(g.m_size // 2), g.d(g.m_size), g.c(1)
+    return {
+        "l_top": lt,
+        "l_bot": lb,
+        "m_top": mt,
+        "m_bot": mb,
+        "side_l": side_l,
+        "side_m": side_m,
+        "X_ell": xl,
+        "X_m": xm,
+        "X_ell+m_bot": xl | mb,
+        "l_top+X_m": lt | xm,
+        "X_ell+X_m": xl | xm,
+        "X_ell-l_top": xl - lt,
+        "X_m-m_bot": xm - mb,
+        "l_top-X_ell": lt - xl,
+        "side_l-X_ell": side_l - xl,
+        "l_top-X_ell+m_bot-X_m": (lt - xl) | (mb - xm),
+        "X_ell+m_bot+d_m": xl | mb | {d_m},
+        "m_top-d_m": mt - {d_m},
+        "m_bot-d_2m": mb - {d_2m},
+        "m_top+d_2m": mt | {d_2m},
+        "l_top-c_1": lt - {c_1},
+        "l_bot+c_1": lb | {c_1},
+    }
+
+
+def test_groups_match_graph_level_vertex_sets():
+    rng = random.Random(20261018)
+    regimes = set()
+    for _ in range(300):
+        g = random_cochain(rng, 2 * rng.randint(1, 6), 2 * rng.randint(1, 6))
+        p = profile(g)
+        regimes.add(p.x_ell >= p.ell)
+        ctx = _Ctx.of(g)
+        intervals = group_intervals(*p.as_tuple())
+        expected = _graph_level_groups(g)
+        assert tuple(expected) == GROUP_NAMES
+        for name, verts in expected.items():
+            got = ctx.vertices(name)
+            assert set(got) == verts and len(got) == len(verts), (name, p)
+            # the bound's group size is the construction's vertex count
+            assert sum(hi - lo for lo, hi in intervals[name]) == len(verts), (name, p)
+    assert regimes == {True, False}
+
+
+def test_table_recipes_meet_their_bounds_term_by_term():
+    rng = random.Random(20261019)
+    built = set()
+    for _ in range(300):
+        g = random_cochain(rng, 2 * rng.randint(1, 5), 2 * rng.randint(1, 5))
+        p = profile(g)
+        ctx = _Ctx.of(g)
+        for rid in RECIPES:
+            try:
+                parts = _term_packings(rid, ctx)
+            except RecipeInapplicable:
+                continue
+            built.add(rid)
+            assert verify_packing(ctx.G, [t for part in parts for t in part])
+            for strategy in ALL_STRATEGIES:
+                bounds = recipe_term_bounds(rid, p, strategy)
+                assert len(bounds) == len(parts)
+                for i, (part, bound) in enumerate(zip(parts, bounds)):
+                    assert 6 * len(part) >= bound, (rid, i, p, strategy)
+    assert built == set(RECIPES)
 
 
 def test_recipe_lower_bound_unknown_id():

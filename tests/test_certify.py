@@ -1,11 +1,18 @@
+import importlib
 from itertools import product
 from math import comb
 
 import pytest
 
+from cochain_tuza.casesearch import EXPECTED_EXCEPTIONAL
 from cochain_tuza.certify import (
+    _EXCEPTIONAL_ROUTES,
+    _PORTFOLIO_RECIPES,
+    BudgetExhausted,
     CertificationFailure,
     PreconditionError,
+    RecipeInapplicable,
+    _Ctx,
     build_T1,
     build_T2,
     certify,
@@ -290,3 +297,36 @@ def test_exact_mode_budget_exhaustion_is_reported(monkeypatch):
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         certify(FIGURE_GRAPH, "heuristic")
+
+
+def test_exact_mode_skips_nu_once_tau_is_unproven(monkeypatch):
+    # the package binds the name ``certify`` to the function, so fetch the module
+    certify_module = importlib.import_module("cochain_tuza.certify")
+
+    def nu_must_not_run(*args, **kwargs):
+        raise AssertionError("exact_nu ran after exact_tau came back unproven")
+
+    monkeypatch.setenv("COCHAIN_TUZA_ORACLE_BUDGET", "3")
+    monkeypatch.setattr(certify_module, "exact_nu", nu_must_not_run)
+    with pytest.raises(BudgetExhausted):
+        certify(build_cochain(4, 6, (6, 6, 5, 4)), "exact")
+
+
+def test_exceptional_routes_cover_exactly_the_exceptional_profiles():
+    assert set(_EXCEPTIONAL_ROUTES) == EXPECTED_EXCEPTIONAL
+
+
+def test_portfolio_recipes_build_or_report_inapplicable():
+    # a recipe either yields a valid packing or raises RecipeInapplicable;
+    # any other exception is a bug the portfolio must not swallow
+    for l_size, m_size in product((2, 4, 6), repeat=2):
+        if l_size + m_size > 8:
+            continue
+        for t in monotone_sequences(l_size, m_size):
+            ctx = _Ctx.of(build_cochain(l_size, m_size, t))
+            for tag, fn in _PORTFOLIO_RECIPES:
+                try:
+                    tris = fn(ctx)
+                except RecipeInapplicable:
+                    continue
+                assert verify_packing(ctx.G, tris), (tag, l_size, m_size, t)

@@ -11,12 +11,9 @@ from cochain_tuza.packings import (
     feder_count,
     near_one_factorization,
     one_factorization,
-    pack_between,
     pack_clique,
     pack_side,
 )
-
-from conftest import complete_graph
 
 
 def test_feder_count_table():
@@ -155,31 +152,6 @@ def test_pack_clique_respects_cap():
     with pytest.raises(UnsupportedCliqueSize):
         pack_clique(range(21))
     assert len(pack_clique(range(25), max_n=32)) == feder_count(25).count
-
-
-def test_pack_between_examples():
-    # p(K_m^bot, K_m^top) with m = 4 inside the side clique K_8
-    host = complete_graph(8)
-    res = pack_between([4, 5, 6, 7], [0, 1, 2, 3], host)
-    assert len(res.packing) >= 6
-    assert res.skipped == ()
-    # apexes never contribute their own internal edges
-    apexes = set(res.apexes)
-    for t in res.packing.sorted_triangles():
-        assert sum(1 for v in t if v in apexes) == 1
-
-    empty = pack_between([], [0, 1, 2, 3], host)
-    assert len(empty.packing) == 0
-
-    # partial completeness: only 2 of 3 apexes complete to the 4-clique
-    edges = list(combinations(range(4), 2))
-    edges += [(4, v) for v in range(4)]
-    edges += [(5, v) for v in range(4)]
-    edges += [(6, v) for v in range(3)]  # vertex 6 misses 3
-    host2 = GeneralGraph.from_edges(7, edges)
-    res2 = pack_between([4, 5, 6], range(4), host2)
-    assert res2.skipped == (6,)
-    assert len(res2.packing) >= 4  # Prop-1 bound applied to the kept apexes
 
 
 @settings(max_examples=40, deadline=None)
