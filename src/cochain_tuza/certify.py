@@ -24,9 +24,11 @@ preconditions fail raises ``RecipeInapplicable``.
 Every packing is realized, not assumed: wherever the analysis asserts that
 some edge or perfect matching was left unused, the construction locates one
 by scanning (relabeling within a packed clique, or a scan over the unused
-cross pairs) and fails if it is absent.  Every returned certificate
-re-verifies both sides against the host graph, and guided mode checks the
-realized sizes directly instead of trusting the symbolic bound chains.
+cross pairs) and fails if it is absent.  Guided mode checks the realized
+sizes directly instead of trusting the symbolic bound chains.  ``certify``
+builds the host graph once and verifies both witnesses against it once,
+through ``make_certificate``, just before it returns; the constructions
+below it return unverified certificates.
 """
 
 from __future__ import annotations
@@ -105,9 +107,18 @@ class Certificate:
     hitting: HittingSet
     packing: TrianglePacking
     method: str
-    h_size: int
-    p_size: int
-    ratio_ok: bool
+
+    @property
+    def h_size(self) -> int:
+        return len(self.hitting)
+
+    @property
+    def p_size(self) -> int:
+        return len(self.packing)
+
+    @property
+    def ratio_ok(self) -> bool:
+        return self.h_size <= 2 * self.p_size
 
 
 def make_certificate(
@@ -116,19 +127,18 @@ def make_certificate(
     packing: TrianglePacking,
     method: str,
 ) -> Certificate:
-    """Assemble a certificate, re-verifying both witnesses against the host."""
+    """The certificate of two witnesses, after checking both against the host.
+
+    Raises ``CertificationFailure`` naming ``method`` if the hitting set
+    misses a triangle of the host or the packing uses an edge it lacks.
+    ``certify`` calls this once per certificate; so does the CLI for a
+    certificate relabeled into an input file's vertex ids.
+    """
     if not verify_hitting(host, hitting):
         raise CertificationFailure(method, "hitting set does not hit all triangles")
     if not verify_packing(host, packing):
         raise CertificationFailure(method, "packing uses edges absent from the host")
-    return Certificate(
-        hitting=hitting,
-        packing=packing,
-        method=method,
-        h_size=len(hitting),
-        p_size=len(packing),
-        ratio_ok=len(hitting) <= 2 * len(packing),
-    )
+    return Certificate(hitting, packing, method)
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +154,14 @@ def _within_half_edges(g: CoChainGraph) -> list[Edge]:
 def build_T1(g: CoChainGraph) -> HittingSet:
     """All within-half edges plus the top-ell/bot-m and bot-ell/top-m cross
     edges present in g.  A hitting set for every even-sided co-chain graph."""
-    G = g.to_general()
     edges = _within_half_edges(g)
     edges += [
-        (u, v) for u in g.l_top() for v in g.m_bot() if G.has_edge(u, v)
+        (u, v) for u in g.l_top() for v in g.m_bot() if g.has_edge(u, v)
     ]
     edges += [
-        (u, v) for u in g.l_bot() for v in g.m_top() if G.has_edge(u, v)
+        (u, v) for u in g.l_bot() for v in g.m_top() if g.has_edge(u, v)
     ]
     h = HittingSet.of(edges)
-    if not verify_hitting(G, h):
-        raise RuntimeError("T1 failed to hit all triangles")
     prof = profile(g)
     ell, m, xl, xm = prof.as_tuple()
     if xl >= ell:
@@ -192,9 +199,6 @@ def build_T2(g: CoChainGraph) -> HittingSet:
     )
     if len(h) != expected:
         raise RuntimeError(f"T2 has {len(h)} edges, not {expected} at {prof}")
-    G = g.to_general()
-    if not verify_hitting(G, h):
-        raise RuntimeError("T2 failed to hit all triangles")
     return h
 
 
@@ -219,14 +223,13 @@ def swap_sides(g: CoChainGraph) -> tuple[CoChainGraph, tuple[int, ...]]:
     return swapped, order
 
 
-def _map_certificate(
-    cert: Certificate, order: Sequence[int], host: GeneralGraph
-) -> Certificate:
+def _map_certificate(cert: Certificate, order: Sequence[int]) -> Certificate:
+    """The same certificate with every vertex v renamed order[v]."""
     hitting = HittingSet.of((order[u], order[v]) for u, v in cert.hitting.edges)
     packing = TrianglePacking.of(
         (order[a], order[b], order[c]) for a, b, c in cert.packing.triangles
     )
-    return make_certificate(host, hitting, packing, cert.method + "/swapped")
+    return Certificate(hitting, packing, cert.method)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +342,11 @@ class _Ctx:
     greedy_fallback: bool = False
 
     @classmethod
-    def of(cls, g: CoChainGraph) -> "_Ctx":
+    def of(cls, g: CoChainGraph, G: GeneralGraph | None = None) -> "_Ctx":
+        """The context of g; G, if given, must be ``g.to_general()``."""
         prof = profile(g).as_tuple()
-        return cls(g, g.to_general(), *prof, group_intervals(*prof))
+        G = g.to_general() if G is None else G
+        return cls(g, G, *prof, group_intervals(*prof))
 
     def vertices(self, group: str) -> tuple[int, ...]:
         return tuple(v for lo, hi in self.groups[group] for v in range(lo, hi))
@@ -513,11 +518,11 @@ _PORTFOLIO_RECIPES: list[tuple[str, Callable[[_Ctx], list[Triangle]]]] = [
 
 
 def _finish(
-    ctx: _Ctx, hitting: HittingSet, tris: list[Triangle], tag: str
+    ctx: _Ctx, tris: list[Triangle], tag: str, hitting: HittingSet
 ) -> Certificate:
     if ctx.greedy_fallback:
         tag += "+greedy-clique"
-    cert = make_certificate(ctx.G, hitting, TrianglePacking.of(tris), tag)
+    cert = Certificate(hitting, TrianglePacking.of(tris), tag)
     if not cert.ratio_ok:
         raise CertificationFailure(
             tag, f"realized sizes violate the ratio: |H|={cert.h_size}, |P|={cert.p_size}"
@@ -537,23 +542,16 @@ def _exact_certificate(G: GeneralGraph, tag: str) -> Certificate:
         raise CertificationFailure(tag, "tau oracle returned no hitting set")
     if not isinstance(r_nu.witness, TrianglePacking):
         raise CertificationFailure(tag, "nu oracle returned no packing")
-    return make_certificate(G, r_tau.witness, r_nu.witness, tag)
+    return Certificate(r_tau.witness, r_nu.witness, tag)
 
 
 def _deferred(ctx: _Ctx, tag: str) -> Certificate:
     """Cases the analysis delegates to external results: portfolio first,
     exact oracles on small instances, otherwise an explicit failure."""
-    cand = _portfolio_core(ctx.g)
-    if cand is not None and cand.ratio_ok:
+    cand = _portfolio_core(ctx.g, ctx.G)
+    if cand.ratio_ok:
         recipe = cand.method.removeprefix("portfolio")
-        return Certificate(
-            cand.hitting,
-            cand.packing,
-            f"portfolio({tag}){recipe}",
-            cand.h_size,
-            cand.p_size,
-            cand.ratio_ok,
-        )
+        return Certificate(cand.hitting, cand.packing, f"portfolio({tag}){recipe}")
     if ctx.G.n <= EXACT_FALLBACK_MAX_VERTICES:
         return _exact_certificate(ctx.G, f"exact-fallback({tag})")
     raise CertificationFailure(
@@ -574,24 +572,19 @@ def _refined_T1(ctx: _Ctx) -> HittingSet:
                     "3.1-case1-P7-refined",
                     f"triangle through deleted edge via vertex {w} is uncovered",
                 )
-    t1 = build_T1(g)
-    reduced = HittingSet(t1.edges - {edge(u, v)})
-    if not verify_hitting(ctx.G, reduced):
-        raise CertificationFailure("3.1-case1-P7-refined", "reduced T1 not hitting")
-    return reduced
+    return HittingSet(build_T1(g).edges - {edge(u, v)})
 
 
 def _single_clique_certificate(g: CoChainGraph) -> Certificate:
     """Degenerate instances where one side is empty: the graph is one clique;
     splitting it into halves gives the hitting set."""
-    G = g.to_general()
     side = g.side_m() if g.l_size == 0 else g.side_l()
     half = len(side) // 2
     hitting = HittingSet.of(
         list(combinations(side[:half], 2)) + list(combinations(side[half:], 2))
     )
     packing = pack_clique(side, max_n=RECIPE_CLIQUE_CAP) if side else TrianglePacking(frozenset())
-    cert = make_certificate(G, hitting, packing, "degenerate-clique")
+    cert = Certificate(hitting, packing, "degenerate-clique")
     if not cert.ratio_ok:
         raise CertificationFailure("degenerate-clique", "ratio failed")
     return cert
@@ -616,7 +609,8 @@ _EXCEPTIONAL_ROUTES: dict[tuple[int, int, int, int], str] = {
 }
 
 
-def _guided(g: CoChainGraph, depth: int = 0) -> Certificate:
+def _guided(g: CoChainGraph, G: GeneralGraph, depth: int = 0) -> Certificate:
+    """The case analysis on g, whose general form is G; unverified."""
     if depth > 3:
         raise RuntimeError("guided dispatch did not terminate")
     if g.l_size % 2 or g.m_size % 2:
@@ -624,22 +618,17 @@ def _guided(g: CoChainGraph, depth: int = 0) -> Certificate:
             f"guided mode requires even sides, got ({g.l_size}, {g.m_size})"
         )
     if g.n == 0:
-        empty = GeneralGraph(0, frozenset())
-        return make_certificate(
-            empty, HittingSet(frozenset()), TrianglePacking(frozenset()), "empty"
-        )
+        return Certificate(HittingSet(frozenset()), TrianglePacking(frozenset()), "empty")
     if g.l_size == 0 or g.m_size == 0:
         return _single_clique_certificate(g)
 
-    ctx = _Ctx.of(g)
+    ctx = _Ctx.of(g, G)
     ell, m, xl, xm = ctx.ell, ctx.m, ctx.xl, ctx.xm
 
     def swapped() -> Certificate:
         sg, order = swap_sides(g)
-        return _map_certificate(_guided(sg, depth + 1), order, ctx.G)
-
-    def finish(tris: list[Triangle], tag: str, hitting: HittingSet) -> Certificate:
-        return _finish(ctx, hitting, tris, tag)
+        cert = _map_certificate(_guided(sg, sg.to_general(), depth + 1), order)
+        return Certificate(cert.hitting, cert.packing, cert.method + "/swapped")
 
     try:
         if xl >= ell:
@@ -647,13 +636,13 @@ def _guided(g: CoChainGraph, depth: int = 0) -> Certificate:
                 if m <= 3:
                     return _deferred(ctx, "3.1-l1-small")
                 if xl == 1:
-                    return finish(_build("P1", ctx), "3.1-l1-P1", build_T1(g))
-                return finish(_build("P2", ctx), "3.1-l1-P2", build_T1(g))
+                    return _finish(ctx, _build("P1", ctx), "3.1-l1-P1", build_T1(g))
+                return _finish(ctx, _build("P2", ctx), "3.1-l1-P2", build_T1(g))
             if m == 1 or ell > m:
                 return swapped()
             if xl <= m:
-                return _guided_case1(ctx, finish)
-            return _guided_case2(ctx, finish)
+                return _guided_case1(ctx)
+            return _guided_case2(ctx)
         # x_ell < ell
         if ell + xm > m + xl:
             return swapped()
@@ -661,97 +650,97 @@ def _guided(g: CoChainGraph, depth: int = 0) -> Certificate:
             t2 = build_T2(g)
             tris = _build("P13", ctx)
             if len(t2) <= 2 * len(tris):
-                return finish(tris, "3.2.1-P13", t2)
+                return _finish(ctx, tris, "3.2.1-P13", t2)
             return _deferred(ctx, "3.2.1-small")
-        return _guided_322(ctx, finish, swapped)
+        return _guided_322(ctx, swapped)
     except RecipeInapplicable as exc:
         raise CertificationFailure("guided", f"recipe preconditions failed: {exc}")
 
 
-def _guided_case1(ctx: _Ctx, finish) -> Certificate:
+def _guided_case1(ctx: _Ctx) -> Certificate:
     """x_ell >= ell, 2 <= ell <= m, x_ell <= m."""
     g = ctx.g
     ell, m, xl, xm = ctx.ell, ctx.m, ctx.xl, ctx.xm
     t1 = build_T1(g)
     if xm - m >= ell:
         if xm < 2 * m or ell >= 3:
-            return finish(_build("P3", ctx), "3.1-case1-P3", t1)
+            return _finish(ctx, _build("P3", ctx), "3.1-case1-P3", t1)
         # ell == 2, x_m == 2m
         if m == 2:
             return _deferred(ctx, "3.1-case1-small")
         if xl == 2:
-            return finish(_build("P3", ctx), "3.1-case1-P3", t1)
+            return _finish(ctx, _build("P3", ctx), "3.1-case1-P3", t1)
         if xl == 3:
-            return finish(_build("P4", ctx), "3.1-case1-P4", t1)
+            return _finish(ctx, _build("P4", ctx), "3.1-case1-P4", t1)
         # x_ell == 4 == 2*ell <= m
         if m >= 5:
-            return finish(_build("P4", ctx), "3.1-case1-P4", t1)
-        return finish(_p5_prime(ctx), "3.1-case1-P5'", t1)
+            return _finish(ctx, _build("P4", ctx), "3.1-case1-P4", t1)
+        return _finish(ctx, _p5_prime(ctx), "3.1-case1-P5'", t1)
     # min(x_m - m, ell) = x_m - m
     if xl > ell:
-        return finish(_build("P3", ctx), "3.1-case1-P3", t1)
+        return _finish(ctx, _build("P3", ctx), "3.1-case1-P3", t1)
     # x_ell == ell
     if ell + m == 5:
-        return finish(_p6(ctx), "3.1-case1-P6", t1)
+        return _finish(ctx, _p6(ctx), "3.1-case1-P6", t1)
     if m - ell >= 1 or ell >= 4:
-        return finish(_build("P7", ctx), "3.1-case1-P7", t1)
+        return _finish(ctx, _build("P7", ctx), "3.1-case1-P7", t1)
     if ell == 2:  # ell == m == 2
         return _deferred(ctx, "3.1-case1-small")
     # ell == m == x_ell == 3
     if xm == 3:
-        return finish(_build("P7", ctx), "3.1-case1-P7-refined", _refined_T1(ctx))
-    return finish(_build("P8", ctx), "3.1-case1-P8", t1)
+        return _finish(ctx, _build("P7", ctx), "3.1-case1-P7-refined", _refined_T1(ctx))
+    return _finish(ctx, _build("P8", ctx), "3.1-case1-P8", t1)
 
 
-def _guided_case2(ctx: _Ctx, finish) -> Certificate:
+def _guided_case2(ctx: _Ctx) -> Certificate:
     """x_ell >= ell, 2 <= ell <= m, x_ell > m."""
     g = ctx.g
     ell, m, xl, xm = ctx.ell, ctx.m, ctx.xl, ctx.xm
     t1 = build_T1(g)
     if xm <= m + ell:  # subcase 2.1
         if m - ell >= 2:
-            return finish(_build("P3", ctx), "3.1-case2.1-P3", t1)
+            return _finish(ctx, _build("P3", ctx), "3.1-case2.1-P3", t1)
         if m - ell == 1:
             if xl < 2 * ell:
-                return finish(_build("P3", ctx), "3.1-case2.1-P3", t1)
+                return _finish(ctx, _build("P3", ctx), "3.1-case2.1-P3", t1)
             if xm - m <= ell - 1:
-                return finish(_build("P2", ctx), "3.1-case2.1-P2", t1)
+                return _finish(ctx, _build("P2", ctx), "3.1-case2.1-P2", t1)
             # x_m = m + ell: either the cross block is incomplete (T1 is
             # one edge smaller, realized) or X_ell union X_m is a clique
             try:
-                return finish(_build("P9", ctx), "3.1-case2.1-P9", t1)
+                return _finish(ctx, _build("P9", ctx), "3.1-case2.1-P9", t1)
             except RecipeInapplicable:
-                return finish(_build("P2", ctx), "3.1-case2.1-P2", t1)
+                return _finish(ctx, _build("P2", ctx), "3.1-case2.1-P2", t1)
         # m == ell
         if ell % 2 == 0:
             return _deferred(ctx, "3.1-case2.1-balanced-even")
         if xl > ell + 1 or xm > ell:
-            return finish(_p10_prime(ctx), "3.1-case2.1-P10'", t1)
-        return finish(_build("P11", ctx), "3.1-case2.1-P11", t1)
+            return _finish(ctx, _p10_prime(ctx), "3.1-case2.1-P10'", t1)
+        return _finish(ctx, _build("P11", ctx), "3.1-case2.1-P11", t1)
     # subcase 2.2: x_m > m + ell (forces m > ell)
     if m - ell >= 2:
-        return finish(_build("P12", ctx), "3.1-case2.2-P12", t1)
+        return _finish(ctx, _build("P12", ctx), "3.1-case2.2-P12", t1)
     # m = ell + 1, x_m = 2m
     if xl == 2 * ell:
-        return finish(_build("P12", ctx), "3.1-case2.2-P12", t1)
-    return finish(_build("P4", ctx), "3.1-case2.2-P4", t1)
+        return _finish(ctx, _build("P12", ctx), "3.1-case2.2-P12", t1)
+    return _finish(ctx, _build("P4", ctx), "3.1-case2.2-P4", t1)
 
 
-def _guided_322(ctx: _Ctx, finish, swapped) -> Certificate:
+def _guided_322(ctx: _Ctx, swapped: Callable[[], Certificate]) -> Certificate:
     """x_ell < ell, ell + x_m <= m + x_ell, x_m + x_ell >= ell - x_ell."""
     g = ctx.g
     prof = (ctx.ell, ctx.m, ctx.xl, ctx.xm)
     if ctx.ell > 10 or ctx.m > 10:
-        return finish(_build("P13", ctx), "3.2.2-P13", build_T2(g))
+        return _finish(ctx, _build("P13", ctx), "3.2.2-P13", build_T2(g))
     report = evaluate_case_functions(profile(g))
     if report.passing:
         idx = max(report.passing, key=lambda i: (report.f_values[i], -i))
         tag, fn = _F_RECIPES[idx]
-        return finish(fn(ctx), f"3.2.2-{tag}", build_T2(g))
+        return _finish(ctx, fn(ctx), f"3.2.2-{tag}", build_T2(g))
     # the exceptional profiles
     route = _EXCEPTIONAL_ROUTES.get(prof)
     if route in _CODE_RECIPES:
-        return finish(_CODE_RECIPES[route](ctx), f"3.2.2-{route}", build_T2(g))
+        return _finish(ctx, _CODE_RECIPES[route](ctx), f"3.2.2-{route}", build_T2(g))
     if route == "deferred":
         return _deferred(ctx, "3.2.2-small")
     if route == "swap":
@@ -761,9 +750,9 @@ def _guided_322(ctx: _Ctx, finish, swapped) -> Certificate:
     )
 
 
-def _portfolio_core(g: CoChainGraph) -> Certificate | None:
-    """Best hitting set and best packing over every applicable construction."""
-    G = g.to_general()
+def _portfolio_core(g: CoChainGraph, G: GeneralGraph) -> Certificate:
+    """Best hitting set and best packing over every applicable construction
+    on g, whose general form is G; unverified, and the ratio may fail."""
     hittings: list[tuple[str, HittingSet]] = []
     packings: list[tuple[str, TrianglePacking]] = [
         ("trivial", TrianglePacking(frozenset()))
@@ -774,7 +763,7 @@ def _portfolio_core(g: CoChainGraph) -> Certificate | None:
         hittings.append(("all-edges", HittingSet(frozenset(G.edges))))
     even = g.l_size % 2 == 0 and g.m_size % 2 == 0
     if even and g.l_size and g.m_size:
-        ctx = _Ctx.of(g)
+        ctx = _Ctx.of(g, G)
         hittings.append(("T1", build_T1(g)))
         if ctx.xl < ctx.ell:
             hittings.append(("T2", build_T2(g)))
@@ -789,10 +778,7 @@ def _portfolio_core(g: CoChainGraph) -> Certificate | None:
             packings.append((tag, TrianglePacking.of(tris)))
     h_tag, best_h = min(hittings, key=lambda th: (len(th[1]), th[0]))
     p_tag, best_p = max(packings, key=lambda tp: (len(tp[1]), tp[0]))
-    try:
-        return make_certificate(G, best_h, best_p, f"portfolio[{p_tag}+{h_tag}]")
-    except CertificationFailure:
-        return None
+    return Certificate(best_h, best_p, f"portfolio[{p_tag}+{h_tag}]")
 
 
 def certify(g: CoChainGraph, mode: str = "guided") -> Certificate:
@@ -803,24 +789,24 @@ def certify(g: CoChainGraph, mode: str = "guided") -> Certificate:
     portfolio -- try everything applicable, return min-hitting + max-packing
                  (ratio_ok may be False).
     exact     -- optimal tau and nu witnesses from the oracles.
+
+    In every mode both witnesses are checked against g once, here, and a
+    witness that fails the check raises CertificationFailure.
     """
+    G = g.to_general()
     if mode == "guided":
-        return _guided(g)
-    if mode == "portfolio":
-        candidates = []
-        core = _portfolio_core(g)
-        if core is not None:
-            candidates.append(core)
+        cert = _guided(g, G)
+    elif mode == "portfolio":
+        candidates = [_portfolio_core(g, G)]
         try:
-            candidates.append(_guided(g))
+            candidates.append(_guided(g, G))
         except (PreconditionError, CertificationFailure):
             pass
-        if not candidates:
-            raise CertificationFailure("portfolio", "no applicable construction")
-        G = g.to_general()
         best_h = min((c.hitting for c in candidates), key=len)
         best_p = max((c.packing for c in candidates), key=len)
-        return make_certificate(G, best_h, best_p, "portfolio")
-    if mode == "exact":
-        return _exact_certificate(g.to_general(), "exact")
-    raise ValueError(f"unknown mode {mode!r}")
+        cert = Certificate(best_h, best_p, "portfolio")
+    elif mode == "exact":
+        cert = _exact_certificate(G, "exact")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return make_certificate(G, cert.hitting, cert.packing, cert.method)

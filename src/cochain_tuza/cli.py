@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -25,9 +26,17 @@ from .casesearch import (
     evaluate_case_functions,
     search_exceptional,
 )
-from .certify import BudgetExhausted, CertificationFailure, PreconditionError, certify
+from .certify import (
+    BudgetExhausted,
+    CertificationFailure,
+    PreconditionError,
+    _map_certificate,
+    certify,
+    make_certificate,
+    oracle_budget,
+)
 from .generators import complete_join, disjoint_cliques, fuzz_instances, random_cochain
-from .graphs import CoChainGraph, build_cochain, profile, verify_hitting, verify_packing
+from .graphs import CoChainGraph, build_cochain, profile
 from .oracles import exact_nu, exact_tau
 from .recognition import RecognitionFailure, recognize_cochain
 
@@ -117,14 +126,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     if order is not None:
         # express the certificate in the input file's vertex labels
-        from .certify import make_certificate
-        from .graphs import HittingSet, TrianglePacking
-
-        hitting = HittingSet.of((order[u], order[v]) for u, v in cert.hitting.edges)
-        packing = TrianglePacking.of(
-            (order[a], order[b], order[c]) for a, b, c in cert.packing.triangles
-        )
-        cert = make_certificate(host, hitting, packing, cert.method)
+        cert = _map_certificate(cert, order)
+        cert = make_certificate(host, cert.hitting, cert.packing, cert.method)
 
     try:
         if args.out:
@@ -200,27 +203,29 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def _fuzz_one(task: tuple[int, int, int, tuple[int, ...], int]) -> tuple[int, str]:
     """Certify one instance; returns (index, report line).  Raises nothing:
-    failures are encoded in the line so the pool survives them."""
+    failures, unexpected exceptions included, are encoded in the line so the
+    pool survives them."""
     idx, l_size, m_size, thresholds, oracle_max = task
     g = build_cochain(l_size, m_size, thresholds)
-    prof = profile(g).as_tuple()
+    head = f"instance={idx} profile={profile(g).as_tuple()}"
     try:
-        cert = certify(g, "guided")
+        return idx, f"{head} {_fuzz_report(g, oracle_max)}"
     except (PreconditionError, CertificationFailure) as exc:
-        return idx, f"instance={idx} profile={prof} FAIL reason={exc}"
-    G = g.to_general()
-    if not (verify_hitting(G, cert.hitting) and verify_packing(G, cert.packing)):
-        return idx, f"instance={idx} profile={prof} FAIL reason=verification"
-    if not cert.ratio_ok:
-        return idx, (
-            f"instance={idx} profile={prof} FAIL reason=ratio "
-            f"h={cert.h_size} p={cert.p_size}"
-        )
-    oracle_note = "skipped"
-    if G.n <= oracle_max:
-        from .certify import oracle_budget
+        return idx, f"{head} FAIL reason={exc}"
+    except Exception as exc:
+        traceback.print_exc()
+        return idx, f"{head} FAIL reason={type(exc).__name__}: {exc}"
 
-        budget = oracle_budget()
+
+def _fuzz_report(g: CoChainGraph, oracle_max: int) -> str:
+    """The verified guided certificate of g, cross-checked by the oracles on
+    graphs with at most oracle_max vertices."""
+    cert = certify(g, "guided")
+    if not cert.ratio_ok:
+        return f"FAIL reason=ratio h={cert.h_size} p={cert.p_size}"
+    oracle_note = "skipped"
+    if g.n <= oracle_max:
+        G, budget = g.to_general(), oracle_budget()
         r_tau, r_nu = exact_tau(G, budget), exact_nu(G, budget)
         if r_tau.proven and r_nu.proven:
             sound = (
@@ -229,17 +234,14 @@ def _fuzz_one(task: tuple[int, int, int, tuple[int, ...], int]) -> tuple[int, st
                 and r_tau.value <= 2 * r_nu.value
             )
             if not sound:
-                return idx, (
-                    f"instance={idx} profile={prof} FAIL reason=oracle "
+                return (
+                    f"FAIL reason=oracle "
                     f"tau={r_tau.value} nu={r_nu.value} h={cert.h_size} p={cert.p_size}"
                 )
             oracle_note = f"tau={r_tau.value},nu={r_nu.value}"
         else:
             oracle_note = "budget"
-    return idx, (
-        f"instance={idx} profile={prof} method={cert.method} "
-        f"h={cert.h_size} p={cert.p_size} oracle={oracle_note}"
-    )
+    return f"method={cert.method} h={cert.h_size} p={cert.p_size} oracle={oracle_note}"
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:

@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -19,6 +20,7 @@ from cochain_tuza.certify import (
     swap_sides,
 )
 from cochain_tuza.graphs import (
+    CoChainGraph,
     build_cochain,
     profile,
     verify_hitting,
@@ -83,6 +85,16 @@ def test_T2_verifies_on_exhaustive_small_instances():
         g = build_cochain(4, 4, t)
         if profile(g).x_ell < profile(g).ell:
             assert verify_hitting(g.to_general(), build_T2(g))
+
+
+def test_T1_verifies_on_exhaustive_small_instances():
+    # build_T1 does not check itself; certify's one check would catch a miss
+    # late, so the hitting property is pinned here directly
+    for l_size, m_size in product((0, 2, 4, 6), repeat=2):
+        for t in monotone_sequences(l_size, m_size):
+            g = build_cochain(l_size, m_size, t)
+            if profile(g).x_ell >= profile(g).ell:
+                assert verify_hitting(g.to_general(), build_T1(g)), (l_size, m_size, t)
 
 
 # -- swap -------------------------------------------------------------------
@@ -330,3 +342,54 @@ def test_portfolio_recipes_build_or_report_inapplicable():
                 except RecipeInapplicable:
                     continue
                 assert verify_packing(ctx.G, tris), (tag, l_size, m_size, t)
+
+
+def test_certify_verifies_each_witness_once(monkeypatch):
+    # certify is the one check point: per call, each witness is verified once
+    # against a host graph built once, plus once for a side-swapped instance
+    certify_module = importlib.import_module("cochain_tuza.certify")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("verify_hitting", "verify_packing"):
+        monkeypatch.setattr(
+            certify_module, name, counted(name, getattr(certify_module, name))
+        )
+    monkeypatch.setattr(
+        CoChainGraph, "to_general", counted("to_general", CoChainGraph.to_general)
+    )
+
+    def hosts_built(g, mode):
+        calls.clear()
+        cert = certify(g, mode)
+        assert (calls["verify_hitting"], calls["verify_packing"]) == (1, 1), (
+            g, mode, cert.method, calls,
+        )
+        return cert, calls["to_general"]
+
+    methods = set()
+    for l_size, m_size in product((0, 2, 4, 6, 8), repeat=2):
+        if l_size + m_size > 8:
+            continue
+        for t in monotone_sequences(l_size, m_size):
+            g = build_cochain(l_size, m_size, t)
+            cert, built = hosts_built(g, "guided")
+            allowed = 1 + ("/swapped" in cert.method)
+            assert built <= allowed, (g, cert.method, built)
+            methods.add(cert.method)
+            # portfolio mode also runs guided dispatch, swap included
+            _, built = hosts_built(g, "portfolio")
+            assert built <= allowed, (g, "portfolio", built)
+            if g.n <= 6:
+                _, built = hosts_built(g, "exact")
+                assert built == 1, (g, "exact", built)
+    assert "empty" in methods and "degenerate-clique" in methods
+    assert any(m.endswith("/swapped") for m in methods)
+    assert any(m.startswith("portfolio(") for m in methods)
+    assert any(m.startswith("exact-fallback(") for m in methods)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -171,3 +172,19 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["certify"])  # missing positional argument
     assert exc.value.code == EXIT_PARSE
+
+
+def test_fuzz_reports_unexpected_exceptions_as_failures(monkeypatch, capsys):
+    # one bad instance must not take down the run: any exception becomes a
+    # FAIL line naming its type
+    cli = importlib.import_module("cochain_tuza.cli")
+
+    def broken(g, mode="guided"):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "certify", broken)
+    assert main(["fuzz", "--count", "3", "--max", "2"]) == cli.EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if " FAIL " in line]
+    assert len(fails) == 3
+    assert all("FAIL reason=RuntimeError: injected" in line for line in fails)
