@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -63,11 +63,11 @@ from .graphs import (
     verify_packing,
 )
 from .oracles import DEFAULT_BUDGET, exact_nu, exact_tau
-from .packings import UnsupportedCliqueSize, pack_clique, pack_side
+from .packings import UnsupportedCliqueSize, feder_count, pack_clique, pack_side
 
 #: clique orders the certifier may request before degrading to a greedy
-#: packing; the random-instance domain with half sides up to 10 needs orders
-#: up to 4*ell + 1 = 37, and the optimal engines stay fast well past 100
+#: packing; half sides up to 16 (``fuzz --max 16``) need orders up to
+#: 4*ell + 1 = 65, and every order up to 128 builds cold in about 7 s
 RECIPE_CLIQUE_CAP = 128
 
 #: largest instance the exact fallback will attempt in guided mode
@@ -290,7 +290,14 @@ def _clique_packing_unused_at(
     target = edge(*target)
     if target[0] not in vs or target[1] not in vs:
         raise ValueError(f"target pair {target} not inside the clique")
-    tris = _clique_packing(ctx, vs)
+    return _free_pair(vs, _clique_packing(ctx, vs), target)
+
+
+def _free_pair(
+    vs: Sequence[int], tris: list[Triangle], target: Edge
+) -> list[Triangle]:
+    """tris, a packing of the clique on vs, relabeled so that the pair target
+    is unused; raises CertificationFailure if tris uses every pair."""
     used = _used_edges(tris)
     leave = [edge(u, v) for u, v in combinations(vs, 2) if edge(u, v) not in used]
     if not leave:
@@ -350,6 +357,11 @@ class _Ctx:
 
     def vertices(self, group: str) -> tuple[int, ...]:
         return tuple(v for lo, hi in self.groups[group] for v in range(lo, hi))
+
+    @cached_property
+    def t1(self) -> HittingSet:
+        """``build_T1(g)``, built at most once per context."""
+        return build_T1(self.g)
 
 
 def _term_packings(rid: str, ctx: _Ctx) -> list[list[Triangle]]:
@@ -480,6 +492,10 @@ def _p18(ctx: _Ctx) -> list[Triangle]:
         full = pack_clique(verts, max_n=RECIPE_CLIQUE_CAP).sorted_triangles()
     except UnsupportedCliqueSize as exc:
         raise RecipeInapplicable(str(exc)) from exc
+    if feder_count(len(verts)).k:
+        # an unused pair exists; moved onto the missing edge, it costs no
+        # triangle, whatever the triangles of the clique packing are
+        full = _free_pair(verts, full, missing)
     near = [t for t in full if not (missing[0] in t and missing[1] in t)]
     return (
         near
@@ -548,7 +564,7 @@ def _exact_certificate(G: GeneralGraph, tag: str) -> Certificate:
 def _deferred(ctx: _Ctx, tag: str) -> Certificate:
     """Cases the analysis delegates to external results: portfolio first,
     exact oracles on small instances, otherwise an explicit failure."""
-    cand = _portfolio_core(ctx.g, ctx.G)
+    cand = _portfolio_core(ctx.g, ctx.G, ctx)
     if cand.ratio_ok:
         recipe = cand.method.removeprefix("portfolio")
         return Certificate(cand.hitting, cand.packing, f"portfolio({tag}){recipe}")
@@ -572,7 +588,7 @@ def _refined_T1(ctx: _Ctx) -> HittingSet:
                     "3.1-case1-P7-refined",
                     f"triangle through deleted edge via vertex {w} is uncovered",
                 )
-    return HittingSet(build_T1(g).edges - {edge(u, v)})
+    return HittingSet(ctx.t1.edges - {edge(u, v)})
 
 
 def _single_clique_certificate(g: CoChainGraph) -> Certificate:
@@ -636,8 +652,8 @@ def _guided(g: CoChainGraph, G: GeneralGraph, depth: int = 0) -> Certificate:
                 if m <= 3:
                     return _deferred(ctx, "3.1-l1-small")
                 if xl == 1:
-                    return _finish(ctx, _build("P1", ctx), "3.1-l1-P1", build_T1(g))
-                return _finish(ctx, _build("P2", ctx), "3.1-l1-P2", build_T1(g))
+                    return _finish(ctx, _build("P1", ctx), "3.1-l1-P1", ctx.t1)
+                return _finish(ctx, _build("P2", ctx), "3.1-l1-P2", ctx.t1)
             if m == 1 or ell > m:
                 return swapped()
             if xl <= m:
@@ -659,9 +675,8 @@ def _guided(g: CoChainGraph, G: GeneralGraph, depth: int = 0) -> Certificate:
 
 def _guided_case1(ctx: _Ctx) -> Certificate:
     """x_ell >= ell, 2 <= ell <= m, x_ell <= m."""
-    g = ctx.g
     ell, m, xl, xm = ctx.ell, ctx.m, ctx.xl, ctx.xm
-    t1 = build_T1(g)
+    t1 = ctx.t1
     if xm - m >= ell:
         if xm < 2 * m or ell >= 3:
             return _finish(ctx, _build("P3", ctx), "3.1-case1-P3", t1)
@@ -694,9 +709,8 @@ def _guided_case1(ctx: _Ctx) -> Certificate:
 
 def _guided_case2(ctx: _Ctx) -> Certificate:
     """x_ell >= ell, 2 <= ell <= m, x_ell > m."""
-    g = ctx.g
     ell, m, xl, xm = ctx.ell, ctx.m, ctx.xl, ctx.xm
-    t1 = build_T1(g)
+    t1 = ctx.t1
     if xm <= m + ell:  # subcase 2.1
         if m - ell >= 2:
             return _finish(ctx, _build("P3", ctx), "3.1-case2.1-P3", t1)
@@ -750,9 +764,14 @@ def _guided_322(ctx: _Ctx, swapped: Callable[[], Certificate]) -> Certificate:
     )
 
 
-def _portfolio_core(g: CoChainGraph, G: GeneralGraph) -> Certificate:
+def _portfolio_core(
+    g: CoChainGraph, G: GeneralGraph, ctx: _Ctx | None = None
+) -> Certificate:
     """Best hitting set and best packing over every applicable construction
-    on g, whose general form is G; unverified, and the ratio may fail."""
+    on g, whose general form is G; unverified, and the ratio may fail.
+
+    ctx, if given, is the context of g; its T1 is reused.
+    """
     hittings: list[tuple[str, HittingSet]] = []
     packings: list[tuple[str, TrianglePacking]] = [
         ("trivial", TrianglePacking(frozenset()))
@@ -763,8 +782,8 @@ def _portfolio_core(g: CoChainGraph, G: GeneralGraph) -> Certificate:
         hittings.append(("all-edges", HittingSet(frozenset(G.edges))))
     even = g.l_size % 2 == 0 and g.m_size % 2 == 0
     if even and g.l_size and g.m_size:
-        ctx = _Ctx.of(g, G)
-        hittings.append(("T1", build_T1(g)))
+        ctx = _Ctx.of(g, G) if ctx is None else ctx
+        hittings.append(("T1", ctx.t1))
         if ctx.xl < ctx.ell:
             hittings.append(("T2", build_T2(g)))
         for tag, fn in _PORTFOLIO_RECIPES:
@@ -776,6 +795,16 @@ def _portfolio_core(g: CoChainGraph, G: GeneralGraph) -> Certificate:
             if ctx.greedy_fallback:
                 tag += "+greedy-clique"
             packings.append((tag, TrianglePacking.of(tris)))
+    else:
+        # no recipe applies; the two sides are vertex-disjoint cliques
+        tris, tag = [], "side-cliques"
+        for side in (g.side_l(), g.side_m()):
+            try:
+                tris += pack_clique(side, max_n=RECIPE_CLIQUE_CAP).sorted_triangles()
+            except UnsupportedCliqueSize:
+                tris += _greedy_clique_packing(side)
+                tag = "side-cliques+greedy-clique"
+        packings.append((tag, TrianglePacking.of(tris)))
     h_tag, best_h = min(hittings, key=lambda th: (len(th[1]), th[0]))
     p_tag, best_p = max(packings, key=lambda tp: (len(tp[1]), tp[0]))
     return Certificate(best_h, best_p, f"portfolio[{p_tag}+{h_tag}]")

@@ -21,10 +21,11 @@ is free.  n = 1, 3 mod 6 use direct Steiner triple systems (the Bose
 construction over an idempotent quasigroup for 3 mod 6, the Skolem
 construction over a half-idempotent quasigroup for 1 mod 6); n = 0, 2 mod 6
 delete one point from a Steiner system of order n + 1, which turns the
-deleted point's triples into the perfect-matching leave; n = 4, 5 mod 6 use
-a seeded Stinson-style hill climb to the known optimum (leave sizes n/2 + 1
-and 4).  Every constructed packing is checked against the Feder count and
-for edge-disjoint coverage before it is cached.
+deleted point's triples into the perfect-matching leave; n = 5 mod 6 uses a
+seeded Stinson-style hill climb to the known optimum (a leave of 4 edges);
+n = 4 mod 6 deletes one point of the 4-cycle leave of K_{n+1} (n + 1 = 5
+mod 6), which leaves n/2 + 1 edges.  Every constructed packing is checked
+against the Feder count and for edge-disjoint coverage before it is cached.
 """
 
 from __future__ import annotations
@@ -282,6 +283,28 @@ def _hill_climb_packing(n: int, target: int) -> list[Triangle]:
     raise RuntimeError(f"hill climb failed to pack K_{n} to size {target}")
 
 
+def _delete_leave_point(n: int, tris: Sequence[Triangle]) -> list[Triangle]:
+    """Packing of K_{n-1} from a maximum packing of K_n, n = 5 mod 6.
+
+    Every vertex of K_n has even degree n - 1 and each triangle through it
+    takes two of its edges, so every leave degree is even: the 4-edge leave
+    is a 4-cycle.  Deleting its largest vertex v drops the (n - 3)/2
+    triangles through v, which leaves the Feder count of K_{n-1}; the
+    survivors are relabeled to 0..n-2.
+    """
+    degree = [n - 1] * n
+    for t in tris:
+        for u in t:
+            degree[u] -= 2
+    on_cycle = [u for u in range(n) if degree[u]]
+    if len(on_cycle) != 4 or any(degree[u] != 2 for u in on_cycle):
+        raise RuntimeError(f"K_{n} packing leave is not a 4-cycle")
+    v = on_cycle[-1]
+    return [
+        triangle(*(u - (u > v) for u in t)) for t in tris if v not in t
+    ]
+
+
 _CLIQUE_PACK_CACHE: dict[int, tuple[Triangle, ...]] = {}
 
 
@@ -297,7 +320,9 @@ def _canonical_clique_packing(n: int) -> tuple[Triangle, ...]:
         # drop the triples through one point of STS(n+1); the partner pairs
         # of the deleted point become the perfect-matching leave
         tris = [t for t in _sts(n + 1) if n not in t]
-    else:
+    elif n % 6 == 4:
+        tris = _delete_leave_point(n + 1, _canonical_clique_packing(n + 1))
+    else:  # n = 5 mod 6, the only class the hill climb serves
         tris = _hill_climb_packing(n, feder_count(n).count)
 
     expected = feder_count(n).count if n >= 1 else 0

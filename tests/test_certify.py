@@ -7,6 +7,7 @@ import pytest
 
 from cochain_tuza.casesearch import EXPECTED_EXCEPTIONAL
 from cochain_tuza.certify import (
+    _CODE_RECIPES,
     _EXCEPTIONAL_ROUTES,
     _PORTFOLIO_RECIPES,
     BudgetExhausted,
@@ -14,11 +15,13 @@ from cochain_tuza.certify import (
     PreconditionError,
     RecipeInapplicable,
     _Ctx,
+    _portfolio_core,
     build_T1,
     build_T2,
     certify,
     swap_sides,
 )
+from cochain_tuza.generators import fuzz_instances
 from cochain_tuza.graphs import (
     CoChainGraph,
     build_cochain,
@@ -27,6 +30,7 @@ from cochain_tuza.graphs import (
     verify_packing,
 )
 from cochain_tuza.oracles import exact_nu, exact_tau
+from cochain_tuza.packings import feder_count
 
 from conftest import monotone_sequences, realize_profile
 
@@ -393,3 +397,49 @@ def test_certify_verifies_each_witness_once(monkeypatch):
     assert any(m.endswith("/swapped") for m in methods)
     assert any(m.startswith("portfolio(") for m in methods)
     assert any(m.startswith("exact-fallback(") for m in methods)
+
+
+def test_guided_certify_builds_T1_at_most_once(monkeypatch):
+    # the deferral hands its context, and with it T1, to the portfolio, and
+    # the refined P7 path trims the context's T1 instead of building another
+    certify_module = importlib.import_module("cochain_tuza.certify")
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return build_T1(g)
+
+    monkeypatch.setattr(certify_module, "build_T1", counted)
+    deferred = refined = 0
+    for g in fuzz_instances(1, 2000, 16):
+        built.clear()
+        cert = certify(g, "guided")
+        assert len(built) <= 1, (g, cert.method, len(built))
+        deferred += cert.method.startswith("portfolio(")
+        refined += "P7-refined" in cert.method
+    assert deferred >= 40 and refined >= 1, (deferred, refined)
+
+
+def test_portfolio_packs_both_sides_of_an_odd_sided_cochain(monkeypatch):
+    g = build_cochain(3, 4, (4, 2, 0))
+    cert = certify(g, "portfolio")
+    _assert_valid(g, cert)
+    assert cert.p_size >= 2
+    # a side beyond the clique cap gets a greedy packing, flagged in the tag
+    certify_module = importlib.import_module("cochain_tuza.certify")
+    monkeypatch.setattr(certify_module, "RECIPE_CLIQUE_CAP", 3)
+    core = _portfolio_core(g, g.to_general())
+    assert core.method == "portfolio[side-cliques+greedy-clique+all-edges]"
+    assert core.p_size == 2
+
+
+def test_p18_loses_a_clique_triangle_only_when_the_clique_packing_has_no_leave():
+    # the missing edge takes an unused pair of the clique packing when there
+    # is one, so the recipe's size does not depend on which triangles it has
+    for ell, m in product(range(2, 9), repeat=2):
+        ctx = _Ctx.of(realize_profile(ell, m, ell - 1, m - 1))
+        tris = _CODE_RECIPES["P18"](ctx)
+        clique = set(ctx.vertices("l_top") + ctx.vertices("m_bot"))
+        inside = sum(1 for t in tris if clique.issuperset(t))
+        full = feder_count(ell + m)
+        assert inside == full.count - (full.k == 0), (ell, m)

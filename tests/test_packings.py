@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cochain_tuza import packings
+from cochain_tuza.certify import RECIPE_CLIQUE_CAP
 from cochain_tuza.graphs import GeneralGraph, verify_packing
 from cochain_tuza.packings import (
     UnsupportedCliqueSize,
@@ -163,3 +165,44 @@ def test_pack_side_verifies_and_hits_construction_size(k, s):
     per = k // 2 if k % 2 == 0 else (k - 1) // 2
     assert len(p) == min(s, matchings) * per
     assert verify_packing(host, p)
+
+
+def test_pack_clique_mod4_orders_hit_the_feder_count():
+    for n in [*range(4, 65, 6), 124]:
+        host = GeneralGraph.from_edges(n, combinations(range(n), 2))
+        p = pack_clique(range(n), max_n=RECIPE_CLIQUE_CAP)
+        assert len(p) == feder_count(n).count, n
+        assert verify_packing(host, p), n
+
+
+def test_hill_climb_serves_only_mod5_orders(monkeypatch):
+    climbed = []
+    real = packings._hill_climb_packing
+
+    def counted(n, target):
+        climbed.append(n)
+        return real(n, target)
+
+    monkeypatch.setattr(packings, "_hill_climb_packing", counted)
+    monkeypatch.setattr(packings, "_CLIQUE_PACK_CACHE", {})
+    for n in range(1, 66):
+        pack_clique(range(n), max_n=RECIPE_CLIQUE_CAP)
+    assert climbed and all(n % 6 == 5 for n in climbed), climbed
+
+
+def test_cold_clique_builds_are_deterministic(monkeypatch):
+    builds = []
+    for _ in range(2):
+        monkeypatch.setattr(packings, "_CLIQUE_PACK_CACHE", {})
+        builds.append(
+            [
+                pack_clique(range(n), max_n=RECIPE_CLIQUE_CAP).sorted_triangles()
+                for n in range(1, 66)
+            ]
+        )
+    assert builds[0] == builds[1]
+
+
+def test_leave_point_deletion_rejects_a_leave_that_is_not_a_4_cycle():
+    with pytest.raises(RuntimeError, match="4-cycle"):
+        packings._delete_leave_point(5, [])
