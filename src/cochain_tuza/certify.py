@@ -63,11 +63,11 @@ from .graphs import (
     verify_packing,
 )
 from .oracles import DEFAULT_BUDGET, exact_nu, exact_tau
-from .packings import UnsupportedCliqueSize, feder_count, pack_clique, pack_side
+from .packings import feder_count, pack_clique, pack_side
 
-#: clique orders the certifier may request before degrading to a greedy
-#: packing; half sides up to 16 (``fuzz --max 16``) need orders up to
-#: 4*ell + 1 = 65, and every order up to 128 builds cold in about 7 s
+#: a clique order bound kept for callers that still pass it as ``max_n`` to
+#: ``pack_clique``; no certifier path reads it, because every order is
+#: built at its Feder count
 RECIPE_CLIQUE_CAP = 128
 
 #: largest instance the exact fallback will attempt in guided mode
@@ -244,29 +244,11 @@ def _used_edges(tris: Iterable[Triangle]) -> set[Edge]:
     return out
 
 
-def _greedy_clique_packing(verts: Sequence[int]) -> list[Triangle]:
-    """Lexicographic first-fit packing of a clique; used only beyond the
-    optimal constructions' cap, and flagged non-optimal by the caller."""
-    vs = sorted(set(verts))
-    used: set[Edge] = set()
-    tris: list[Triangle] = []
-    for a, b, c in combinations(vs, 3):
-        es = ((a, b), (a, c), (b, c))
-        if not any(e in used for e in es):
-            used.update(es)
-            tris.append((a, b, c))
-    return tris
-
-
 def _clique_packing(ctx: "_Ctx", verts: Sequence[int]) -> list[Triangle]:
     vs = sorted(set(verts))
     if not ctx.G.is_clique(vs):
         raise RecipeInapplicable(f"vertices {vs} do not induce a clique")
-    try:
-        return pack_clique(vs, max_n=RECIPE_CLIQUE_CAP).sorted_triangles()
-    except UnsupportedCliqueSize:
-        ctx.greedy_fallback = True
-        return _greedy_clique_packing(vs)
+    return pack_clique(vs).sorted_triangles()
 
 
 def _side_packing(
@@ -344,9 +326,6 @@ class _Ctx:
     xm: int
     #: the profile's named vertex groups, as casesearch.group_intervals
     groups: dict[str, Intervals]
-    #: set when a clique exceeded the optimal constructions' cap and a
-    #: greedy packing was substituted; surfaces in the method tag
-    greedy_fallback: bool = False
 
     @classmethod
     def of(cls, g: CoChainGraph, G: GeneralGraph | None = None) -> "_Ctx":
@@ -362,6 +341,14 @@ class _Ctx:
     def t1(self) -> HittingSet:
         """``build_T1(g)``, built at most once per context."""
         return build_T1(self.g)
+
+
+def _recipe_context(g: CoChainGraph, G: GeneralGraph) -> _Ctx | None:
+    """The context of g, or None when g has an odd or an empty side and so
+    no recipe applies; G must be ``g.to_general()``."""
+    if g.l_size % 2 or g.m_size % 2 or not (g.l_size and g.m_size):
+        return None
+    return _Ctx.of(g, G)
 
 
 def _term_packings(rid: str, ctx: _Ctx) -> list[list[Triangle]]:
@@ -488,10 +475,7 @@ def _p18(ctx: _Ctx) -> list[Triangle]:
     for u, v in combinations(verts, 2):
         if (u, v) != missing and not ctx.G.has_edge(u, v):
             raise RecipeInapplicable(f"P18: extra missing edge {(u, v)}")
-    try:
-        full = pack_clique(verts, max_n=RECIPE_CLIQUE_CAP).sorted_triangles()
-    except UnsupportedCliqueSize as exc:
-        raise RecipeInapplicable(str(exc)) from exc
+    full = pack_clique(verts).sorted_triangles()
     if feder_count(len(verts)).k:
         # an unused pair exists; moved onto the missing edge, it costs no
         # triangle, whatever the triangles of the clique packing are
@@ -536,8 +520,6 @@ _PORTFOLIO_RECIPES: list[tuple[str, Callable[[_Ctx], list[Triangle]]]] = [
 def _finish(
     ctx: _Ctx, tris: list[Triangle], tag: str, hitting: HittingSet
 ) -> Certificate:
-    if ctx.greedy_fallback:
-        tag += "+greedy-clique"
     cert = Certificate(hitting, TrianglePacking.of(tris), tag)
     if not cert.ratio_ok:
         raise CertificationFailure(
@@ -599,7 +581,7 @@ def _single_clique_certificate(g: CoChainGraph) -> Certificate:
     hitting = HittingSet.of(
         list(combinations(side[:half], 2)) + list(combinations(side[half:], 2))
     )
-    packing = pack_clique(side, max_n=RECIPE_CLIQUE_CAP) if side else TrianglePacking(frozenset())
+    packing = pack_clique(side) if side else TrianglePacking(frozenset())
     cert = Certificate(hitting, packing, "degenerate-clique")
     if not cert.ratio_ok:
         raise CertificationFailure("degenerate-clique", "ratio failed")
@@ -625,8 +607,13 @@ _EXCEPTIONAL_ROUTES: dict[tuple[int, int, int, int], str] = {
 }
 
 
-def _guided(g: CoChainGraph, G: GeneralGraph, depth: int = 0) -> Certificate:
-    """The case analysis on g, whose general form is G; unverified."""
+def _guided(
+    g: CoChainGraph, G: GeneralGraph, ctx: _Ctx | None = None, depth: int = 0
+) -> Certificate:
+    """The case analysis on g, whose general form is G; unverified.
+
+    ctx, if given, is the context of g; its T1 is reused.
+    """
     if depth > 3:
         raise RuntimeError("guided dispatch did not terminate")
     if g.l_size % 2 or g.m_size % 2:
@@ -638,12 +625,18 @@ def _guided(g: CoChainGraph, G: GeneralGraph, depth: int = 0) -> Certificate:
     if g.l_size == 0 or g.m_size == 0:
         return _single_clique_certificate(g)
 
-    ctx = _Ctx.of(g, G)
+    ctx = _Ctx.of(g, G) if ctx is None else ctx
     ell, m, xl, xm = ctx.ell, ctx.m, ctx.xl, ctx.xm
 
     def swapped() -> Certificate:
         sg, order = swap_sides(g)
-        cert = _map_certificate(_guided(sg, sg.to_general(), depth + 1), order)
+        sctx = _Ctx.of(sg)
+        if "t1" in vars(ctx):
+            # the swap maps each side's top half onto the other side's bottom
+            # half, so T1 is invariant: relabel the T1 already built
+            new = {old: k for k, old in enumerate(order)}
+            sctx.t1 = HittingSet.of((new[u], new[v]) for u, v in ctx.t1.edges)
+        cert = _map_certificate(_guided(sg, sctx.G, sctx, depth + 1), order)
         return Certificate(cert.hitting, cert.packing, cert.method + "/swapped")
 
     try:
@@ -780,31 +773,22 @@ def _portfolio_core(
         hittings.append(("trivial", HittingSet(frozenset())))
     else:
         hittings.append(("all-edges", HittingSet(frozenset(G.edges))))
-    even = g.l_size % 2 == 0 and g.m_size % 2 == 0
-    if even and g.l_size and g.m_size:
-        ctx = _Ctx.of(g, G) if ctx is None else ctx
+    ctx = _recipe_context(g, G) if ctx is None else ctx
+    if ctx is not None:
         hittings.append(("T1", ctx.t1))
         if ctx.xl < ctx.ell:
             hittings.append(("T2", build_T2(g)))
         for tag, fn in _PORTFOLIO_RECIPES:
-            ctx.greedy_fallback = False
             try:
                 tris = fn(ctx)
             except RecipeInapplicable:
                 continue
-            if ctx.greedy_fallback:
-                tag += "+greedy-clique"
             packings.append((tag, TrianglePacking.of(tris)))
     else:
         # no recipe applies; the two sides are vertex-disjoint cliques
-        tris, tag = [], "side-cliques"
-        for side in (g.side_l(), g.side_m()):
-            try:
-                tris += pack_clique(side, max_n=RECIPE_CLIQUE_CAP).sorted_triangles()
-            except UnsupportedCliqueSize:
-                tris += _greedy_clique_packing(side)
-                tag = "side-cliques+greedy-clique"
-        packings.append((tag, TrianglePacking.of(tris)))
+        tris = pack_clique(g.side_l()).sorted_triangles()
+        tris += pack_clique(g.side_m()).sorted_triangles()
+        packings.append(("side-cliques", TrianglePacking.of(tris)))
     h_tag, best_h = min(hittings, key=lambda th: (len(th[1]), th[0]))
     p_tag, best_p = max(packings, key=lambda tp: (len(tp[1]), tp[0]))
     return Certificate(best_h, best_p, f"portfolio[{p_tag}+{h_tag}]")
@@ -826,9 +810,10 @@ def certify(g: CoChainGraph, mode: str = "guided") -> Certificate:
     if mode == "guided":
         cert = _guided(g, G)
     elif mode == "portfolio":
-        candidates = [_portfolio_core(g, G)]
+        ctx = _recipe_context(g, G)
+        candidates = [_portfolio_core(g, G, ctx)]
         try:
-            candidates.append(_guided(g, G))
+            candidates.append(_guided(g, G, ctx))
         except (PreconditionError, CertificationFailure):
             pass
         best_h = min((c.hitting for c in candidates), key=len)

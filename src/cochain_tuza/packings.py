@@ -21,30 +21,26 @@ is free.  n = 1, 3 mod 6 use direct Steiner triple systems (the Bose
 construction over an idempotent quasigroup for 3 mod 6, the Skolem
 construction over a half-idempotent quasigroup for 1 mod 6); n = 0, 2 mod 6
 delete one point from a Steiner system of order n + 1, which turns the
-deleted point's triples into the perfect-matching leave; n = 5 mod 6 uses a
-seeded Stinson-style hill climb to the known optimum (a leave of 4 edges);
-n = 4 mod 6 deletes one point of the 4-cycle leave of K_{n+1} (n + 1 = 5
-mod 6), which leaves n/2 + 1 edges.  Every constructed packing is checked
-against the Feder count and for edge-disjoint coverage before it is cached.
+deleted point's triples into the perfect-matching leave; n = 5 mod 6 uses
+the "6t+5 construction" of a pairwise balanced design with one block of
+size 5, whose block is split into two triangles (a 4-cycle leave); n = 4
+mod 6 deletes one point of the 4-cycle leave of K_{n+1} (n + 1 = 5 mod 6),
+which leaves n/2 + 1 edges.  Every construction is deterministic and every
+order is supported.  Every constructed packing is checked against the Feder
+count and for edge-disjoint coverage before it is cached.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
 from .graphs import Edge, GeneralGraph, Triangle, TrianglePacking, edge, triangle
 
-N_MAX_DEFAULT = 20
-
-#: seed base for the hill-climb engine; fixed so packings are reproducible
-_HILL_SEED = 0x7C0C4A1
-
 
 class UnsupportedCliqueSize(ValueError):
-    """Raised when pack_clique is asked for an order beyond its cap."""
+    """Raised when pack_clique is asked for an order beyond a caller's cap."""
 
 
 @dataclass(frozen=True)
@@ -223,64 +219,46 @@ def _sts(n: int) -> list[Triangle]:
     raise ValueError(f"no Steiner triple system of order {n}")
 
 
-def _hill_climb_packing(n: int, target: int) -> list[Triangle]:
-    """Stinson-style hill climb to a triangle packing of K_n of a given size.
+def _pbd5_packing(t: int) -> list[Triangle]:
+    """Maximum packing of K_{6t+5} with a 4-cycle leave.
 
-    Seeded and restarted deterministically; raises if the walk stalls, which
-    for achievable targets it does not in practice.
+    The "6t+5 construction" of a pairwise balanced design with one block of
+    size 5: points (x, i) -> i*q + x for x in Z_q, i in Z_3 (q = 2t+1), plus
+    inf1 = 3q and inf2 = 3q+1, over the idempotent commutative quasigroup
+    x o y = (t+1)(x+y) mod q and the permutation alpha that fixes 0 and
+    cycles 1 -> 2 -> ... -> 2t -> 1.  The triples {(x,i), (y,i),
+    (alpha(x o y), i+1)} cover every pair except the skew pairs
+    {(x,i), (alpha x, i+1)} and the pairs inside {inf1, inf2, (0,0), (0,1),
+    (0,2)}.  For x != 0 the skew pairs form cycles of the even length
+    lcm(2t, 3), whose edges are closed with inf1 and inf2 alternately; the
+    block of size 5 becomes {inf1, inf2, (0,0)} and {inf1, (0,1), (0,2)},
+    which leaves the 4-cycle inf2 (0,1) (0,0) (0,2).
     """
-    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    for restart in range(32):
-        rng = random.Random(_HILL_SEED + 1_000_003 * n + restart)
-        cover: dict[Edge, Triangle] = {}
-        triples: set[Triangle] = set()
-        uncovered = list(all_pairs)
-        pos = {p: i for i, p in enumerate(uncovered)}
+    q = 2 * t + 1
+    inf1, inf2 = 3 * q, 3 * q + 1
 
-        def drop_uncovered(p: Edge) -> None:
-            i = pos.pop(p)
-            last = uncovered.pop()
-            if last != p:
-                uncovered[i] = last
-                pos[last] = i
+    def alpha(x: int) -> int:
+        return x % (2 * t) + 1 if x else 0
 
-        def add_uncovered(p: Edge) -> None:
-            pos[p] = len(uncovered)
-            uncovered.append(p)
+    def pt(x: int, i: int) -> int:
+        return i % 3 * q + x
 
-        def add_triple(t: Triangle) -> None:
-            triples.add(t)
-            a, b, c = t
-            for p in ((a, b), (a, c), (b, c)):
-                cover[p] = t
-                drop_uncovered(p)
-
-        def remove_triple(t: Triangle) -> None:
-            triples.remove(t)
-            a, b, c = t
-            for p in ((a, b), (a, c), (b, c)):
-                del cover[p]
-                add_uncovered(p)
-
-        steps_cap = 400_000 + 40_000 * n
-        for _step in range(steps_cap):
-            if len(triples) >= target:
-                return sorted(triples)
-            x, y = uncovered[rng.randrange(len(uncovered))]
-            z = rng.randrange(n)
-            if z == x or z == y:
-                continue
-            t1 = cover.get(edge(x, z))
-            t2 = cover.get(edge(y, z))
-            if t1 is not None and t2 is not None and t1 is not t2:
-                continue
-            blocker = t1 if t1 is not None else t2
-            if blocker is not None:
-                remove_triple(blocker)
-            add_triple(triangle(x, y, z))
-        if len(triples) >= target:
-            return sorted(triples)
-    raise RuntimeError(f"hill climb failed to pack K_{n} to size {target}")
+    triples = [triangle(inf1, inf2, pt(0, 0)), triangle(inf1, pt(0, 1), pt(0, 2))]
+    for i in range(3):
+        for x in range(q):
+            for y in range(x + 1, q):
+                z = alpha((x + y) * (t + 1) % q)
+                triples.append(triangle(pt(x, i), pt(y, i), pt(z, i + 1)))
+    # every skew cycle passes through column 0; walk each one from there
+    seen: set[tuple[int, int]] = set()
+    for x0 in range(1, q):
+        x, i, k = x0, 0, 0
+        while (x, i) not in seen:
+            seen.add((x, i))
+            apex = inf1 if k % 2 == 0 else inf2
+            triples.append(triangle(apex, pt(x, i), pt(alpha(x), i + 1)))
+            x, i, k = alpha(x), (i + 1) % 3, k + 1
+    return triples
 
 
 def _delete_leave_point(n: int, tris: Sequence[Triangle]) -> list[Triangle]:
@@ -322,8 +300,8 @@ def _canonical_clique_packing(n: int) -> tuple[Triangle, ...]:
         tris = [t for t in _sts(n + 1) if n not in t]
     elif n % 6 == 4:
         tris = _delete_leave_point(n + 1, _canonical_clique_packing(n + 1))
-    else:  # n = 5 mod 6, the only class the hill climb serves
-        tris = _hill_climb_packing(n, feder_count(n).count)
+    else:  # n = 5 mod 6
+        tris = _pbd5_packing((n - 5) // 6)
 
     expected = feder_count(n).count if n >= 1 else 0
     if len(tris) != expected:
@@ -342,17 +320,17 @@ def _canonical_clique_packing(n: int) -> tuple[Triangle, ...]:
 
 
 def pack_clique(
-    vertices: Sequence[int], max_n: int = N_MAX_DEFAULT
+    vertices: Sequence[int], max_n: int | None = None
 ) -> TrianglePacking:
     """Edge-disjoint triangle packing of the clique on ``vertices`` whose size
     equals ``feder_count(len(vertices)).count`` exactly.
 
-    Orders beyond ``max_n`` raise UnsupportedCliqueSize so callers can fall
-    back explicitly rather than silently accept a non-optimal packing.
+    Every order is supported; a caller that passes ``max_n`` gets
+    UnsupportedCliqueSize for orders beyond it.
     """
     vs = sorted(set(vertices))
     n = len(vs)
-    if n > max_n:
+    if max_n is not None and n > max_n:
         raise UnsupportedCliqueSize(
             f"clique order {n} exceeds the supported bound {max_n}"
         )

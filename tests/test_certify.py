@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from cochain_tuza.casesearch import EXPECTED_EXCEPTIONAL
+from cochain_tuza.casesearch import EXPECTED_EXCEPTIONAL, RECIPES, Clique
 from cochain_tuza.certify import (
     _CODE_RECIPES,
     _EXCEPTIONAL_ROUTES,
@@ -16,6 +16,7 @@ from cochain_tuza.certify import (
     RecipeInapplicable,
     _Ctx,
     _portfolio_core,
+    _term_packings,
     build_T1,
     build_T2,
     certify,
@@ -264,16 +265,25 @@ def test_guided_exhaustive_sides_up_to_8():
     assert count == 21462
 
 
-def test_clique_cap_overflow_degrades_to_flagged_greedy():
-    # half sides of 40 push P7's clique to 80 (within the raised cap:
-    # optimal), half sides of 200 push past it (flagged greedy fallback)
-    g = build_cochain(80, 80, (40,) * 40 + (0,) * 40)
-    cert = certify(g, "guided")
-    assert cert.method == "3.1-case1-P7" and cert.ratio_ok
-    g2 = build_cochain(200, 200, (100,) * 100 + (0,) * 100)
-    cert2 = certify(g2, "guided")
-    assert cert2.method.endswith("+greedy-clique")
-    _assert_valid(g2, cert2)
+def test_large_cliques_certify_at_the_feder_count():
+    # P7's clique X_ell + m_bot has order 80, 200 (2 mod 6) and 131 (5 mod 6,
+    # the direct 6t+5 construction); every order is packed at its Feder count
+    for g, order in (
+        (build_cochain(80, 80, (40,) * 40 + (0,) * 40), 80),
+        (build_cochain(200, 200, (100,) * 100 + (0,) * 100), 200),
+        (build_cochain(130, 132, (66,) * 65 + (0,) * 65), 131),
+    ):
+        cert = certify(g, "guided")
+        assert cert.method == "3.1-case1-P7" and cert.ratio_ok, cert.method
+        _assert_valid(g, cert)
+        terms = _term_packings("P7", _Ctx.of(g))
+        assert cert.p_size == sum(map(len, terms))
+        cliques = [
+            part
+            for term, part in zip(RECIPES["P7"].terms, terms)
+            if isinstance(term, Clique)
+        ]
+        assert [len(part) for part in cliques] == [feder_count(order).count]
 
 
 # -- portfolio and exact ----------------------------------------------------
@@ -420,17 +430,39 @@ def test_guided_certify_builds_T1_at_most_once(monkeypatch):
     assert deferred >= 40 and refined >= 1, (deferred, refined)
 
 
-def test_portfolio_packs_both_sides_of_an_odd_sided_cochain(monkeypatch):
+def test_portfolio_certify_builds_T1_at_most_once(monkeypatch):
+    # portfolio mode hands one context to the portfolio and to guided
+    # dispatch, and a side swap relabels the T1 already built
+    certify_module = importlib.import_module("cochain_tuza.certify")
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return build_T1(g)
+
+    monkeypatch.setattr(certify_module, "build_T1", counted)
+    swapped = 0
+    for g in fuzz_instances(1, 300, 8):
+        built.clear()
+        certify(g, "portfolio")
+        assert len(built) <= 1, (g, len(built))
+        swapped += "/swapped" in certify(g, "guided").method
+    assert swapped >= 50, swapped
+
+
+def test_portfolio_packs_both_sides_of_an_odd_sided_cochain():
     g = build_cochain(3, 4, (4, 2, 0))
     cert = certify(g, "portfolio")
     _assert_valid(g, cert)
     assert cert.p_size >= 2
-    # a side beyond the clique cap gets a greedy packing, flagged in the tag
-    certify_module = importlib.import_module("cochain_tuza.certify")
-    monkeypatch.setattr(certify_module, "RECIPE_CLIQUE_CAP", 3)
+    # a side of order 131 > 128 is packed at its Feder count like any other
+    g = build_cochain(131, 4, (0,) * 131)
+    cert = certify(g, "portfolio")
+    _assert_valid(g, cert)
+    assert cert.p_size == feder_count(131).count + feder_count(4).count
     core = _portfolio_core(g, g.to_general())
-    assert core.method == "portfolio[side-cliques+greedy-clique+all-edges]"
-    assert core.p_size == 2
+    assert core.method == "portfolio[side-cliques+all-edges]"
+    assert core.p_size == cert.p_size
 
 
 def test_p18_loses_a_clique_triangle_only_when_the_clique_packing_has_no_leave():

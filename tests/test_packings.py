@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cochain_tuza import packings
-from cochain_tuza.certify import RECIPE_CLIQUE_CAP
 from cochain_tuza.graphs import GeneralGraph, verify_packing
 from cochain_tuza.packings import (
     UnsupportedCliqueSize,
@@ -151,8 +150,10 @@ def test_pack_clique_feder_equality_up_to_default_cap():
 
 
 def test_pack_clique_respects_cap():
+    # no cap by default; only a caller's explicit max_n bounds the order
+    assert len(pack_clique(range(21))) == feder_count(21).count
     with pytest.raises(UnsupportedCliqueSize):
-        pack_clique(range(21))
+        pack_clique(range(21), max_n=20)
     assert len(pack_clique(range(25), max_n=32)) == feder_count(25).count
 
 
@@ -170,24 +171,19 @@ def test_pack_side_verifies_and_hits_construction_size(k, s):
 def test_pack_clique_mod4_orders_hit_the_feder_count():
     for n in [*range(4, 65, 6), 124]:
         host = GeneralGraph.from_edges(n, combinations(range(n), 2))
-        p = pack_clique(range(n), max_n=RECIPE_CLIQUE_CAP)
+        p = pack_clique(range(n))
         assert len(p) == feder_count(n).count, n
         assert verify_packing(host, p), n
 
 
-def test_hill_climb_serves_only_mod5_orders(monkeypatch):
-    climbed = []
-    real = packings._hill_climb_packing
-
-    def counted(n, target):
-        climbed.append(n)
-        return real(n, target)
-
-    monkeypatch.setattr(packings, "_hill_climb_packing", counted)
-    monkeypatch.setattr(packings, "_CLIQUE_PACK_CACHE", {})
-    for n in range(1, 66):
-        pack_clique(range(n), max_n=RECIPE_CLIQUE_CAP)
-    assert climbed and all(n % 6 == 5 for n in climbed), climbed
+def test_mod5_orders_hit_the_feder_count_with_a_4_cycle_leave():
+    for n in range(5, 204, 6):
+        host = GeneralGraph.from_edges(n, combinations(range(n), 2))
+        p = pack_clique(range(n))
+        assert len(p) == feder_count(n).count, n
+        assert verify_packing(host, p), n
+        # raises unless the leave is a 4-cycle
+        packings._delete_leave_point(n, p.sorted_triangles())
 
 
 def test_cold_clique_builds_are_deterministic(monkeypatch):
@@ -196,7 +192,7 @@ def test_cold_clique_builds_are_deterministic(monkeypatch):
         monkeypatch.setattr(packings, "_CLIQUE_PACK_CACHE", {})
         builds.append(
             [
-                pack_clique(range(n), max_n=RECIPE_CLIQUE_CAP).sorted_triangles()
+                pack_clique(range(n)).sorted_triangles()
                 for n in range(1, 66)
             ]
         )
