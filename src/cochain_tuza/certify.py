@@ -28,7 +28,11 @@ cross pairs) and fails if it is absent.  Guided mode checks the realized
 sizes directly instead of trusting the symbolic bound chains.  ``certify``
 builds the host graph once and verifies both witnesses against it once,
 through ``make_certificate``, just before it returns; the constructions
-below it return unverified certificates.
+below it return unverified certificates.  Recipes pass plain lists of
+sorted triangles, and each certificate gets one packing object, built by
+the trusted constructor without a check of its own.  A side swap relabels
+the certificate by the reversal v -> n-1-v, which keeps edges and
+triangles sorted; the swapped host comes from the conjugate thresholds.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .graphs import (
     Triangle,
     TrianglePacking,
     edge,
-    enumerate_triangles,
+    enumerate_triangles,  # noqa: F401  (perfbench's trace wraps it on this module)
     profile,
     triangle,
     triangle_edges,
@@ -63,7 +67,13 @@ from .graphs import (
     verify_packing,
 )
 from .oracles import DEFAULT_BUDGET, exact_nu, exact_tau
-from .packings import feder_count, pack_clique, pack_side
+from .packings import (
+    _clique_triangles,
+    _side_triangles,
+    feder_count,
+    pack_clique,
+    pack_side,  # noqa: F401  (perfbench's trace wraps it on this module)
+)
 
 #: a clique order bound kept for callers that still pass it as ``max_n`` to
 #: ``pack_clique``; no certifier path reads it, because every order is
@@ -155,13 +165,15 @@ def build_T1(g: CoChainGraph) -> HittingSet:
     """All within-half edges plus the top-ell/bot-m and bot-ell/top-m cross
     edges present in g.  A hitting set for every even-sided co-chain graph."""
     edges = _within_half_edges(g)
-    edges += [
-        (u, v) for u in g.l_top() for v in g.m_bot() if g.has_edge(u, v)
-    ]
-    edges += [
-        (u, v) for u in g.l_bot() for v in g.m_top() if g.has_edge(u, v)
-    ]
-    h = HittingSet.of(edges)
+    n, ell = g.n, g.l_size // 2
+    mid = n - g.m_size // 2  # first vertex of the bottom half of the d-side
+    for u, t in enumerate(g.thresholds):
+        # u sees the t most connected d's, vertices n-t..n-1
+        if u < ell:
+            edges.extend((u, v) for v in range(max(n - t, mid), n))
+        else:
+            edges.extend((u, v) for v in range(n - t, mid))
+    h = HittingSet(frozenset(edges))
     prof = profile(g)
     ell, m, xl, xm = prof.as_tuple()
     if xl >= ell:
@@ -189,7 +201,7 @@ def build_T2(g: CoChainGraph) -> HittingSet:
     edges = _within_half_edges(g)
     edges += [(u, v) for u in g.x_l_vertices() for v in g.m_bot()]
     edges += [(u, v) for u in g.l_top() for v in g.x_m_vertices()]
-    h = HittingSet.of(edges)
+    h = HittingSet(frozenset(edges))
     expected = (
         2 * (m * (m - 1) // 2)
         + 2 * (ell * (ell - 1) // 2)
@@ -211,16 +223,36 @@ def swap_sides(g: CoChainGraph) -> tuple[CoChainGraph, tuple[int, ...]]:
     """The same graph with sides exchanged, plus the new->old vertex map.
 
     The new threshold sequence is the conjugate partition of the old one.
+    The map is the reversal v -> n-1-v: d_M, ..., d_1 become the new c's and
+    c_L, ..., c_1 the new d's.
     """
     L, M = g.l_size, g.m_size
-    new_t = tuple(
-        sum(1 for t in g.thresholds if t >= i) for i in range(1, M + 1)
+    new_t = []
+    k = L  # the thresholds are nonincreasing: count those >= i from the end
+    for i in range(1, M + 1):
+        while k and g.thresholds[k - 1] < i:
+            k -= 1
+        new_t.append(k)
+    return CoChainGraph(M, L, tuple(new_t)), tuple(range(L + M - 1, -1, -1))
+
+
+def _reversed_edges(edges: frozenset[Edge], n: int) -> frozenset[Edge]:
+    """edges relabeled by v -> n-1-v; sorted edges stay sorted."""
+    r = n - 1
+    return frozenset((r - v, r - u) for u, v in edges)
+
+
+def _reversed(cert: Certificate, n: int) -> Certificate:
+    """cert relabeled by the side swap's map v -> n-1-v and tagged; sorted
+    triangles stay sorted, so the packing is carried over unchecked."""
+    r = n - 1
+    return Certificate(
+        HittingSet(_reversed_edges(cert.hitting.edges, n)),
+        TrianglePacking._trusted(
+            frozenset((r - c, r - b, r - a) for a, b, c in cert.packing.triangles)
+        ),
+        cert.method + "/swapped",
     )
-    swapped = CoChainGraph(M, L, new_t)
-    order = tuple(L + M - 1 - k for k in range(M)) + tuple(
-        L - 1 - k for k in range(L)
-    )
-    return swapped, order
 
 
 def _map_certificate(cert: Certificate, order: Sequence[int]) -> Certificate:
@@ -248,14 +280,14 @@ def _clique_packing(ctx: "_Ctx", verts: Sequence[int]) -> list[Triangle]:
     vs = sorted(set(verts))
     if not ctx.G.is_clique(vs):
         raise RecipeInapplicable(f"vertices {vs} do not induce a clique")
-    return pack_clique(vs).sorted_triangles()
+    return _clique_triangles(vs)
 
 
 def _side_packing(
     host: GeneralGraph, S: Iterable[int], K: Iterable[int]
 ) -> list[Triangle]:
     try:
-        return pack_side(S, K, host).sorted_triangles()
+        return _side_triangles(S, K, host)
     except ValueError as exc:
         raise RecipeInapplicable(str(exc)) from exc
 
@@ -475,7 +507,7 @@ def _p18(ctx: _Ctx) -> list[Triangle]:
     for u, v in combinations(verts, 2):
         if (u, v) != missing and not ctx.G.has_edge(u, v):
             raise RecipeInapplicable(f"P18: extra missing edge {(u, v)}")
-    full = pack_clique(verts).sorted_triangles()
+    full = _clique_triangles(verts)  # l_top and m_bot: sorted, distinct
     if feder_count(len(verts)).k:
         # an unused pair exists; moved onto the missing edge, it costs no
         # triangle, whatever the triangles of the clique packing are
@@ -520,7 +552,7 @@ _PORTFOLIO_RECIPES: list[tuple[str, Callable[[_Ctx], list[Triangle]]]] = [
 def _finish(
     ctx: _Ctx, tris: list[Triangle], tag: str, hitting: HittingSet
 ) -> Certificate:
-    cert = Certificate(hitting, TrianglePacking.of(tris), tag)
+    cert = Certificate(hitting, TrianglePacking._trusted(frozenset(tris)), tag)
     if not cert.ratio_ok:
         raise CertificationFailure(
             tag, f"realized sizes violate the ratio: |H|={cert.h_size}, |P|={cert.p_size}"
@@ -578,11 +610,10 @@ def _single_clique_certificate(g: CoChainGraph) -> Certificate:
     splitting it into halves gives the hitting set."""
     side = g.side_m() if g.l_size == 0 else g.side_l()
     half = len(side) // 2
-    hitting = HittingSet.of(
-        list(combinations(side[:half], 2)) + list(combinations(side[half:], 2))
+    hitting = HittingSet(
+        frozenset(combinations(side[:half], 2)) | frozenset(combinations(side[half:], 2))
     )
-    packing = pack_clique(side) if side else TrianglePacking(frozenset())
-    cert = Certificate(hitting, packing, "degenerate-clique")
+    cert = Certificate(hitting, pack_clique(side), "degenerate-clique")
     if not cert.ratio_ok:
         raise CertificationFailure("degenerate-clique", "ratio failed")
     return cert
@@ -621,7 +652,9 @@ def _guided(
             f"guided mode requires even sides, got ({g.l_size}, {g.m_size})"
         )
     if g.n == 0:
-        return Certificate(HittingSet(frozenset()), TrianglePacking(frozenset()), "empty")
+        return Certificate(
+            HittingSet(frozenset()), TrianglePacking._trusted(frozenset()), "empty"
+        )
     if g.l_size == 0 or g.m_size == 0:
         return _single_clique_certificate(g)
 
@@ -629,15 +662,13 @@ def _guided(
     ell, m, xl, xm = ctx.ell, ctx.m, ctx.xl, ctx.xm
 
     def swapped() -> Certificate:
-        sg, order = swap_sides(g)
+        sg = swap_sides(g)[0]
         sctx = _Ctx.of(sg)
         if "t1" in vars(ctx):
             # the swap maps each side's top half onto the other side's bottom
             # half, so T1 is invariant: relabel the T1 already built
-            new = {old: k for k, old in enumerate(order)}
-            sctx.t1 = HittingSet.of((new[u], new[v]) for u, v in ctx.t1.edges)
-        cert = _map_certificate(_guided(sg, sctx.G, sctx, depth + 1), order)
-        return Certificate(cert.hitting, cert.packing, cert.method + "/swapped")
+            sctx.t1 = HittingSet(_reversed_edges(ctx.t1.edges, g.n))
+        return _reversed(_guided(sg, sctx.G, sctx, depth + 1), g.n)
 
     try:
         if xl >= ell:
@@ -766,13 +797,12 @@ def _portfolio_core(
     ctx, if given, is the context of g; its T1 is reused.
     """
     hittings: list[tuple[str, HittingSet]] = []
-    packings: list[tuple[str, TrianglePacking]] = [
-        ("trivial", TrianglePacking(frozenset()))
-    ]
-    if not enumerate_triangles(G):
+    packings: list[tuple[str, list[Triangle]]] = [("trivial", [])]
+    adj = G.adj
+    if not any(adj[u] & adj[v] for u, v in G.edges):
         hittings.append(("trivial", HittingSet(frozenset())))
     else:
-        hittings.append(("all-edges", HittingSet(frozenset(G.edges))))
+        hittings.append(("all-edges", HittingSet(G.edges)))
     ctx = _recipe_context(g, G) if ctx is None else ctx
     if ctx is not None:
         hittings.append(("T1", ctx.t1))
@@ -783,15 +813,16 @@ def _portfolio_core(
                 tris = fn(ctx)
             except RecipeInapplicable:
                 continue
-            packings.append((tag, TrianglePacking.of(tris)))
+            packings.append((tag, tris))
     else:
         # no recipe applies; the two sides are vertex-disjoint cliques
-        tris = pack_clique(g.side_l()).sorted_triangles()
-        tris += pack_clique(g.side_m()).sorted_triangles()
-        packings.append(("side-cliques", TrianglePacking.of(tris)))
+        tris = _clique_triangles(g.side_l()) + _clique_triangles(g.side_m())
+        packings.append(("side-cliques", tris))
     h_tag, best_h = min(hittings, key=lambda th: (len(th[1]), th[0]))
     p_tag, best_p = max(packings, key=lambda tp: (len(tp[1]), tp[0]))
-    return Certificate(best_h, best_p, f"portfolio[{p_tag}+{h_tag}]")
+    return Certificate(
+        best_h, TrianglePacking._trusted(frozenset(best_p)), f"portfolio[{p_tag}+{h_tag}]"
+    )
 
 
 def certify(g: CoChainGraph, mode: str = "guided") -> Certificate:

@@ -21,12 +21,20 @@ to all of the c-side's top half (the t_ell most connected d's).
 
 All values are immutable after construction; every operation is a pure
 function of its inputs.
+
+The public constructors check what they are given: ``GeneralGraph(n, edges)``
+range-checks every edge, and ``TrianglePacking(...)`` rejects triangles that
+share an edge.  Code inside the package builds witnesses it constructs
+canonical and disjoint by design (``CoChainGraph.to_general``, clique and
+apex packings, the certifier's recipes) through trusted constructors that
+skip those checks; ``certify.make_certificate`` then checks each returned
+witness once, with ``verify_hitting`` and ``verify_packing``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 Edge = tuple[int, int]
@@ -53,32 +61,56 @@ def triangle_edges(t: Triangle) -> tuple[Edge, Edge, Edge]:
     return ((a, b), (a, c), (b, c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneralGraph:
-    """Simple undirected graph on vertices 0..n-1 with a frozen edge set.
+    """Simple undirected graph on vertices 0..n-1.
 
-    Adjacency is additionally kept as per-vertex bitmasks (ints) for fast
-    common-neighbor queries.
+    The graph is its per-vertex adjacency bitmasks (ints), which equality
+    and hashing compare.  The frozen set of canonical edges is kept as
+    given to the constructor, or derived from the masks on first use for a
+    graph built from masks.
     """
 
     n: int
-    edges: frozenset[Edge]
-    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
+        edges = frozenset(edges)
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        masks = [0] * self.n
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
+        masks = [0] * n
+        for u, v in edges:
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge {(u, v)} out of range or not canonical")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(masks))
+        self.__dict__["edges"] = edges
+
+    def __repr__(self) -> str:
+        return f"GeneralGraph(n={self.n}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "GeneralGraph":
         return cls(n, frozenset(edge(u, v) for u, v in edges))
+
+    @classmethod
+    def _from_masks(cls, adj: tuple[int, ...]) -> "GeneralGraph":
+        """The graph of symmetric, loop-free masks over vertices 0..len-1
+        that the caller has derived; nothing is re-checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(
+            (u, v)
+            for u in range(self.n)
+            for v in _bits(self.adj[u] >> (u + 1) << (u + 1))
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and bool(self.adj[u] >> v & 1)
@@ -90,14 +122,31 @@ class GeneralGraph:
         return sorted(self.edges)
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
+        """Whether every two of the given vertices are adjacent (a repeated
+        or out-of-range vertex among two or more is not)."""
         vs = list(vertices)
-        return all(self.has_edge(u, v) for u, v in combinations(vs, 2))
+        if len(vs) < 2:
+            return True
+        mask = 0
+        for v in vs:
+            mask |= 1 << v
+        if mask.bit_count() != len(vs) or mask >> self.n:
+            return False
+        adj = self.adj
+        for v in vs:
+            if (adj[v] | 1 << v) & mask != mask:
+                return False
+        return True
 
     def complete_between(self, left: Iterable[int], right: Iterable[int]) -> bool:
         rmask = 0
         for v in right:
             rmask |= 1 << v
-        return all(self.adj[u] & rmask == rmask for u in left)
+        adj = self.adj
+        for u in left:
+            if adj[u] & rmask != rmask:
+                return False
+        return True
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -211,13 +260,23 @@ class CoChainGraph:
         return self.cross_adjacent(u + 1, v - self.l_size + 1)
 
     def to_general(self) -> GeneralGraph:
-        edges: list[Edge] = []
-        edges.extend(combinations(range(self.l_size), 2))
-        edges.extend(combinations(range(self.l_size, self.n), 2))
-        for i in range(self.l_size):
-            lo = self.m_size - self.thresholds[i]
-            edges.extend((i, self.l_size + j) for j in range(lo, self.m_size))
-        return GeneralGraph(self.n, frozenset(edges))
+        """The graph on vertices 0..n-1, its masks computed from the
+        thresholds, which the constructor has checked."""
+        L, M, n = self.l_size, self.m_size, self.n
+        side_l = (1 << L) - 1
+        side_m = ((1 << n) - 1) ^ side_l
+        masks = [0] * n
+        for i, t in enumerate(self.thresholds):
+            # c_{i+1} sees the t most connected d's, vertices n-t..n-1
+            masks[i] = side_l ^ (1 << i) | ((1 << t) - 1) << (n - t)
+        # d_{j+1} sees the prefix of c's with threshold >= M - j, which
+        # grows with j because the thresholds are nonincreasing
+        k = 0
+        for j in range(M):
+            while k < L and self.thresholds[k] >= M - j:
+                k += 1
+            masks[L + j] = side_m ^ (1 << (L + j)) | (1 << k) - 1
+        return GeneralGraph._from_masks(tuple(masks))
 
     # -- even-sided structure ------------------------------------------------
 
@@ -287,7 +346,7 @@ class TrianglePacking:
 
     def __post_init__(self) -> None:
         seen: set[Edge] = set()
-        for t in sorted(self.triangles):
+        for t in sorted(triangle(*t) for t in self.triangles):
             for e in triangle_edges(t):
                 if e in seen:
                     raise ValueError(f"triangles share edge {e}")
@@ -296,6 +355,15 @@ class TrianglePacking:
     @classmethod
     def of(cls, triangles: Iterable[tuple[int, int, int]]) -> "TrianglePacking":
         return cls(frozenset(triangle(*t) for t in triangles))
+
+    @classmethod
+    def _trusted(cls, triangles: frozenset[Triangle]) -> "TrianglePacking":
+        """The packing of triangles that the caller built canonical and
+        edge-disjoint; nothing is re-checked here, so a certificate holding
+        it must still pass ``verify_packing``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "triangles", triangles)
+        return p
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -334,10 +402,8 @@ def enumerate_triangles(g: GeneralGraph) -> list[Triangle]:
     return out
 
 
-def _check_ids(g: GeneralGraph, ids: Iterable[int]) -> None:
-    for v in ids:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex id {v} out of range [0, {g.n})")
+def _out_of_range(g: GeneralGraph, v: int) -> ValueError:
+    return ValueError(f"vertex id {v} out of range [0, {g.n})")
 
 
 def verify_packing(
@@ -345,40 +411,60 @@ def verify_packing(
 ) -> bool:
     """True iff all triangles exist in g and are pairwise edge-disjoint.
 
-    Accepts either a TrianglePacking (whose disjointness is structural) or a
-    raw collection of triangles, for which disjointness is checked here.
+    Accepts a TrianglePacking or a raw collection of triangles and checks
+    both the same way, in one pass over g's adjacency masks: every triangle
+    is put in sorted form (a repeated vertex raises ValueError), its edges
+    must be in g and not in an earlier triangle.  A vertex id outside g
+    raises ValueError, wherever it occurs.
     """
-    tris = (
-        p.sorted_triangles()
-        if isinstance(p, TrianglePacking)
-        else [triangle(*t) for t in p]
-    )
-    _check_ids(g, (v for t in tris for v in t))
-    seen: set[Edge] = set()
+    tris = p.triangles if isinstance(p, TrianglePacking) else p
+    adj, n = g.adj, g.n
+    # used[a]: the partners b > a of the edges (a, b) already packed
+    used = [0] * n
+    ok = True
     for t in tris:
-        for e in triangle_edges(t):
-            if e in seen or not g.has_edge(*e):
-                return False
-            seen.add(e)
-    return True
+        a, b, c = t
+        if not a < b < c:
+            a, b, c = sorted(t)
+            if a == b or b == c:
+                raise ValueError(f"triangle vertices not distinct: {(a, b, c)}")
+        if a < 0 or c >= n:
+            raise _out_of_range(g, a if a < 0 else c)
+        if ok:
+            bc, cbit = 1 << b | 1 << c, 1 << c
+            if adj[a] & bc != bc or not adj[b] & cbit or (used[a] & bc or used[b] & cbit):
+                ok = False
+            else:
+                used[a] |= bc
+                used[b] |= cbit
+    return ok
 
 
 def verify_hitting(
     g: GeneralGraph, h: HittingSet | Iterable[tuple[int, int]]
 ) -> bool:
-    """True iff g minus the edge set h has no triangle."""
-    edges_h = h.edges if isinstance(h, HittingSet) else frozenset(
-        edge(u, v) for u, v in h
-    )
-    _check_ids(g, (v for e in edges_h for v in e))
+    """True iff g minus the edge set h has no triangle.
+
+    Accepts a HittingSet or a raw collection of edges (a self-loop raises
+    ValueError there); an edge counts in either orientation, and one absent
+    from g removes nothing.  A vertex id outside g raises ValueError.  One
+    pass over g's adjacency masks: clear h's edges, then look for a
+    remaining edge whose ends keep a common neighbor.
+    """
+    edges_h = h.edges if isinstance(h, HittingSet) else [edge(u, v) for u, v in h]
     masks = list(g.adj)
+    n = g.n
     for u, v in edges_h:
-        if g.has_edge(u, v):
-            masks[u] &= ~(1 << v)
-            masks[v] &= ~(1 << u)
-    for u, v in g.edges:
-        if (u, v) in edges_h:
-            continue
-        if masks[u] & masks[v]:
-            return False
+        if not (0 <= u < n and 0 <= v < n):
+            raise _out_of_range(g, v if 0 <= u < n else u)
+        masks[u] &= ~(1 << v)
+        masks[v] &= ~(1 << u)
+    for u in range(n):
+        mu = masks[u]
+        higher = mu >> (u + 1) << (u + 1)
+        while higher:
+            low = higher & -higher
+            if mu & masks[low.bit_length() - 1]:
+                return False
+            higher ^= low
     return True

@@ -33,6 +33,7 @@ count and for edge-disjoint coverage before it is cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -131,6 +132,14 @@ def pack_side(
     1-factorization of K goes to the i-th smallest S-vertex; leftover
     matchings stay unused, which later constructions rely on.
     """
+    return TrianglePacking(frozenset(_side_triangles(S, K, host)))
+
+
+def _side_triangles(
+    S: Iterable[int], K: Iterable[int], host: GeneralGraph
+) -> list[Triangle]:
+    """``pack_side`` as a list of sorted triangles, built without a packing
+    object; the preconditions are checked alike, with the same errors."""
     s_sorted = sorted(set(S))
     k_sorted = sorted(set(K))
     if set(s_sorted) & set(k_sorted):
@@ -140,17 +149,25 @@ def pack_side(
     if not host.complete_between(s_sorted, k_sorted):
         raise ValueError("S is not complete to K in the host graph")
     if len(k_sorted) < 2 or not s_sorted:
-        return TrianglePacking(frozenset())
-    if len(k_sorted) % 2 == 0:
-        matchings = one_factorization(k_sorted)
-    else:
-        matchings = [m for m, _bye in near_one_factorization(k_sorted)]
-    tris = [
-        triangle(apex, *e)
-        for apex, m in zip(s_sorted, matchings)
-        for e in m
+        return []
+    # distinct apexes over the distinct matchings of a (near-)1-factorization
+    # share no edge; each matching edge a < b is placed around its apex
+    return [
+        (apex, a, b) if apex < a else (a, apex, b) if apex < b else (a, b, apex)
+        for apex, m in zip(s_sorted, _side_rounds(len(k_sorted)))
+        for a, b in ((k_sorted[i], k_sorted[j]) for i, j in m)
     ]
-    return TrianglePacking.of(tris)
+
+
+@cache
+def _side_rounds(n: int) -> tuple[tuple[Edge, ...], ...]:
+    """The matchings of ``one_factorization`` (even n) or
+    ``near_one_factorization`` (odd n) on 0..n-1, built once per order;
+    ``pack_side`` relabels them onto its sorted clique, which keeps every
+    pair sorted."""
+    if n % 2 == 0:
+        return tuple(map(tuple, one_factorization(range(n))))
+    return tuple(tuple(m) for m, _bye in near_one_factorization(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +343,21 @@ def pack_clique(
     equals ``feder_count(len(vertices)).count`` exactly.
 
     Every order is supported; a caller that passes ``max_n`` gets
-    UnsupportedCliqueSize for orders beyond it.
+    UnsupportedCliqueSize for orders beyond it.  The packing relabels the
+    verified cached packing of K_n, so it is built without a second check.
     """
     vs = sorted(set(vertices))
-    n = len(vs)
-    if max_n is not None and n > max_n:
+    if max_n is not None and len(vs) > max_n:
         raise UnsupportedCliqueSize(
-            f"clique order {n} exceeds the supported bound {max_n}"
+            f"clique order {len(vs)} exceeds the supported bound {max_n}"
         )
-    canon = _canonical_clique_packing(n)
-    return TrianglePacking.of(
-        (vs[a], vs[b], vs[c]) for a, b, c in canon
-    )
+    return TrianglePacking._trusted(frozenset(_clique_triangles(vs)))
+
+
+def _clique_triangles(vs: Sequence[int]) -> list[Triangle]:
+    """The cached packing of K_n relabeled onto the sorted distinct vertices
+    vs; an increasing relabeling keeps every triangle sorted, and the list
+    in lexicographic order."""
+    return [
+        (vs[a], vs[b], vs[c]) for a, b, c in _canonical_clique_packing(len(vs))
+    ]

@@ -25,6 +25,7 @@ from cochain_tuza.certify import (
 from cochain_tuza.generators import fuzz_instances
 from cochain_tuza.graphs import (
     CoChainGraph,
+    TrianglePacking,
     build_cochain,
     profile,
     verify_hitting,
@@ -378,6 +379,11 @@ def test_certify_verifies_each_witness_once(monkeypatch):
     monkeypatch.setattr(
         CoChainGraph, "to_general", counted("to_general", CoChainGraph.to_general)
     )
+    monkeypatch.setattr(
+        TrianglePacking,
+        "__post_init__",
+        counted("packing_checks", TrianglePacking.__post_init__),
+    )
 
     def hosts_built(g, mode):
         calls.clear()
@@ -397,9 +403,15 @@ def test_certify_verifies_each_witness_once(monkeypatch):
             allowed = 1 + ("/swapped" in cert.method)
             assert built <= allowed, (g, cert.method, built)
             methods.add(cert.method)
+            # no packing is checked on construction; only the exact oracle's
+            # own witness, on the fallback path, is built by the checked
+            # constructor
+            oracle = cert.method.startswith("exact-fallback(")
+            assert calls["packing_checks"] == oracle, (g, cert.method, calls)
             # portfolio mode also runs guided dispatch, swap included
             _, built = hosts_built(g, "portfolio")
             assert built <= allowed, (g, "portfolio", built)
+            assert calls["packing_checks"] == oracle, (g, "portfolio", calls)
             if g.n <= 6:
                 _, built = hosts_built(g, "exact")
                 assert built == 1, (g, "exact", built)

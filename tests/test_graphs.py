@@ -1,9 +1,14 @@
+import random
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cochain_tuza.generators import random_cochain
 from cochain_tuza.graphs import (
     CaseProfile,
+    GeneralGraph,
     HittingSet,
     TrianglePacking,
     build_cochain,
@@ -33,6 +38,36 @@ def test_build_full_thresholds_is_complete_graph():
     g = build_cochain(2, 2, (2, 2))
     G = g.to_general()
     assert len(G.edges) == 6 and G.n == 4
+
+
+def test_to_general_masks_match_the_checked_constructor():
+    # to_general derives its masks from the thresholds without a check; the
+    # public constructor, fed the edges the thresholds define, must agree
+    def checked(g):
+        L, n = g.l_size, g.n
+        edges = set(combinations(range(L), 2)) | set(combinations(range(L, n), 2))
+        edges |= {
+            (i - 1, L + j - 1)
+            for i in range(1, L + 1)
+            for j in range(1, g.m_size + 1)
+            if g.cross_adjacent(i, j)
+        }
+        return GeneralGraph(n, frozenset(edges))
+
+    rng = random.Random(7)
+    graphs = [
+        build_cochain(l_size, m_size, t)
+        for l_size, m_size in product((0, 2, 4, 6, 8), repeat=2)
+        for t in monotone_sequences(l_size, m_size)
+    ]
+    graphs += [
+        random_cochain(rng, 2 * rng.randint(5, 20), 2 * rng.randint(5, 20))
+        for _ in range(300)
+    ]
+    for g in graphs:
+        fast, ref = g.to_general(), checked(g)
+        assert (fast.n, fast.adj) == (ref.n, ref.adj), g
+        assert fast.edges == ref.edges, g
 
 
 def test_build_rejects_increasing_thresholds():
@@ -100,6 +135,11 @@ def test_verify_packing_examples():
     assert not verify_packing(k4, [(0, 1, 2), (0, 2, 3)])
     with pytest.raises(ValueError):
         verify_packing(k4, [(0, 1, 9)])
+    # a packing object is checked in sorted form too: (1, 0, 2) and (0, 1, 3)
+    # share the edge {0, 1}, however the triangles are written
+    unsorted = TrianglePacking._trusted(frozenset({(1, 0, 2), (0, 1, 3)}))
+    assert not verify_packing(k4, unsorted)
+    assert not verify_packing(k4, [(1, 0, 2), (0, 1, 3)])
 
 
 def test_verify_hitting_examples():
@@ -109,11 +149,16 @@ def test_verify_hitting_examples():
     assert not verify_hitting(complete_graph(3), [])
     with pytest.raises(ValueError):
         verify_hitting(k4, [(0, 17)])
+    # an edge hits its triangles in either orientation
+    assert verify_hitting(complete_graph(3), HittingSet(frozenset({(1, 0)})))
+    assert verify_hitting(complete_graph(3), [(1, 0)])
 
 
 def test_triangle_packing_type_rejects_shared_edges():
     with pytest.raises(ValueError):
         TrianglePacking.of([(0, 1, 2), (0, 1, 3)])
+    with pytest.raises(ValueError):
+        TrianglePacking(frozenset({(1, 0, 2), (0, 1, 3)}))
 
 
 def test_hitting_set_normalizes_edges():
