@@ -1062,8 +1062,6 @@ def _build_chains() -> list[_Chain]:
 
 _CHAINS = _build_chains()
 
-CHAIN_ANCHORS = tuple(c.anchor for c in _CHAINS)
-
 
 def audit_inequalities(max_half: int = 25) -> AuditReport:
     """Evaluate every displayed chain over its case-condition range."""

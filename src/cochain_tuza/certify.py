@@ -10,8 +10,10 @@ the cross edges top-ell/bot-m and bot-ell/top-m) and the packing is chosen
 among the constructions P1..P12; for x_ell < ell the hitting set is T2 (all
 within-half edges plus all X_ell/bot-m and X_m/top-ell edges) paired with
 P13..P19.  The analysis defers a few corners to external results; those are
-handled here by the portfolio and, on small instances, by the exact oracles,
-never by a silent gap.
+handled here, on every instance, by the portfolio, whose witnesses are
+polished when their ratio fails, never by a silent gap.  Guided and
+portfolio modes call no exact oracle; only exact mode does, and only it
+raises ``BudgetExhausted``.
 
 The recipes that are plain unions of clique and apex packings are declared
 once, in ``casesearch.RECIPES``; ``_build`` assembles any of them from the
@@ -50,6 +52,7 @@ from .casesearch import (
     Intervals,
     evaluate_case_functions,
     group_intervals,
+    t2_size,
 )
 from .graphs import (
     CoChainGraph,
@@ -59,7 +62,7 @@ from .graphs import (
     Triangle,
     TrianglePacking,
     edge,
-    enumerate_triangles,  # noqa: F401  (perfbench's trace wraps it on this module)
+    enumerate_triangles,
     profile,
     triangle,
     triangle_edges,
@@ -79,9 +82,6 @@ from .packings import (
 #: ``pack_clique``; no certifier path reads it, because every order is
 #: built at its Feder count
 RECIPE_CLIQUE_CAP = 128
-
-#: largest instance the exact fallback will attempt in guided mode
-EXACT_FALLBACK_MAX_VERTICES = 12
 
 ORACLE_BUDGET_ENV = "COCHAIN_TUZA_ORACLE_BUDGET"
 
@@ -191,24 +191,17 @@ def build_T1(g: CoChainGraph) -> HittingSet:
 def build_T2(g: CoChainGraph) -> HittingSet:
     """All within-half edges plus all X_ell/bot-m and X_m/top-ell edges.
 
-    Requires x_ell < ell; the size then equals
-    2*binom(m,2) + 2*binom(ell,2) + m*x_ell + ell*x_m - x_ell*x_m exactly.
+    Requires x_ell < ell; the size then equals ``casesearch.t2_size``
+    exactly.
     """
     prof = profile(g)
-    ell, m, xl, xm = prof.as_tuple()
-    if xl >= ell:
+    if prof.x_ell >= prof.ell:
         raise PreconditionError(f"T2 requires x_ell < ell, got profile {prof}")
     edges = _within_half_edges(g)
     edges += [(u, v) for u in g.x_l_vertices() for v in g.m_bot()]
     edges += [(u, v) for u in g.l_top() for v in g.x_m_vertices()]
     h = HittingSet(frozenset(edges))
-    expected = (
-        2 * (m * (m - 1) // 2)
-        + 2 * (ell * (ell - 1) // 2)
-        + m * xl
-        + ell * xm
-        - xl * xm
-    )
+    expected = t2_size(prof)
     if len(h) != expected:
         raise RuntimeError(f"T2 has {len(h)} edges, not {expected} at {prof}")
     return h
@@ -307,6 +300,11 @@ def _clique_packing_unused_at(
     return _free_pair(vs, _clique_packing(ctx, vs), target)
 
 
+def _transposition(a: int, b: int) -> Callable[[int], int]:
+    """The permutation exchanging the values a and b."""
+    return lambda v: b if v == a else a if v == b else v
+
+
 def _free_pair(
     vs: Sequence[int], tris: list[Triangle], target: Edge
 ) -> list[Triangle]:
@@ -319,24 +317,11 @@ def _free_pair(
             "unused-edge-scan", f"clique on {len(vs)} vertices has no unused edge"
         )
     chosen = target if target in leave else leave[0]
-    perm = {v: v for v in vs}
-
-    def transpose(a: int, b: int) -> None:
-        if a != b:
-            for key, val in list(perm.items()):
-                if val == a:
-                    perm[key] = b
-                elif val == b:
-                    perm[key] = a
-
-    transpose(chosen[0], target[0])
-    # track where chosen[1] went under the first transposition
-    second = (
-        chosen[1]
-        if chosen[1] not in (chosen[0], target[0])
-        else (target[0] if chosen[1] == chosen[0] else chosen[0])
-    )
-    transpose(second, target[1])
+    # t1 = (chosen[0] target[0]), then t2 = (t1(chosen[1]) target[1]): the
+    # composite sends chosen[0] to target[0] and chosen[1] to target[1]
+    t1 = _transposition(chosen[0], target[0])
+    t2 = _transposition(t1(chosen[1]), target[1])
+    perm = {v: t2(t1(v)) for v in vs}
     mapped = [triangle(perm[a], perm[b], perm[c]) for a, b, c in tris]
     if target in _used_edges(mapped):
         raise RuntimeError(f"relabeling failed to free the pair {target}")
@@ -575,18 +560,38 @@ def _exact_certificate(G: GeneralGraph, tag: str) -> Certificate:
     return Certificate(r_tau.witness, r_nu.witness, tag)
 
 
+def _polish(G: GeneralGraph, cand: Certificate) -> tuple[list[Triangle], HittingSet]:
+    """cand's packing extended to a maximal one, first fit over the
+    triangles of G, and its hitting set cut down to a minimal one, by
+    dropping edges in sorted order while every triangle keeps an edge."""
+    tris = enumerate_triangles(G)
+    packing = list(cand.packing.triangles)
+    used = _used_edges(packing)
+    through: dict[Edge, list[Triangle]] = {}
+    for t in tris:
+        edges = triangle_edges(t)
+        if used.isdisjoint(edges):
+            packing.append(t)
+            used.update(edges)
+        for e in edges:
+            through.setdefault(e, []).append(t)
+    hitting = set(cand.hitting.edges)
+    for e in sorted(cand.hitting.edges):
+        hitting.discard(e)
+        if any(hitting.isdisjoint(triangle_edges(t)) for t in through.get(e, ())):
+            hitting.add(e)
+    return packing, HittingSet(frozenset(hitting))
+
+
 def _deferred(ctx: _Ctx, tag: str) -> Certificate:
-    """Cases the analysis delegates to external results: portfolio first,
-    exact oracles on small instances, otherwise an explicit failure."""
+    """Cases the analysis delegates to external results: the portfolio, its
+    witnesses polished if their ratio fails, otherwise an explicit failure."""
     cand = _portfolio_core(ctx.g, ctx.G, ctx)
+    method = f"portfolio({tag}){cand.method.removeprefix('portfolio')}"
     if cand.ratio_ok:
-        recipe = cand.method.removeprefix("portfolio")
-        return Certificate(cand.hitting, cand.packing, f"portfolio({tag}){recipe}")
-    if ctx.G.n <= EXACT_FALLBACK_MAX_VERTICES:
-        return _exact_certificate(ctx.G, f"exact-fallback({tag})")
-    raise CertificationFailure(
-        tag, "portfolio failed and the instance is too large for exact fallback"
-    )
+        return Certificate(cand.hitting, cand.packing, method)
+    tris, hitting = _polish(ctx.G, cand)
+    return _finish(ctx, tris, method + "+polish", hitting)
 
 
 def _refined_T1(ctx: _Ctx) -> HittingSet:

@@ -2,9 +2,11 @@
 
 Exit codes partition the failure modes: 0 success, 2 usage/parse error,
 3 precondition violation, 4 verification or mathematical failure, 5 oracle
-budget exhaustion, 6 I/O error.  All randomness flows from the --seed flag
-through one generator, so identical invocations produce identical output;
-the oracle node budget can be overridden with COCHAIN_TUZA_ORACLE_BUDGET.
+budget exhaustion (``certify --mode exact`` only), 6 I/O error.  All
+randomness flows from the --seed flag through one generator, so identical
+invocations produce identical output; the node budget of the exact oracles
+(``certify --mode exact`` and the ``fuzz`` cross-check) can be overridden
+with COCHAIN_TUZA_ORACLE_BUDGET.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 from . import fileio
 from .casesearch import (
@@ -46,13 +47,6 @@ EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 EXIT_BUDGET = 5
 EXIT_IO = 6
-
-
-def _write_text(out: str, text: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

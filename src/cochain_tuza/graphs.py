@@ -115,9 +115,6 @@ class GeneralGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edge_list(self) -> list[Edge]:
         return sorted(self.edges)
 
@@ -184,10 +181,6 @@ class CaseProfile:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.ell, self.m, self.x_ell, self.x_m)
-
-    def swapped(self) -> "CaseProfile":
-        """Profile of the same graph with the two sides exchanged."""
-        return CaseProfile(self.m, self.ell, self.x_m, self.x_ell)
 
 
 @dataclass(frozen=True)

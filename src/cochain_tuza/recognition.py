@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CoChainGraph, GeneralGraph, _bits
+from .graphs import CoChainGraph, GeneralGraph, _bits, edge
 
 
 @dataclass(frozen=True)
@@ -199,11 +199,10 @@ def recognize_cochain(
     order = tuple(ordered + d_ordered)
 
     # the threshold encoding must reproduce the input exactly
-    for a in range(found.n):
-        for b in range(a + 1, found.n):
-            if found.has_edge(a, b) != g.has_edge(order[a], order[b]):
-                raise RuntimeError(
-                    "recognition produced an inconsistent encoding "
-                    f"(vertices {order[a]}, {order[b]})"
-                )
+    encoded = {edge(order[a], order[b]) for a, b in found.to_general().edges}
+    if encoded != g.edges:
+        u, v = min(encoded ^ g.edges)
+        raise RuntimeError(
+            f"recognition produced an inconsistent encoding (vertices {u}, {v})"
+        )
     return RecognizedCoChain(found, order)

@@ -229,6 +229,20 @@ def test_balanced_even_deferral_names_its_recipe():
     )
 
 
+def test_small_deferral_is_polished_without_the_oracle_budget(monkeypatch):
+    # the portfolio's P7 + T1 fails the ratio here; the polish settles it,
+    # so a one-node oracle budget stops exact mode only
+    monkeypatch.setenv("COCHAIN_TUZA_ORACLE_BUDGET", "1")
+    cert = _instance_with_method(
+        4, 4, (4, 2, 1, 1), "portfolio(3.1-case1-small)[P7+T1]+polish"
+    )
+    assert (cert.h_size, cert.p_size) == (7, 4)
+    g = build_cochain(4, 4, (4, 2, 1, 1))
+    assert certify(g, "portfolio").ratio_ok
+    with pytest.raises(BudgetExhausted):
+        certify(g, "exact")
+
+
 def test_p5_prime_instance():
     g = build_cochain(4, 8, (8, 8, 8, 8))
     assert profile(g).as_tuple() == (2, 4, 4, 8)
@@ -254,16 +268,26 @@ def test_guided_exhaustive_small_profiles():
             assert cert.ratio_ok, (l_size, m_size, t, cert.method)
 
 
-def test_guided_exhaustive_sides_up_to_8():
+def test_guided_exhaustive_sides_up_to_8(monkeypatch):
     # the theorem's claim at desk scale: every threshold profile with both
-    # sides at most 8 gets a valid ratio certificate
-    count = 0
+    # sides at most 8 gets a valid ratio certificate, and no exact oracle is
+    # called; every finite deferral profile lies in this range
+    certify_module = importlib.import_module("cochain_tuza.certify")
+
+    def oracle_must_not_run(*args, **kwargs):
+        raise AssertionError("guided mode called an exact oracle")
+
+    for name in ("exact_tau", "exact_nu"):
+        monkeypatch.setattr(certify_module, name, oracle_must_not_run)
+    count = polished = 0
     for l_size, m_size in product((2, 4, 6, 8), repeat=2):
         for t in monotone_sequences(l_size, m_size):
             cert = certify(build_cochain(l_size, m_size, t), "guided")
             assert cert.ratio_ok, (l_size, m_size, t, cert.method)
             count += 1
+            polished += cert.method.endswith("+polish")
     assert count == 21462
+    assert polished == 22
 
 
 def test_large_cliques_certify_at_the_feder_count():
@@ -403,22 +427,19 @@ def test_certify_verifies_each_witness_once(monkeypatch):
             allowed = 1 + ("/swapped" in cert.method)
             assert built <= allowed, (g, cert.method, built)
             methods.add(cert.method)
-            # no packing is checked on construction; only the exact oracle's
-            # own witness, on the fallback path, is built by the checked
-            # constructor
-            oracle = cert.method.startswith("exact-fallback(")
-            assert calls["packing_checks"] == oracle, (g, cert.method, calls)
+            # no packing is checked on construction
+            assert calls["packing_checks"] == 0, (g, cert.method, calls)
             # portfolio mode also runs guided dispatch, swap included
             _, built = hosts_built(g, "portfolio")
             assert built <= allowed, (g, "portfolio", built)
-            assert calls["packing_checks"] == oracle, (g, "portfolio", calls)
+            assert calls["packing_checks"] == 0, (g, "portfolio", calls)
             if g.n <= 6:
                 _, built = hosts_built(g, "exact")
                 assert built == 1, (g, "exact", built)
     assert "empty" in methods and "degenerate-clique" in methods
     assert any(m.endswith("/swapped") for m in methods)
     assert any(m.startswith("portfolio(") for m in methods)
-    assert any(m.startswith("exact-fallback(") for m in methods)
+    assert any(m.endswith("+polish") for m in methods)
 
 
 def test_guided_certify_builds_T1_at_most_once(monkeypatch):

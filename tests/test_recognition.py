@@ -1,9 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cochain_tuza.graphs import GeneralGraph, build_cochain
+from cochain_tuza import recognition
+from cochain_tuza.graphs import CoChainGraph, GeneralGraph, build_cochain
 from cochain_tuza.recognition import (
     IncomparableNeighborhoods,
     OddComplementCycle,
@@ -147,3 +149,14 @@ def test_random_graphs_never_misclassified(data):
             assert isinstance(w, IncomparableNeighborhoods)
             assert g.has_edge(w.a, w.a_only) and not g.has_edge(w.b, w.a_only)
             assert g.has_edge(w.b, w.b_only) and not g.has_edge(w.a, w.b_only)
+
+
+def test_inconsistent_encoding_is_an_error(monkeypatch):
+    # an encoding that drops a cross edge must not be returned
+    def lowered_first_threshold(l_size, m_size, thresholds):
+        return CoChainGraph(l_size, m_size, (thresholds[0] - 1,) + thresholds[1:])
+
+    monkeypatch.setattr(recognition, "CoChainGraph", lowered_first_threshold)
+    g = build_cochain(2, 2, (2, 1)).to_general()
+    with pytest.raises(RuntimeError, match="inconsistent encoding"):
+        recognize_cochain(g)
