@@ -33,9 +33,21 @@ outcome under every variant instead of silently picking one:
 The default strategy (exact cliques, even form on) reproduces the published
 list of 12 exceptional tuples; the audit report also evaluates the others.
 
+``_domain_violation`` states the search domain once; the search, the input
+check of ``evaluate_case_functions`` and the audit's 3.2.2 chain all derive
+from it.  ``_f_values`` is the one place that turns group sizes into
+f-values.  Each ``search_exceptional`` call tabulates its strategy's clique
+and apex bounds up to 2*limit (no group is larger), computes a profile's
+group sizes once and stops at the first recipe that passes.
+``evaluate_case_functions`` computes all eight values from the same core
+without tables, for the certifier's single profiles and for reports.
+Nothing is kept between calls.
+
 ``audit_inequalities`` replays every displayed inequality chain of the case
-analysis step by step over its case-condition range, in exact rational
-arithmetic, and reports each violated step.  Violations indicate slack in a
+analysis step by step over its case-condition range, in exact arithmetic,
+and reports each violated step.  A step's side is a plain ``int`` unless the
+displayed chain has a denominator, where it is a ``Fraction``; a recorded
+violation stores both sides as ``Fraction``.  Violations indicate slack in a
 written chain, never in a certificate: the certifier checks realized sizes
 directly.
 """
@@ -43,10 +55,11 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .graphs import CaseProfile
 from .packings import feder_count
@@ -234,7 +247,14 @@ _COMPILED: dict[str, tuple[tuple[int, ...], ...]] = {
     )
     for rid, r in RECIPES.items()
 }
-_F_COMPILED = tuple(_COMPILED[rid] for rid in F_RECIPE_IDS)
+# each f-recipe as (clique groups, (apex, clique) group pairs)
+_F_TERMS = tuple(
+    (
+        tuple(t[0] for t in _COMPILED[rid] if len(t) == 1),
+        tuple(t for t in _COMPILED[rid] if len(t) == 2),
+    )
+    for rid in F_RECIPE_IDS
+)
 
 
 @dataclass(frozen=True)
@@ -258,7 +278,7 @@ ALL_STRATEGIES = (
 )
 
 
-def _clique_bound6(n: int, strategy: BoundStrategy) -> int:
+def _clique_bound6(strategy: BoundStrategy, n: int) -> int:
     """6 times a lower bound on the maximum triangle packing of K_n."""
     if n <= 2:
         return 0
@@ -277,7 +297,7 @@ def _clique_bound6(n: int, strategy: BoundStrategy) -> int:
     raise ValueError(f"unknown clique variant {strategy.clique_variant!r}")
 
 
-def _side_bound6(s: int, k: int, strategy: BoundStrategy) -> int:
+def _side_bound6(strategy: BoundStrategy, s: int, k: int) -> int:
     """6 times a lower bound on p(S, K) with |S| = s apexes over a k-clique."""
     if k < 2 or s < 1:
         return 0
@@ -289,16 +309,17 @@ def _side_bound6(s: int, k: int, strategy: BoundStrategy) -> int:
 
 def t2_size(p: CaseProfile) -> int:
     """|T2| = 2*binom(m,2) + 2*binom(ell,2) + m*x_ell + ell*x_m - x_ell*x_m."""
-    ell, m, xl, xm = p.as_tuple()
-    return (
-        2 * comb(m, 2) + 2 * comb(ell, 2) + m * xl + ell * xm - xl * xm
-    )
+    return _t2_size(*p.as_tuple())
 
 
-def _group_sizes(p: CaseProfile) -> list[int]:
+def _t2_size(ell: int, m: int, xl: int, xm: int) -> int:
+    return 2 * comb(m, 2) + 2 * comb(ell, 2) + m * xl + ell * xm - xl * xm
+
+
+def _group_sizes(ell: int, m: int, xl: int, xm: int) -> list[int]:
     """Size of every group of GROUP_NAMES at the profile, in that order."""
     sizes = []
-    for intervals in group_intervals(p.ell, p.m, p.x_ell, p.x_m).values():
+    for intervals in group_intervals(ell, m, xl, xm).values():
         size = 0
         for lo, hi in intervals:
             size += hi - lo
@@ -310,9 +331,9 @@ def _term_bounds6(
     terms: tuple[tuple[int, ...], ...], sizes: list[int], strategy: BoundStrategy
 ) -> list[int]:
     return [
-        _clique_bound6(sizes[t[0]], strategy)
+        _clique_bound6(strategy, sizes[t[0]])
         if len(t) == 1
-        else _side_bound6(sizes[t[0]], sizes[t[1]], strategy)
+        else _side_bound6(strategy, sizes[t[0]], sizes[t[1]])
         for t in terms
     ]
 
@@ -323,7 +344,7 @@ def recipe_term_bounds(
     """6 times the profile-level lower bound of each of the recipe's terms."""
     if recipe not in _COMPILED:
         raise ValueError(f"unknown recipe id {recipe!r}")
-    return _term_bounds6(_COMPILED[recipe], _group_sizes(p), strategy)
+    return _term_bounds6(_COMPILED[recipe], _group_sizes(*p.as_tuple()), strategy)
 
 
 def recipe_lower_bound(
@@ -331,6 +352,28 @@ def recipe_lower_bound(
 ) -> int:
     """6 times the certified lower bound on the recipe's packing size."""
     return sum(recipe_term_bounds(recipe, p, strategy))
+
+
+def _f_values(
+    sizes: list[int],
+    t2_3: int,
+    clique6: Callable[[int], int],
+    side6: Callable[[int, int], int],
+) -> Iterator[int]:
+    """f_1..f_8 in order: 6 times a T2 recipe's bound minus 3|T2|.
+
+    ``sizes`` are the profile's group sizes, ``t2_3`` is 3|T2| and
+    ``clique6(n)``/``side6(s, k)`` are one strategy's term bounds.  The
+    values are yielded one at a time so that a caller can stop at the
+    first recipe that passes.
+    """
+    for cliques, sides in _F_TERMS:
+        f = -t2_3
+        for g in cliques:
+            f += clique6(sizes[g])
+        for s, k in sides:
+            f += side6(sizes[s], sizes[k])
+        yield f
 
 
 @dataclass(frozen=True)
@@ -346,14 +389,33 @@ class CaseFunctionReport:
             raise ValueError("a profile is exceptional exactly when no recipe passes")
 
 
-def _check_search_constraints(p: CaseProfile) -> None:
-    ell, m, xl, xm = p.as_tuple()
+def _domain_violation(ell: int, m: int, xl: int, xm: int) -> str | None:
+    """The first condition of the 3.2.2 search domain the profile breaks.
+
+    None means the profile is in the domain.  This is the one statement of
+    the domain: the search, the input check and the audit all use it.
+    """
     if not (xl < ell and xm < m):
-        raise ValueError(f"profile {p.as_tuple()} must satisfy x_ell < ell, x_m < m")
+        return "x_ell < ell, x_m < m"
     if ell + xm > m + xl:
-        raise ValueError(f"profile {p.as_tuple()} must satisfy ell + x_m <= m + x_ell")
+        return "ell + x_m <= m + x_ell"
     if ell - xl > xm + xl:
-        raise ValueError(f"profile {p.as_tuple()} must satisfy ell - x_ell <= x_m + x_ell")
+        return "ell - x_ell <= x_m + x_ell"
+    return None
+
+
+def _check_search_constraints(p: CaseProfile) -> None:
+    broken = _domain_violation(*p.as_tuple())
+    if broken is not None:
+        raise ValueError(f"profile {p.as_tuple()} must satisfy {broken}")
+
+
+def _search_domain(limit: int) -> Iterator[tuple[int, int, int, int]]:
+    """(ell, m, x_ell, x_m) of every search-domain profile with ell, m <= limit."""
+    for ell, m in product(range(1, limit + 1), repeat=2):
+        for xl, xm in product(range(ell), range(m)):
+            if _domain_violation(ell, m, xl, xm) is None:
+                yield ell, m, xl, xm
 
 
 def evaluate_case_functions(
@@ -361,34 +423,51 @@ def evaluate_case_functions(
 ) -> CaseFunctionReport:
     """f_1..f_8 at a profile; a recipe passes when its f-value exceeds -3."""
     _check_search_constraints(p)
-    t2_3 = 3 * t2_size(p)
-    sizes = _group_sizes(p)
     values = tuple(
-        sum(_term_bounds6(terms, sizes, strategy)) - t2_3 for terms in _F_COMPILED
+        _f_values(
+            _group_sizes(*p.as_tuple()),
+            3 * t2_size(p),
+            partial(_clique_bound6, strategy),
+            partial(_side_bound6, strategy),
+        )
     )
     passing = frozenset(i for i, v in enumerate(values) if v > -3)
     return CaseFunctionReport(p, values, passing, not passing, strategy)
 
 
-def constrained_profiles(limit: int) -> Iterable[CaseProfile]:
+def constrained_profiles(limit: int) -> Iterator[CaseProfile]:
     """All search-domain profiles with ell, m <= limit."""
-    for ell, m in product(range(1, limit + 1), repeat=2):
-        for xl, xm in product(range(ell), range(m)):
-            if ell + xm <= m + xl and ell - xl <= xm + xl:
-                yield CaseProfile(ell, m, xl, xm)
+    return (CaseProfile(*t) for t in _search_domain(limit))
 
 
 def search_exceptional(
     limit: int = 10, strategy: BoundStrategy = DEFAULT_STRATEGY
 ) -> set[CaseProfile]:
-    """Profiles in the constrained domain where every f_i fails (<= -3)."""
+    """Profiles in the constrained domain where every f_i fails (<= -3).
+
+    The strategy's term bounds are tabulated once per call up to 2*limit,
+    the largest group size in the domain, and each profile stops at the
+    first recipe that passes.
+    """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    return {
-        p
-        for p in constrained_profiles(limit)
-        if evaluate_case_functions(p, strategy).exceptional
-    }
+    top = 2 * limit + 1
+    clique6 = [_clique_bound6(strategy, n) for n in range(top)]
+    side6 = [[_side_bound6(strategy, s, k) for k in range(top)] for s in range(top)]
+    clique_at = clique6.__getitem__
+
+    def side_at(s: int, k: int) -> int:
+        return side6[s][k]
+
+    found = set()
+    for tup in _search_domain(limit):
+        sizes = _group_sizes(*tup)
+        for f in _f_values(sizes, 3 * _t2_size(*tup), clique_at, side_at):
+            if f > -3:
+                break
+        else:
+            found.add(CaseProfile(*tup))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +506,13 @@ class _Chain:
     """One displayed chain: a parameter domain plus ordered >= steps.
 
     Each step maps the parameter tuple to (lhs, rhs); the audit records a
-    violation whenever lhs < rhs.
+    violation whenever lhs < rhs.  A side is an ``int`` unless the displayed
+    chain divides, and only then a ``Fraction``.
     """
 
     anchor: str
     domain: Callable[[int], Iterable[tuple[int, ...]]]
-    steps: tuple[tuple[str, Callable[..., tuple[Fraction, Fraction]]], ...]
+    steps: tuple[tuple[str, Callable[..., tuple[int | Fraction, int | Fraction]]], ...]
 
 
 def _c2(n: int) -> int:
@@ -476,15 +556,6 @@ def _dom_321(limit: int) -> Iterable[tuple[int, ...]]:
                         yield ell, m, xl, xm
 
 
-def _dom_322(limit: int) -> Iterable[tuple[int, ...]]:
-    for ell in range(1, limit + 1):
-        for m in range(1, limit + 1):
-            for xl in range(ell):
-                for xm in range(m):
-                    if ell + xm <= m + xl and ell - xl <= xm + xl:
-                        yield ell, m, xl, xm
-
-
 def _build_chains() -> list[_Chain]:
     F = Fraction
     chains: list[_Chain] = []
@@ -507,12 +578,8 @@ def _build_chains() -> list[_Chain]:
         (
             "case1-reduction",
             lambda ell, m, xl, xm: (
-                F(p3_master(ell, m, xl, xm)),
-                F(
-                    (xl - ell) * (2 * m - xm)
-                    + (ell - 1) * min(xm - m, ell)
-                    - xl
-                ),
+                p3_master(ell, m, xl, xm),
+                (xl - ell) * (2 * m - xm) + (ell - 1) * min(xm - m, ell) - xl,
             ),
         ),
     )
@@ -529,15 +596,15 @@ def _build_chains() -> list[_Chain]:
         (
             "xm<2m:val>=(l-2)l",
             lambda ell, m, xl, xm: (
-                F((xl - ell) * (2 * m - xm) + (ell - 1) * ell - xl),
-                F((ell - 2) * ell) if xm < 2 * m else F((ell - 3) * ell),
+                (xl - ell) * (2 * m - xm) + (ell - 1) * ell - xl,
+                (ell - 2) * ell if xm < 2 * m else (ell - 3) * ell,
             ),
         ),
         (
             "l>=3,xm=2m:nonneg",
             lambda ell, m, xl, xm: (
-                F((ell - 1) * ell - xl) if xm == 2 * m and ell >= 3 else F(0),
-                F(0),
+                (ell - 1) * ell - xl if xm == 2 * m and ell >= 3 else 0,
+                0,
             ),
         ),
     )
@@ -554,8 +621,8 @@ def _build_chains() -> list[_Chain]:
         (
             "val>=m-x_l>=0",
             lambda ell, m, xl, xm: (
-                F((xl - ell) * (2 * m - xm) + (ell - 1) * (xm - m) - xl),
-                F(m - xl),
+                (xl - ell) * (2 * m - xm) + (ell - 1) * (xm - m) - xl,
+                m - xl,
             ),
         ),
     )
@@ -582,8 +649,8 @@ def _build_chains() -> list[_Chain]:
             lambda ell, m: (
                 F((m - ell) ** 2 + (m - 2) * (ell - 2) - 6, 3)
                 if (m - ell >= 2 or (m == ell and ell >= 4))
-                else F(0),
-                F(-2, 3) if (m - ell >= 2 or (m == ell and ell >= 4)) else F(0),
+                else 0,
+                F(-2, 3) if (m - ell >= 2 or (m == ell and ell >= 4)) else 0,
             ),
         ),
         (
@@ -591,8 +658,8 @@ def _build_chains() -> list[_Chain]:
             lambda ell, m: (
                 F(2, 3) * (_c2(2 * ell + 1) - 4) - ell * (ell + 1)
                 if m - ell == 1
-                else F(0),
-                F(ell * ell - ell - 8, 3) if m - ell == 1 else F(0),
+                else 0,
+                F(ell * ell - ell - 8, 3) if m - ell == 1 else 0,
             ),
         ),
     )
@@ -604,22 +671,17 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell, m, xl, xm: (
-                F(
-                    (m - 1) * m
-                    + (ell - 1) * (xm - m)
-                    - ell * m
-                    - (xl - ell) * (xm - m)
-                ),
-                F(m * (m - ell - 1) + (xm - m) * (2 * ell - 1 - xl)),
+                (m - 1) * m + (ell - 1) * (xm - m) - ell * m - (xl - ell) * (xm - m),
+                m * (m - ell - 1) + (xm - m) * (2 * ell - 1 - xl),
             ),
         ),
         (
             "m-l>=2 => >= 2m-x_m",
             lambda ell, m, xl, xm: (
-                F(m * (m - ell - 1) + (xm - m) * (2 * ell - 1 - xl))
+                m * (m - ell - 1) + (xm - m) * (2 * ell - 1 - xl)
                 if m - ell >= 2
-                else F(0),
-                F(2 * m - xm) if m - ell >= 2 else F(0),
+                else 0,
+                2 * m - xm if m - ell >= 2 else 0,
             ),
         ),
     )
@@ -642,14 +704,14 @@ def _build_chains() -> list[_Chain]:
                 - ell * (ell + 1)
                 - 2 * _c2(ell)
                 - (xm - m) * ell,
-                F(ell * ell - 1 - ell * (xm - m)),
+                ell * ell - 1 - ell * (xm - m),
             ),
         ),
         (
             "x_m-m<=l-1 => >=0",
             lambda ell, m, xl, xm: (
-                F(ell * ell - 1 - ell * (xm - m)) if xm - m <= ell - 1 else F(0),
-                F(0),
+                ell * ell - 1 - ell * (xm - m) if xm - m <= ell - 1 else 0,
+                0,
             ),
         ),
     )
@@ -698,29 +760,29 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell, xl, xm: (
-                F(p10_expr(ell, xl, xm)),
-                F((xl - ell - 1) * (2 * ell - 1 - xm) + xm - ell - 1),
+                p10_expr(ell, xl, xm),
+                (xl - ell - 1) * (2 * ell - 1 - xm) + xm - ell - 1,
             ),
         ),
         (
             "x_l>l+1 => >= l-2",
             lambda ell, xl, xm: (
-                F(p10_expr(ell, xl, xm)) if xl > ell + 1 else F(ell - 2),
-                F(ell - 2),
+                p10_expr(ell, xl, xm) if xl > ell + 1 else ell - 2,
+                ell - 2,
             ),
         ),
         (
             "x_l>l+1 => >= 0 (used conclusion)",
             lambda ell, xl, xm: (
-                F(p10_expr(ell, xl, xm)) if xl > ell + 1 else F(0),
-                F(0),
+                p10_expr(ell, xl, xm) if xl > ell + 1 else 0,
+                0,
             ),
         ),
         (
             "x_l=l+1,x_m>l => >= x_m-l-1 >= 0",
             lambda ell, xl, xm: (
-                F(p10_expr(ell, xl, xm)) if xl == ell + 1 and xm > ell else F(0),
-                F(xm - ell - 1) if xl == ell + 1 and xm > ell else F(0),
+                p10_expr(ell, xl, xm) if xl == ell + 1 and xm > ell else 0,
+                xm - ell - 1 if xl == ell + 1 and xm > ell else 0,
             ),
         ),
     )
@@ -746,8 +808,8 @@ def _build_chains() -> list[_Chain]:
         (
             "l>=5 => >=1",
             lambda ell: (
-                F(ell * ell - 4 * ell - 2, 3) if ell >= 5 else F(1),
-                F(1),
+                F(ell * ell - 4 * ell - 2, 3) if ell >= 5 else 1,
+                1,
             ),
         ),
         (
@@ -758,8 +820,8 @@ def _build_chains() -> list[_Chain]:
                 - ell * (ell - 1)
                 - ell * ell
                 if ell == 3
-                else F(1),
-                F(1),
+                else 1,
+                1,
             ),
         ),
     )
@@ -774,53 +836,44 @@ def _build_chains() -> list[_Chain]:
             - ell * (ell - 1)
         )
 
+    def p12_line2(ell, m, xl, xm):
+        return (
+            (xl - 1) * m
+            + (xm - m - 1) * ell
+            - ell * m
+            - (xl - ell) * (xm - m)
+            - ell * (ell - 1)
+        )
+
     chain(
         "(m-l)^2-(m-l)-1",
         _dom_case22,
         (
             "min-substitution",
             lambda ell, m, xl, xm: (
-                F(p12_line1(ell, m, xl, xm)),
-                F(
-                    (xl - 1) * m
-                    + (xm - m - 1) * ell
-                    - ell * m
-                    - (xl - ell) * (xm - m)
-                    - ell * (ell - 1)
-                ),
+                p12_line1(ell, m, xl, xm),
+                p12_line2(ell, m, xl, xm),
             ),
         ),
         (
             "identity-2",
             lambda ell, m, xl, xm: (
-                F(
-                    (xl - 1) * m
-                    + (xm - m - 1) * ell
-                    - ell * m
-                    - (xl - ell) * (xm - m)
-                    - ell * (ell - 1)
-                ),
-                F(
-                    (xm - m) * (2 * ell - xl)
-                    - ell * ell
-                    - ell * m
-                    - m
-                    + m * xl
-                ),
+                p12_line2(ell, m, xl, xm),
+                (xm - m) * (2 * ell - xl) - ell * ell - ell * m - m + m * xl,
             ),
         ),
         (
             "substitutions => (m-l)^2-(m-l)-1",
             lambda ell, m, xl, xm: (
-                F((xm - m) * (2 * ell - xl) - ell * ell - ell * m - m + m * xl),
-                F((m - ell) ** 2 - (m - ell) - 1),
+                (xm - m) * (2 * ell - xl) - ell * ell - ell * m - m + m * xl,
+                (m - ell) ** 2 - (m - ell) - 1,
             ),
         ),
         (
             "m-l>=2 => >=1",
             lambda ell, m, xl, xm: (
-                F((m - ell) ** 2 - (m - ell) - 1) if m - ell >= 2 else F(1),
-                F(1),
+                (m - ell) ** 2 - (m - ell) - 1 if m - ell >= 2 else 1,
+                1,
             ),
         ),
     )
@@ -924,14 +977,12 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell: (
-                F(
-                    2 * ell * (ell + 1)
-                    + ell * ell
-                    - ell * (ell + 1)
-                    - ell * (ell + 1)
-                    - ell * (ell - 1)
-                ),
-                F(ell),
+                2 * ell * (ell + 1)
+                + ell * ell
+                - ell * (ell + 1)
+                - ell * (ell + 1)
+                - ell * (ell - 1),
+                ell,
             ),
         ),
     )
@@ -957,31 +1008,32 @@ def _build_chains() -> list[_Chain]:
         (
             "expand-identity",
             lambda ell, m, xl, xm: (
-                F(f321_rhs1(ell, m, xl, xm)),
-                F(f321_quad(ell, m, xl, xm)),
+                f321_rhs1(ell, m, xl, xm),
+                f321_quad(ell, m, xl, xm),
             ),
         ),
         (
             "2m-x_l >= 7/2 x_m + l/2 + 3/2",
-            lambda ell, m, xl, xm: (
-                F(2 * m - xl),
-                F(7, 2) * xm + F(ell, 2) + F(3, 2),
-            ),
+            lambda ell, m, xl, xm: (2 * m - xl, F(7 * xm + ell + 3, 2)),
         ),
         (
             "2m-x_l-2 >= 7/2 x_m",
-            lambda ell, m, xl, xm: (F(2 * m - xl - 2), F(7, 2) * xm),
+            lambda ell, m, xl, xm: (2 * m - xl - 2, F(7 * xm, 2)),
         ),
         (
             "final: quad >= 49x_m^2/16+15x_l^2/4+3x_mx_l-3x_m-3x_l-4",
             lambda ell, m, xl, xm: (
-                F(f321_quad(ell, m, xl, xm)),
-                F(49, 16) * xm * xm
-                + F(15, 4) * xl * xl
-                + 3 * xm * xl
-                - 3 * xm
-                - 3 * xl
-                - 4,
+                f321_quad(ell, m, xl, xm),
+                # over the common denominator 16
+                F(
+                    49 * xm * xm
+                    + 60 * xl * xl
+                    + 48 * xm * xl
+                    - 48 * xm
+                    - 48 * xl
+                    - 64,
+                    16,
+                ),
             ),
         ),
     )
@@ -995,64 +1047,43 @@ def _build_chains() -> list[_Chain]:
             - 3 * (m * xl + ell * xm - xl * xm)
         )
 
+    def f322_quad(ell, m, xl, xm):
+        return (
+            m * m
+            - 2 * m
+            - 3
+            + 6 * ell * ell
+            - 3 * ell
+            - 3 * ell * m
+            + 7 * xl * xl
+            - xl * (12 * ell - 2 * m - 1)
+        )
+
+    def f322_vertex(ell, m):
+        return F(
+            24 * ell * ell + 24 * m * m - 60 * m - 60 * ell - 36 * ell * m - 85, 28
+        )
+
+    above_minus_3 = F(-3) + F(1, 1000)
+
     chain(
         "24l^2+24m^2-60m-60l-36lm-85",
-        _dom_322,
+        _search_domain,
         (
             "x_m substitution",
             lambda ell, m, xl, xm: (
-                F(f322_start(ell, m, xl, xm)),
-                F(
-                    m * m
-                    - 2 * m
-                    - 3
-                    + 6 * ell * ell
-                    - 3 * ell
-                    - 3 * ell * m
-                    + 7 * xl * xl
-                    - xl * (12 * ell - 2 * m - 1)
-                ),
+                f322_start(ell, m, xl, xm),
+                f322_quad(ell, m, xl, xm),
             ),
         ),
         (
             "quadratic vertex bound",
-            lambda ell, m, xl, xm: (
-                F(
-                    m * m
-                    - 2 * m
-                    - 3
-                    + 6 * ell * ell
-                    - 3 * ell
-                    - 3 * ell * m
-                    + 7 * xl * xl
-                    - xl * (12 * ell - 2 * m - 1)
-                ),
-                F(
-                    24 * ell * ell
-                    + 24 * m * m
-                    - 60 * m
-                    - 60 * ell
-                    - 36 * ell * m
-                    - 85,
-                    28,
-                ),
-            ),
+            lambda ell, m, xl, xm: (f322_quad(ell, m, xl, xm), f322_vertex(ell, m)),
         ),
         (
             "max(l,m)>=11 => > -3",
             lambda ell, m, xl, xm: (
-                F(
-                    24 * ell * ell
-                    + 24 * m * m
-                    - 60 * m
-                    - 60 * ell
-                    - 36 * ell * m
-                    - 85,
-                    28,
-                )
-                if max(ell, m) >= 11
-                else F(0),
-                F(-3) + F(1, 1000) if max(ell, m) >= 11 else F(0),
+                (f322_vertex(ell, m), above_minus_3) if max(ell, m) >= 11 else (0, 0)
             ),
         ),
     )
@@ -1075,7 +1106,13 @@ def audit_inequalities(max_half: int = 25) -> AuditReport:
                 lhs, rhs = fn(*params)
                 if lhs < rhs:
                     violations.append(
-                        StepViolation(chain.anchor, name, tuple(params), lhs, rhs)
+                        StepViolation(
+                            chain.anchor,
+                            name,
+                            tuple(params),
+                            Fraction(lhs),
+                            Fraction(rhs),
+                        )
                     )
         reports.append(ChainReport(chain.anchor, checked, tuple(violations)))
     return AuditReport(max_half, tuple(reports))

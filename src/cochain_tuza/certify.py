@@ -534,9 +534,7 @@ _PORTFOLIO_RECIPES: list[tuple[str, Callable[[_Ctx], list[Triangle]]]] = [
 # ---------------------------------------------------------------------------
 
 
-def _finish(
-    ctx: _Ctx, tris: list[Triangle], tag: str, hitting: HittingSet
-) -> Certificate:
+def _finish(tris: list[Triangle], tag: str, hitting: HittingSet) -> Certificate:
     cert = Certificate(hitting, TrianglePacking._trusted(frozenset(tris)), tag)
     if not cert.ratio_ok:
         raise CertificationFailure(
@@ -591,7 +589,7 @@ def _deferred(ctx: _Ctx, tag: str) -> Certificate:
     if cand.ratio_ok:
         return Certificate(cand.hitting, cand.packing, method)
     tris, hitting = _polish(ctx.G, cand)
-    return _finish(ctx, tris, method + "+polish", hitting)
+    return _finish(tris, method + "+polish", hitting)
 
 
 def _refined_T1(ctx: _Ctx) -> HittingSet:
@@ -681,8 +679,8 @@ def _guided(
                 if m <= 3:
                     return _deferred(ctx, "3.1-l1-small")
                 if xl == 1:
-                    return _finish(ctx, _build("P1", ctx), "3.1-l1-P1", ctx.t1)
-                return _finish(ctx, _build("P2", ctx), "3.1-l1-P2", ctx.t1)
+                    return _finish(_build("P1", ctx), "3.1-l1-P1", ctx.t1)
+                return _finish(_build("P2", ctx), "3.1-l1-P2", ctx.t1)
             if m == 1 or ell > m:
                 return swapped()
             if xl <= m:
@@ -695,7 +693,7 @@ def _guided(
             t2 = build_T2(g)
             tris = _build("P13", ctx)
             if len(t2) <= 2 * len(tris):
-                return _finish(ctx, tris, "3.2.1-P13", t2)
+                return _finish(tris, "3.2.1-P13", t2)
             return _deferred(ctx, "3.2.1-small")
         return _guided_322(ctx, swapped)
     except RecipeInapplicable as exc:
@@ -708,32 +706,32 @@ def _guided_case1(ctx: _Ctx) -> Certificate:
     t1 = ctx.t1
     if xm - m >= ell:
         if xm < 2 * m or ell >= 3:
-            return _finish(ctx, _build("P3", ctx), "3.1-case1-P3", t1)
+            return _finish(_build("P3", ctx), "3.1-case1-P3", t1)
         # ell == 2, x_m == 2m
         if m == 2:
             return _deferred(ctx, "3.1-case1-small")
         if xl == 2:
-            return _finish(ctx, _build("P3", ctx), "3.1-case1-P3", t1)
+            return _finish(_build("P3", ctx), "3.1-case1-P3", t1)
         if xl == 3:
-            return _finish(ctx, _build("P4", ctx), "3.1-case1-P4", t1)
+            return _finish(_build("P4", ctx), "3.1-case1-P4", t1)
         # x_ell == 4 == 2*ell <= m
         if m >= 5:
-            return _finish(ctx, _build("P4", ctx), "3.1-case1-P4", t1)
-        return _finish(ctx, _p5_prime(ctx), "3.1-case1-P5'", t1)
+            return _finish(_build("P4", ctx), "3.1-case1-P4", t1)
+        return _finish(_p5_prime(ctx), "3.1-case1-P5'", t1)
     # min(x_m - m, ell) = x_m - m
     if xl > ell:
-        return _finish(ctx, _build("P3", ctx), "3.1-case1-P3", t1)
+        return _finish(_build("P3", ctx), "3.1-case1-P3", t1)
     # x_ell == ell
     if ell + m == 5:
-        return _finish(ctx, _p6(ctx), "3.1-case1-P6", t1)
+        return _finish(_p6(ctx), "3.1-case1-P6", t1)
     if m - ell >= 1 or ell >= 4:
-        return _finish(ctx, _build("P7", ctx), "3.1-case1-P7", t1)
+        return _finish(_build("P7", ctx), "3.1-case1-P7", t1)
     if ell == 2:  # ell == m == 2
         return _deferred(ctx, "3.1-case1-small")
     # ell == m == x_ell == 3
     if xm == 3:
-        return _finish(ctx, _build("P7", ctx), "3.1-case1-P7-refined", _refined_T1(ctx))
-    return _finish(ctx, _build("P8", ctx), "3.1-case1-P8", t1)
+        return _finish(_build("P7", ctx), "3.1-case1-P7-refined", _refined_T1(ctx))
+    return _finish(_build("P8", ctx), "3.1-case1-P8", t1)
 
 
 def _guided_case2(ctx: _Ctx) -> Certificate:
@@ -742,31 +740,31 @@ def _guided_case2(ctx: _Ctx) -> Certificate:
     t1 = ctx.t1
     if xm <= m + ell:  # subcase 2.1
         if m - ell >= 2:
-            return _finish(ctx, _build("P3", ctx), "3.1-case2.1-P3", t1)
+            return _finish(_build("P3", ctx), "3.1-case2.1-P3", t1)
         if m - ell == 1:
             if xl < 2 * ell:
-                return _finish(ctx, _build("P3", ctx), "3.1-case2.1-P3", t1)
+                return _finish(_build("P3", ctx), "3.1-case2.1-P3", t1)
             if xm - m <= ell - 1:
-                return _finish(ctx, _build("P2", ctx), "3.1-case2.1-P2", t1)
+                return _finish(_build("P2", ctx), "3.1-case2.1-P2", t1)
             # x_m = m + ell: either the cross block is incomplete (T1 is
             # one edge smaller, realized) or X_ell union X_m is a clique
             try:
-                return _finish(ctx, _build("P9", ctx), "3.1-case2.1-P9", t1)
+                return _finish(_build("P9", ctx), "3.1-case2.1-P9", t1)
             except RecipeInapplicable:
-                return _finish(ctx, _build("P2", ctx), "3.1-case2.1-P2", t1)
+                return _finish(_build("P2", ctx), "3.1-case2.1-P2", t1)
         # m == ell
         if ell % 2 == 0:
             return _deferred(ctx, "3.1-case2.1-balanced-even")
         if xl > ell + 1 or xm > ell:
-            return _finish(ctx, _p10_prime(ctx), "3.1-case2.1-P10'", t1)
-        return _finish(ctx, _build("P11", ctx), "3.1-case2.1-P11", t1)
+            return _finish(_p10_prime(ctx), "3.1-case2.1-P10'", t1)
+        return _finish(_build("P11", ctx), "3.1-case2.1-P11", t1)
     # subcase 2.2: x_m > m + ell (forces m > ell)
     if m - ell >= 2:
-        return _finish(ctx, _build("P12", ctx), "3.1-case2.2-P12", t1)
+        return _finish(_build("P12", ctx), "3.1-case2.2-P12", t1)
     # m = ell + 1, x_m = 2m
     if xl == 2 * ell:
-        return _finish(ctx, _build("P12", ctx), "3.1-case2.2-P12", t1)
-    return _finish(ctx, _build("P4", ctx), "3.1-case2.2-P4", t1)
+        return _finish(_build("P12", ctx), "3.1-case2.2-P12", t1)
+    return _finish(_build("P4", ctx), "3.1-case2.2-P4", t1)
 
 
 def _guided_322(ctx: _Ctx, swapped: Callable[[], Certificate]) -> Certificate:
@@ -774,16 +772,16 @@ def _guided_322(ctx: _Ctx, swapped: Callable[[], Certificate]) -> Certificate:
     g = ctx.g
     prof = (ctx.ell, ctx.m, ctx.xl, ctx.xm)
     if ctx.ell > 10 or ctx.m > 10:
-        return _finish(ctx, _build("P13", ctx), "3.2.2-P13", build_T2(g))
+        return _finish(_build("P13", ctx), "3.2.2-P13", build_T2(g))
     report = evaluate_case_functions(profile(g))
     if report.passing:
         idx = max(report.passing, key=lambda i: (report.f_values[i], -i))
         tag, fn = _F_RECIPES[idx]
-        return _finish(ctx, fn(ctx), f"3.2.2-{tag}", build_T2(g))
+        return _finish(fn(ctx), f"3.2.2-{tag}", build_T2(g))
     # the exceptional profiles
     route = _EXCEPTIONAL_ROUTES.get(prof)
     if route in _CODE_RECIPES:
-        return _finish(ctx, _CODE_RECIPES[route](ctx), f"3.2.2-{route}", build_T2(g))
+        return _finish(_CODE_RECIPES[route](ctx), f"3.2.2-{route}", build_T2(g))
     if route == "deferred":
         return _deferred(ctx, "3.2.2-small")
     if route == "swap":

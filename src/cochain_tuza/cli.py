@@ -37,7 +37,7 @@ from .certify import (
     oracle_budget,
 )
 from .generators import complete_join, disjoint_cliques, fuzz_instances, random_cochain
-from .graphs import CoChainGraph, build_cochain, profile
+from .graphs import CaseProfile, CoChainGraph, build_cochain, profile
 from .oracles import exact_nu, exact_tau
 from .recognition import RecognitionFailure, recognize_cochain
 
@@ -158,8 +158,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         found = sorted(p.as_tuple() for p in search_exceptional(args.limit, strategy))
         print(f"strategy {strategy.describe()}")
         for tup in found:
-            from .graphs import CaseProfile
-
             rep = evaluate_case_functions(CaseProfile(*tup), strategy)
             fs = ",".join(str(v) for v in rep.f_values)
             passing = ",".join(str(i + 1) for i in sorted(rep.passing))

@@ -37,6 +37,25 @@ def test_search_reproduces_published_tuples():
     assert found == set(EXPECTED_EXCEPTIONAL)
 
 
+def test_search_to_thirty_finds_only_the_published_tuples():
+    # 94,920 profiles: the finite half of the profile-level rules, to 30
+    found = {p.as_tuple() for p in search_exceptional(30)}
+    assert found == set(EXPECTED_EXCEPTIONAL)
+
+
+def test_table_search_agrees_with_the_report_path():
+    # the per-call tables and the first-pass exit decide exactly as the
+    # full f_1..f_8 report does, under every strategy
+    profiles = list(constrained_profiles(12))
+    for strategy in ALL_STRATEGIES:
+        found = search_exceptional(12, strategy)
+        for p in profiles:
+            assert (p in found) == evaluate_case_functions(p, strategy).exceptional, (
+                p,
+                strategy,
+            )
+
+
 def test_search_limit_one_is_empty():
     assert search_exceptional(1) == set()
 
@@ -64,10 +83,12 @@ def test_named_exceptional_examples():
 
 
 def test_evaluate_rejects_out_of_domain_profiles():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x_ell < ell, x_m < m"):
         evaluate_case_functions(CaseProfile(2, 2, 2, 2))  # x_ell = ell
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ell \+ x_m <= m \+ x_ell"):
         evaluate_case_functions(CaseProfile(4, 2, 1, 1))  # ell + x_m > m + x_ell
+    with pytest.raises(ValueError, match=r"ell - x_ell <= x_m \+ x_ell"):
+        evaluate_case_functions(CaseProfile(3, 3, 0, 0))  # case 3.2.1
 
 
 def test_t2_size_example():
@@ -222,9 +243,13 @@ KNOWN_SLACK = ("(x_l-l-1)*(2l-1-x_m)", "x_l>l+1 => >= l-2")
 
 def test_audit_runs_clean_except_known_slack():
     report = audit_inequalities(25)
-    assert report.chains
+    assert sum(c.checked for c in report.chains) == 153_310
+    assert len(report.violations) == 144
     for v in report.violations:
         assert (v.chain, v.step) == KNOWN_SLACK, v
+    # the 3.2.2 chain runs over exactly the search domain
+    (c322,) = [c for c in report.chains if c.chain.startswith("24l^2")]
+    assert c322.checked == sum(1 for _ in constrained_profiles(25))
     # the slack is real: it appears at, e.g., a complete balanced join
     assert any(v.params == (3, 6, 6) for v in report.violations)
 
