@@ -2,22 +2,17 @@
 
 These solvers are the independent ground truth that every certificate is
 checked against, so they deliberately use no result from the constructive
-modules.  Upper bounds for the packing search come from edge counts and the
-degree bound sum_v floor(deg(v)/2) (each triangle at v consumes two edges at
-v).  Lower bounds for the hitting search are the largest of three: a greedy
-packing of edge-disjoint uncovered triangles; greedy vertex-disjoint cliques
-of the remaining graph, each scored by tau(K_r) = C(r, 2) - floor(r^2 / 4);
-and Mantel's bound on the live edges, those still in an uncovered triangle.
-The hitting search starts from the better of two feasible hitting sets: a
-greedy one, and the triangle edges inside the two sides of a local-search
-maximum cut, which is optimal on complete and near-complete graphs.
-
-Both searches are complete: nu branches on the lowest-index undecided edge
-(use it in one of its remaining triangles, or never use it), tau branches on
-an uncovered triangle with the fewest removable edges, keeping already-tried
-edges to avoid symmetric duplicates.  A node budget caps the total work; on
-exhaustion the best feasible witness found so far is returned with
-proven=False, never a false optimum.
+modules.  Both keep the triangles still in play as a bitmask and branch
+fail-first.  The packing search branches on the live edge in the fewest
+alive triangles (pack one of them, or exclude the edge) and bounds what is
+left by the live edges and live degrees.  The hitting search branches on an
+uncovered triangle with the fewest free edges, prunes with a greedy packing
+that is disjoint on free edges and with Mantel's bound, and starts from the
+better of a greedy hitting set and the triangle edges inside the sides of a
+local-search maximum cut, which is optimal on complete and near-complete
+graphs.  A node budget caps the total work; on exhaustion the best feasible
+witness found so far is returned with proven=False, never a false optimum,
+and ``explored`` counts the nodes expanded.
 """
 
 from __future__ import annotations
@@ -49,8 +44,21 @@ class _Budget:
         self.left = limit
 
     def tick(self) -> bool:
+        """Spend one node of the budget; False once it is used up."""
+        if self.left <= 0:
+            return False
         self.left -= 1
-        return self.left >= 0
+        return True
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _edge_index(g: GeneralGraph) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
@@ -59,25 +67,31 @@ def _edge_index(g: GeneralGraph) -> tuple[list[tuple[int, int]], dict[tuple[int,
 
 
 def exact_nu(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
-    """Maximum triangle packing size, with an optimal packing as witness."""
+    """Maximum triangle packing size, with an optimal packing as witness.
+
+    A node's state is the bitmask of its alive triangles, those that share
+    no edge with a packed triangle and contain no excluded edge.  Its live
+    edges are the edges of alive triangles; every triangle the node can still
+    add uses three live edges, two of them at each of its vertices, so it
+    adds at most min(|live edges| // 3, sum_v floor(live_deg(v) / 2) // 3).
+    """
     tris = enumerate_triangles(g)
     if not tris:
         return ExactResult(0, TrianglePacking(frozenset()), 0, True)
     edges, eidx = _edge_index(g)
     n_edges = len(edges)
-    full = (1 << n_edges) - 1
     tri_masks = []
-    for a, b, c in tris:
-        tri_masks.append(
-            1 << eidx[(a, b)] | 1 << eidx[(a, c)] | 1 << eidx[(b, c)]
-        )
-    edge_tris: list[list[int]] = [[] for _ in range(n_edges)]
-    for ti, mask in enumerate(tri_masks):
-        m = mask
-        while m:
-            low = m & -m
-            edge_tris[low.bit_length() - 1].append(ti)
-            m ^= low
+    edge_tris = [0] * n_edges  # bitmask of the triangles through each edge
+    for ti, (a, b, c) in enumerate(tris):
+        ids = (eidx[(a, b)], eidx[(a, c)], eidx[(b, c)])
+        tri_masks.append((1 << ids[0]) | (1 << ids[1]) | (1 << ids[2]))
+        for e in ids:
+            edge_tris[e] |= 1 << ti
+    # conflict[t]: the triangles sharing an edge with t, t included
+    conflict = [
+        edge_tris[a] | edge_tris[b] | edge_tris[c]
+        for a, b, c in map(_bits, tri_masks)
+    ]
     vmask = [0] * g.n
     for i, (u, v) in enumerate(edges):
         vmask[u] |= 1 << i
@@ -94,51 +108,56 @@ def exact_nu(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
 
     bgt = _Budget(budget)
     aborted = False
+    chosen: list[int] = []
 
-    def upper(dead: int, count: int) -> int:
-        free = n_edges - (dead & full).bit_count()
-        ub1 = count + free // 3
-        degsum = sum((vmask[v] & ~dead).bit_count() // 2 for v in range(g.n))
-        return min(ub1, count + degsum // 3)
-
-    def dfs(used: int, excluded: int, chosen: list[int]) -> None:
+    def dfs(alive: int) -> None:
         nonlocal best, best_size, aborted
-        if aborted:
-            return
         if not bgt.tick():
             aborted = True
             return
-        dead = used | excluded
-        # propagate: skip edges with no remaining triangle, find branch edge
-        e = 0
-        feasible: list[int] = []
-        while e < n_edges:
-            bit = 1 << e
-            if not dead & bit:
-                feasible = [
-                    ti for ti in edge_tris[e] if not tri_masks[ti] & dead
-                ]
-                if feasible:
-                    break
-                excluded |= bit
-                dead |= bit
-            e += 1
-        if e == n_edges:
-            if len(chosen) > best_size:
+        count = len(chosen)
+        if not alive:
+            if count > best_size:
                 best = list(chosen)
-                best_size = len(chosen)
+                best_size = count
             return
-        if upper(dead, len(chosen)) <= best_size:
+        live_e = 0
+        m = alive
+        while m:
+            low = m & -m
+            live_e |= tri_masks[low.bit_length() - 1]
+            m ^= low
+        room = best_size - count  # a bound <= room prunes this node
+        if live_e.bit_count() // 3 <= room:
             return
-        for ti in feasible:
+        if sum((vm & live_e).bit_count() // 2 for vm in vmask) // 3 <= room:
+            return
+        # fail-first: the live edge in the fewest alive triangles
+        pick_tris, fewest = 0, len(tris) + 1
+        m = live_e
+        while m:
+            low = m & -m
+            e = low.bit_length() - 1
+            m ^= low
+            through = edge_tris[e] & alive
+            k = through.bit_count()
+            if k < fewest:
+                pick_tris, fewest = through, k
+                if k == 1:
+                    break
+        # pack the triangle that kills the fewest alive ones first, so good
+        # packings (and tight incumbents) are found early
+        for ti in sorted(
+            _bits(pick_tris), key=lambda t: (conflict[t] & alive).bit_count()
+        ):
             chosen.append(ti)
-            dfs(used | tri_masks[ti], excluded, chosen)
+            dfs(alive & ~conflict[ti])
             chosen.pop()
             if aborted:
                 return
-        dfs(used, excluded | (1 << e), chosen)
+        dfs(alive & ~pick_tris)
 
-    dfs(0, 0, [])
+    dfs((1 << len(tris)) - 1)
     witness = TrianglePacking.of(tris[ti] for ti in best)
     return ExactResult(best_size, witness, budget - bgt.left, not aborted)
 
@@ -155,35 +174,6 @@ def tau_complete(r: int) -> int:
     removes exactly that many.
     """
     return r * (r - 1) // 2 - r * r // 4
-
-
-def _greedy_cliques(adj: list[int], vertices: int) -> list[int]:
-    """Greedy vertex-disjoint cliques (sizes >= 3) in the graph given by adj."""
-    sizes = []
-    avail = vertices
-    while avail:
-        best_v, best_d = -1, -1
-        m = avail
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            d = (adj[v] & avail).bit_count()
-            if d > best_d:
-                best_v, best_d = v, d
-            m ^= low
-        clique = 1 << best_v
-        cand = adj[best_v] & avail
-        size = 1
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            clique |= low
-            size += 1
-            cand &= adj[w]
-        avail &= ~clique
-        if size >= 3:
-            sizes.append(size)
-    return sizes
 
 
 def _max_cut_sides(adj: list[int]) -> int:
@@ -206,6 +196,11 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
 
     Branch and bound over edge removals; a node's uncovered triangles are
     exactly the triangles of the graph with its removed edges deleted.
+
+    Packing bound: kept edges are never removed below a node, so each
+    uncovered triangle needs one of its free edges removed.  Triangles whose
+    free edges are pairwise disjoint need distinct removed edges, so a
+    greedy set of them is a lower bound on the edges still to remove.
 
     Mantel bound: let E_L be the edges that lie in an uncovered triangle and
     V_L their endpoints.  Every triangle of the graph (V_L, E_L) is uncovered,
@@ -266,7 +261,7 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     aborted = False
     removed: list[int] = []
 
-    def dfs(unc: int, kept_mask: int, adj: list[int]) -> None:
+    def dfs(unc: int, kept_mask: int) -> None:
         nonlocal best, best_size, aborted
         if not bgt.tick():
             aborted = True
@@ -280,11 +275,12 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
         room = best_size - depth  # a bound >= room prunes this node
         if room <= 1:
             return  # an uncovered triangle needs one more edge
-        # one pass over the uncovered triangles: an edge-disjoint greedy
-        # packing, the live edges and vertices, and the branch triangle
-        # (fail-first: fewest removable edges)
+        # one pass over the uncovered triangles: a greedy packing disjoint on
+        # free edges, the live edges and vertices, and the branch triangle
+        # (fail-first: fewest free edges)
         used = packed = live_e = live_v = 0
         pick, pick_free = -1, 4
+        free_mask = ~kept_mask
         m = unc
         while m:
             low = m & -m
@@ -293,10 +289,11 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
             tm = tri_masks[ti]
             live_e |= tm
             live_v |= tri_verts[ti]
-            if not tm & used:
-                used |= tm
+            fm = tm & free_mask
+            if not fm & used:
+                used |= fm
                 packed += 1
-            free = 3 - (tm & kept_mask).bit_count()
+            free = fm.bit_count()
             if free < pick_free:
                 if free == 0:
                     return  # all its edges are kept: infeasible branch
@@ -306,25 +303,19 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
         r = live_v.bit_count()
         if live_e.bit_count() - r * r // 4 >= room:
             return
-        if sum(tau_complete(s) for s in _greedy_cliques(adj, live_v)) >= room:
-            return
         branch_edges = [
             e for e in tri_edge_ids[pick] if not kept_mask & (1 << e)
         ]
         branch_edges.sort(key=lambda e: -(edge_tris[e] & unc).bit_count())
         kept_here = 0
         for e in branch_edges:
-            u, v = edges[e]
-            child = adj.copy()
-            child[u] &= ~(1 << v)
-            child[v] &= ~(1 << u)
             removed.append(e)
-            dfs(unc & ~edge_tris[e], kept_mask | kept_here, child)
+            dfs(unc & ~edge_tris[e], kept_mask | kept_here)
             removed.pop()
             if aborted:
                 return
             kept_here |= 1 << e
 
-    dfs(all_tris, 0, list(g.adj))
+    dfs(all_tris, 0)
     witness = HittingSet.of(edges[e] for e in best)
     return ExactResult(best_size, witness, budget - bgt.left, not aborted)

@@ -1,9 +1,12 @@
+import random
 from itertools import combinations
 from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cochain_tuza.certify import certify
+from cochain_tuza.generators import random_cochain
 from cochain_tuza.graphs import (
     GeneralGraph,
     HittingSet,
@@ -66,6 +69,28 @@ def test_budget_exhaustion_never_reports_proven():
     assert r.value >= true_tau.value
     r2 = exact_nu(g, budget=3)
     assert not r2.proven and verify_packing(g, r2.witness)
+
+
+def test_explored_counts_the_nodes_within_the_budget():
+    g = build_cochain(4, 6, (6, 6, 5, 4)).to_general()
+    for oracle in (exact_tau, exact_nu):
+        full = oracle(g)
+        assert full.proven and 1 < full.explored
+        for budget in (0, 1, 3, 40, full.explored - 1, full.explored, 10**6):
+            r = oracle(g, budget)
+            assert r.proven == (budget >= full.explored)
+            assert r.explored == min(budget, full.explored)
+
+
+def test_nu_proven_on_random_8_8_cochain_graphs():
+    rng = random.Random(0)
+    for _ in range(3):
+        g = random_cochain(rng, 8, 8)
+        h = g.to_general()
+        r = exact_nu(h, 5_000)
+        assert r.proven
+        assert verify_packing(h, r.witness) and len(r.witness) == r.value
+        assert certify(g, "guided").p_size <= r.value
 
 
 def test_duality_on_exhaustive_small_cochain_instances():
@@ -134,3 +159,19 @@ def test_tau_matches_brute_force_on_random_graphs(data):
     assert r_tau.proven
     assert verify_hitting(g, r_tau.witness) and len(r_tau.witness) == r_tau.value
     assert r_tau.value == brute_tau(g, cap=len(edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_oracles_ignore_vertex_labels(data):
+    n = data.draw(st.integers(3, 8))
+    edges = [
+        e for e in combinations(range(n), 2) if data.draw(st.booleans())
+    ]
+    perm = data.draw(st.permutations(range(n)))
+    g = GeneralGraph.from_edges(n, edges)
+    h = GeneralGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    for oracle in (exact_tau, exact_nu):
+        r_g, r_h = oracle(g), oracle(h)
+        assert r_g.proven and r_h.proven
+        assert r_g.value == r_h.value
