@@ -6,12 +6,14 @@ edge-disjoint triangle packing P; since tau <= |H| and |P| <= nu, the check
 
 Guided mode drives the full case analysis on the profile (ell, m, x_ell,
 x_m).  For x_ell >= ell the hitting set is T1 (all within-half edges plus
-the cross edges top-ell/bot-m and bot-ell/top-m) and the packing is chosen
+the cross edges top-ell/bot-m and bot-ell/top-m: the edges inside A =
+top-ell + bot-m and inside B = bot-ell + top-m) and the packing is chosen
 among the constructions P1..P12; for x_ell < ell the hitting set is T2 (all
 within-half edges plus all X_ell/bot-m and X_m/top-ell edges) paired with
-P13..P19.  The analysis defers a few corners to external results; those are
-handled here, on every instance, by the portfolio, whose witnesses are
-polished when their ratio fails, never by a silent gap.  Guided and
+P13..P19; both are built as vertex masks from the thresholds in O(n).  The
+analysis defers a few corners to external results; those are handled here,
+on every instance, by the portfolio, whose witnesses are polished when their
+ratio fails, never by a silent gap.  Guided and
 portfolio modes call no exact oracle; only exact mode does, and only it
 raises ``BudgetExhausted``.
 
@@ -33,8 +35,10 @@ through ``make_certificate``, just before it returns; the constructions
 below it return unverified certificates.  Recipes pass plain lists of
 sorted triangles, and each certificate gets one packing object, built by
 the trusted constructor without a check of its own.  A side swap relabels
-the certificate by the reversal v -> n-1-v, which keeps edges and
-triangles sorted; the swapped host comes from the conjugate thresholds.
+the certificate by the reversal v -> n-1-v, which reverses each hitting-set
+mask and keeps triangles sorted; the swapped host comes from the conjugate
+thresholds.  The check of the hitting set costs O(n + monochromatic edges)
+mask operations (see ``graphs.verify_hitting``).
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .graphs import (
     HittingSet,
     Triangle,
     TrianglePacking,
+    _bits,
     edge,
     enumerate_triangles,
     profile,
@@ -156,24 +161,26 @@ def make_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _within_half_edges(g: CoChainGraph) -> list[Edge]:
-    parts = (g.l_top(), g.l_bot(), g.m_top(), g.m_bot())
-    return [e for part in parts for e in combinations(part, 2)]
+def _half_masks(g: CoChainGraph) -> tuple[int, int, int, int]:
+    """Vertex masks of the halves top-ell, bot-ell, top-m, bot-m."""
+    g._require_even()
+    side_l = (1 << g.l_size) - 1
+    side_m = ((1 << g.n) - 1) ^ side_l
+    l_top = (1 << g.l_size // 2) - 1
+    m_top = ((1 << g.m_size // 2) - 1) << g.l_size
+    return l_top, side_l ^ l_top, m_top, side_m ^ m_top
 
 
 def build_T1(g: CoChainGraph) -> HittingSet:
-    """All within-half edges plus the top-ell/bot-m and bot-ell/top-m cross
-    edges present in g.  A hitting set for every even-sided co-chain graph."""
-    edges = _within_half_edges(g)
-    n, ell = g.n, g.l_size // 2
-    mid = n - g.m_size // 2  # first vertex of the bottom half of the d-side
-    for u, t in enumerate(g.thresholds):
-        # u sees the t most connected d's, vertices n-t..n-1
-        if u < ell:
-            edges.extend((u, v) for v in range(max(n - t, mid), n))
-        else:
-            edges.extend((u, v) for v in range(n - t, mid))
-    h = HittingSet(frozenset(edges))
+    """The edges of g inside A = top-ell + bot-m and inside B = bot-ell +
+    top-m: all within-half edges plus the top-ell/bot-m and bot-ell/top-m
+    cross edges present in g.  A hitting set for every even-sided co-chain
+    graph, as masks in O(n) from the thresholds."""
+    l_top, l_bot, m_top, m_bot = _half_masks(g)
+    a, b = l_top | m_bot, l_bot | m_top
+    h = HittingSet._from_masks(
+        [mask & (a if a >> u & 1 else b) for u, mask in enumerate(g.adjacency_masks())]
+    )
     prof = profile(g)
     ell, m, xl, xm = prof.as_tuple()
     if xl >= ell:
@@ -189,7 +196,8 @@ def build_T1(g: CoChainGraph) -> HittingSet:
 
 
 def build_T2(g: CoChainGraph) -> HittingSet:
-    """All within-half edges plus all X_ell/bot-m and X_m/top-ell edges.
+    """All within-half edges plus all X_ell/bot-m and X_m/top-ell edges, as
+    masks in O(n); X_ell is a prefix of the c's and X_m a suffix of the d's.
 
     Requires x_ell < ell; the size then equals ``casesearch.t2_size``
     exactly.
@@ -197,10 +205,22 @@ def build_T2(g: CoChainGraph) -> HittingSet:
     prof = profile(g)
     if prof.x_ell >= prof.ell:
         raise PreconditionError(f"T2 requires x_ell < ell, got profile {prof}")
-    edges = _within_half_edges(g)
-    edges += [(u, v) for u in g.x_l_vertices() for v in g.m_bot()]
-    edges += [(u, v) for u in g.l_top() for v in g.x_m_vertices()]
-    h = HittingSet(frozenset(edges))
+    l_top, l_bot, m_top, m_bot = _half_masks(g)
+    x_l = (1 << prof.x_ell) - 1
+    x_m = ((1 << prof.x_m) - 1) << (g.n - prof.x_m)
+    masks = []
+    for u in range(g.n):
+        bit = 1 << u
+        if bit & l_top:
+            mask = l_top | x_m | (m_bot if bit & x_l else 0)
+        elif bit & l_bot:
+            mask = l_bot | (m_bot if bit & x_l else 0)
+        elif bit & m_top:
+            mask = m_top | (l_top if bit & x_m else 0)
+        else:
+            mask = m_bot | x_l | (l_top if bit & x_m else 0)
+        masks.append(mask ^ bit)
+    h = HittingSet._from_masks(masks)
     expected = t2_size(prof)
     if len(h) != expected:
         raise RuntimeError(f"T2 has {len(h)} edges, not {expected} at {prof}")
@@ -229,10 +249,22 @@ def swap_sides(g: CoChainGraph) -> tuple[CoChainGraph, tuple[int, ...]]:
     return CoChainGraph(M, L, tuple(new_t)), tuple(range(L + M - 1, -1, -1))
 
 
-def _reversed_edges(edges: frozenset[Edge], n: int) -> frozenset[Edge]:
-    """edges relabeled by v -> n-1-v; sorted edges stay sorted."""
-    r = n - 1
-    return frozenset((r - v, r - u) for u, v in edges)
+#: _REVERSED_BYTE[b] is the byte b with its 8 bits in reverse order
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed_hitting(h: HittingSet, n: int) -> HittingSet:
+    """h relabeled by v -> n-1-v on n vertices, mask by mask: mask u moves
+    to n-1-u with its n low bits reversed."""
+    k = (n + 7) // 8
+    shift = 8 * k - n
+    masks = [0] * n
+    for u, mask in enumerate(h.masks):
+        masks[n - 1 - u] = (
+            int.from_bytes(mask.to_bytes(k, "big").translate(_REVERSED_BYTE), "little")
+            >> shift
+        )
+    return HittingSet._from_masks(masks)
 
 
 def _reversed(cert: Certificate, n: int) -> Certificate:
@@ -240,7 +272,7 @@ def _reversed(cert: Certificate, n: int) -> Certificate:
     triangles stay sorted, so the packing is carried over unchecked."""
     r = n - 1
     return Certificate(
-        HittingSet(_reversed_edges(cert.hitting.edges, n)),
+        _reversed_hitting(cert.hitting, n),
         TrianglePacking._trusted(
             frozenset((r - c, r - b, r - a) for a, b, c in cert.packing.triangles)
         ),
@@ -249,12 +281,24 @@ def _reversed(cert: Certificate, n: int) -> Certificate:
 
 
 def _map_certificate(cert: Certificate, order: Sequence[int]) -> Certificate:
-    """The same certificate with every vertex v renamed order[v]."""
-    hitting = HittingSet.of((order[u], order[v]) for u, v in cert.hitting.edges)
-    packing = TrianglePacking.of(
-        (order[a], order[b], order[c]) for a, b, c in cert.packing.triangles
+    """The same certificate with every vertex v renamed order[v].
+
+    order is a bijection, so the renamed witnesses are again a hitting set
+    and an edge-disjoint packing; they are built canonical without a check,
+    and ``make_certificate`` on the renamed host is the one check.
+    """
+    masks = [0] * len(order)
+    for u, mask in enumerate(cert.hitting.masks):
+        image = 0
+        for v in _bits(mask):
+            image |= 1 << order[v]
+        masks[order[u]] = image
+    packing = TrianglePacking._trusted(
+        frozenset(
+            triangle(order[a], order[b], order[c]) for a, b, c in cert.packing.triangles
+        )
     )
-    return Certificate(hitting, packing, cert.method)
+    return Certificate(HittingSet._from_masks(masks), packing, cert.method)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +649,10 @@ def _refined_T1(ctx: _Ctx) -> HittingSet:
                     "3.1-case1-P7-refined",
                     f"triangle through deleted edge via vertex {w} is uncovered",
                 )
-    return HittingSet(ctx.t1.edges - {edge(u, v)})
+    masks = list(ctx.t1.masks)
+    masks[u] &= ~(1 << v)
+    masks[v] &= ~(1 << u)
+    return HittingSet._from_masks(masks)
 
 
 def _single_clique_certificate(g: CoChainGraph) -> Certificate:
@@ -670,7 +717,7 @@ def _guided(
         if "t1" in vars(ctx):
             # the swap maps each side's top half onto the other side's bottom
             # half, so T1 is invariant: relabel the T1 already built
-            sctx.t1 = HittingSet(_reversed_edges(ctx.t1.edges, g.n))
+            sctx.t1 = _reversed_hitting(ctx.t1, g.n)
         return _reversed(_guided(sg, sctx.G, sctx, depth + 1), g.n)
 
     try:
@@ -805,7 +852,7 @@ def _portfolio_core(
     if not any(adj[u] & adj[v] for u, v in G.edges):
         hittings.append(("trivial", HittingSet(frozenset())))
     else:
-        hittings.append(("all-edges", HittingSet(G.edges)))
+        hittings.append(("all-edges", HittingSet._from_masks(G.adj)))
     ctx = _recipe_context(g, G) if ctx is None else ctx
     if ctx is not None:
         hittings.append(("T1", ctx.t1))

@@ -22,20 +22,24 @@ to all of the c-side's top half (the t_ell most connected d's).
 All values are immutable after construction; every operation is a pure
 function of its inputs.
 
-The public constructors check what they are given: ``GeneralGraph(n, edges)``
-range-checks every edge, and ``TrianglePacking(...)`` rejects triangles that
-share an edge.  Code inside the package builds witnesses it constructs
-canonical and disjoint by design (``CoChainGraph.to_general``, clique and
-apex packings, the certifier's recipes) through trusted constructors that
-skip those checks; ``certify.make_certificate`` then checks each returned
-witness once, with ``verify_hitting`` and ``verify_packing``.
+Graphs and hitting sets are their per-vertex bitmasks (ints): bit v of
+vertex u's mask is the pair {u, v}.  The public constructors check what they
+are given: ``GeneralGraph(n, edges)`` range-checks every edge,
+``HittingSet(edges)`` rejects self-loops and negative ids, and
+``TrianglePacking(...)`` rejects triangles that share an edge.  Code inside
+the package builds witnesses it constructs canonical and disjoint by design
+(``CoChainGraph.to_general``, T1 and T2, clique and apex packings, the
+certifier's recipes) through trusted constructors that skip those checks;
+``certify.make_certificate`` then checks each returned witness once, with
+``verify_hitting`` (O(n + monochromatic edges) mask operations) and
+``verify_packing``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -106,11 +110,7 @@ class GeneralGraph:
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
-        return frozenset(
-            (u, v)
-            for u in range(self.n)
-            for v in _bits(self.adj[u] >> (u + 1) << (u + 1))
-        )
+        return frozenset(_mask_edges(self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and bool(self.adj[u] >> v & 1)
@@ -151,6 +151,18 @@ def _bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask_edges(masks: Sequence[int]) -> list[Edge]:
+    """The edges of symmetric per-vertex masks, canonical and sorted."""
+    out = []
+    for u, mask in enumerate(masks):
+        higher = mask >> (u + 1) << (u + 1)
+        while higher:
+            low = higher & -higher
+            out.append((u, low.bit_length() - 1))
+            higher ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -252,9 +264,9 @@ class CoChainGraph:
             return True
         return self.cross_adjacent(u + 1, v - self.l_size + 1)
 
-    def to_general(self) -> GeneralGraph:
-        """The graph on vertices 0..n-1, its masks computed from the
-        thresholds, which the constructor has checked."""
+    def adjacency_masks(self) -> list[int]:
+        """Per-vertex adjacency masks, computed from the thresholds, which
+        the constructor has checked."""
         L, M, n = self.l_size, self.m_size, self.n
         side_l = (1 << L) - 1
         side_m = ((1 << n) - 1) ^ side_l
@@ -269,7 +281,11 @@ class CoChainGraph:
             while k < L and self.thresholds[k] >= M - j:
                 k += 1
             masks[L + j] = side_m ^ (1 << (L + j)) | (1 << k) - 1
-        return GeneralGraph._from_masks(tuple(masks))
+        return masks
+
+    def to_general(self) -> GeneralGraph:
+        """The graph on vertices 0..n-1, with ``adjacency_masks``."""
+        return GeneralGraph._from_masks(tuple(self.adjacency_masks()))
 
     # -- even-sided structure ------------------------------------------------
 
@@ -338,12 +354,29 @@ class TrianglePacking:
     triangles: frozenset[Triangle]
 
     def __post_init__(self) -> None:
+        # used[a]: the partners b > a of the edges (a, b) already packed
+        used: dict[int, int] = {}
+        for t in self.triangles:
+            a, b, c = t
+            if not a < b < c:
+                a, b, c = triangle(a, b, c)
+            if a < 0:
+                raise ValueError(f"negative vertex id in triangle {t}")
+            bc, cbit = 1 << b | 1 << c, 1 << c
+            ua, ub = used.get(a, 0), used.get(b, 0)
+            if ua & bc or ub & cbit:
+                raise ValueError(f"triangles share edge {self._first_shared_edge()}")
+            used[a] = ua | bc
+            used[b] = ub | cbit
+
+    def _first_shared_edge(self) -> Edge:
         seen: set[Edge] = set()
         for t in sorted(triangle(*t) for t in self.triangles):
             for e in triangle_edges(t):
                 if e in seen:
-                    raise ValueError(f"triangles share edge {e}")
+                    return e
                 seen.add(e)
+        raise RuntimeError("no shared edge")
 
     @classmethod
     def of(cls, triangles: Iterable[tuple[int, int, int]]) -> "TrianglePacking":
@@ -368,21 +401,67 @@ class TrianglePacking:
         return {e for t in self.triangles for e in triangle_edges(t)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HittingSet:
-    """An edge set meant to intersect every triangle of a host graph."""
+    """An edge set meant to intersect every triangle of a host graph.
 
-    edges: frozenset[Edge]
+    The set is its per-vertex masks, which equality and hashing compare:
+    bit v of ``masks[u]`` is set iff {u, v} is in the set, and trailing empty
+    masks are dropped, so equal sets have equal masks whatever the host.
+    The constructor takes edges in either orientation.  The frozen set of
+    canonical edges is kept as given to the constructor when every edge is
+    canonical, or derived from the masks on first use.
+    """
+
+    masks: tuple[int, ...]
+
+    def __init__(self, edges: Iterable[Edge]) -> None:
+        edges = frozenset(edges)
+        masks = [0] * (max(map(max, edges)) + 1 if edges else 0)
+        canonical = True
+        for u, v in edges:
+            if not 0 <= u < v:
+                if u == v or u < 0 or v < 0:
+                    raise ValueError(f"edge {(u, v)} is a self-loop or has a negative end")
+                canonical = False
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "masks", tuple(masks))
+        if canonical:
+            self.__dict__["edges"] = edges
+            self.__dict__["_size"] = len(edges)
+
+    def __repr__(self) -> str:
+        return f"HittingSet(edges={self.edges!r})"
 
     @classmethod
     def of(cls, edges: Iterable[tuple[int, int]]) -> "HittingSet":
         return cls(frozenset(edge(u, v) for u, v in edges))
 
+    @classmethod
+    def _from_masks(cls, masks: Sequence[int]) -> "HittingSet":
+        """The set of the symmetric, loop-free masks that the caller has
+        derived; nothing is re-checked."""
+        k = len(masks)
+        while k and not masks[k - 1]:
+            k -= 1
+        h = object.__new__(cls)
+        object.__setattr__(h, "masks", tuple(masks[:k]))
+        return h
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(_mask_edges(self.masks))
+
+    @cached_property
+    def _size(self) -> int:
+        return sum(mask.bit_count() for mask in self.masks) >> 1
+
     def __len__(self) -> int:
-        return len(self.edges)
+        return self._size
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return _mask_edges(self.masks)
 
 
 def enumerate_triangles(g: GeneralGraph) -> list[Triangle]:
@@ -440,24 +519,54 @@ def verify_hitting(
 
     Accepts a HittingSet or a raw collection of edges (a self-loop raises
     ValueError there); an edge counts in either orientation, and one absent
-    from g removes nothing.  A vertex id outside g raises ValueError.  One
-    pass over g's adjacency masks: clear h's edges, then look for a
-    remaining edge whose ends keep a common neighbor.
+    from g removes nothing.  A vertex id outside g raises ValueError.
+
+    Works on g's adjacency masks in O(n + monochromatic edges) mask
+    operations: clear h by mask, 2-colour the rest by breadth-first search,
+    then look for a common neighbour only across the edges inside one colour
+    class.  Any 2-colouring gives two vertices of a triangle the same colour,
+    so every triangle has such an edge; when the rest is bipartite there is
+    none to scan.
     """
-    edges_h = h.edges if isinstance(h, HittingSet) else [edge(u, v) for u, v in h]
-    masks = list(g.adj)
     n = g.n
-    for u, v in edges_h:
-        if not (0 <= u < n and 0 <= v < n):
-            raise _out_of_range(g, v if 0 <= u < n else u)
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
+    rest = list(g.adj)
+    if isinstance(h, HittingSet):
+        hm = h.masks
+        if len(hm) > n:  # the last mask is nonempty: a vertex >= n has an edge
+            raise _out_of_range(g, len(hm) - 1)
+        for u in range(len(hm)):
+            rest[u] &= ~hm[u]
+    else:
+        for u, v in h:
+            u, v = edge(u, v)
+            if u < 0 or v >= n:
+                raise _out_of_range(g, u if u < 0 else v)
+            rest[u] &= ~(1 << v)
+            rest[v] &= ~(1 << u)
+    # BFS levels alternate colours; `even` collects the even levels
+    unseen = (1 << n) - 1
+    even = 0
+    while unseen:
+        frontier = unseen & -unseen  # the root of the next component
+        parity = 0
+        while frontier:
+            unseen ^= frontier
+            if not parity:
+                even |= frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rest[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & unseen
+            parity ^= 1
+    odd = ~even
     for u in range(n):
-        mu = masks[u]
-        higher = mu >> (u + 1) << (u + 1)
-        while higher:
-            low = higher & -higher
-            if mu & masks[low.bit_length() - 1]:
+        ru = rest[u]
+        same = ru & (even if even >> u & 1 else odd) & (-1 << (u + 1))
+        while same:
+            low = same & -same
+            if ru & rest[low.bit_length() - 1]:
                 return False
-            higher ^= low
+            same ^= low
     return True

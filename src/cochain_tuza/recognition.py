@@ -25,13 +25,18 @@ vertex id, and the color class containing the smallest original id becomes
 the c-side.  Which side a universal vertex lands on is genuinely ambiguous
 (swapping two universal vertices across sides is an automorphism), so
 round-trips recover the input only up to that symmetry.
+
+Everything runs on vertex masks: the complement's components are coloured by
+breadth-first search one level at a time, and the encoding found is checked
+to reproduce the input with one mask comparison per vertex, so a call costs
+O(n) mask operations plus the two sorts by cross-degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CoChainGraph, GeneralGraph, _bits, edge
+from .graphs import CoChainGraph, GeneralGraph, _bits
 
 
 @dataclass(frozen=True)
@@ -74,57 +79,44 @@ class RecognizedCoChain:
     vertex_order: tuple[int, ...]
 
 
-def _two_color(
-    comp_adj: list[int], vertices: list[int]
-) -> tuple[list[int], list[int]] | OddComplementCycle:
-    """BFS 2-coloring of one complement component (vertices[0] is the root)."""
-    root = vertices[0]
-    color = {root: 0}
-    parent: dict[int, int] = {root: -1}
-    order = [root]
-    sides: tuple[list[int], list[int]] = ([root], [])
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for w in _bits(comp_adj[u]):
-            if w not in color:
-                color[w] = 1 - color[u]
-                parent[w] = u
-                sides[color[w]].append(w)
-                order.append(w)
-            elif color[w] == color[u]:
-                # same-color BFS edge closes an odd cycle through the LCA
-                pu = [u]
-                while parent[pu[-1]] != -1:
-                    pu.append(parent[pu[-1]])
-                depth = {v: i for i, v in enumerate(pu)}
-                pw = [w]
-                while pw[-1] not in depth:
-                    pw.append(parent[pw[-1]])
-                meet = depth[pw[-1]]
-                cycle = pu[: meet + 1] + list(reversed(pw[:-1]))
-                return OddComplementCycle(tuple(cycle))
-    return sides
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
-def _components(comp_adj: list[int], n: int) -> list[list[int]]:
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s] or comp_adj[s] == 0:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in _bits(comp_adj[u]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+def _two_color(comp_adj: list[int], root: int) -> tuple[int, int] | OddComplementCycle:
+    """The colour classes of root's complement component as vertex masks,
+    root's class first, from a breadth-first search by levels; or an odd
+    cycle, when a complement edge joins two vertices of one level (the only
+    place two vertices of one colour can meet)."""
+    levels = []
+    seen = frontier = 1 << root
+    while frontier:
+        levels.append(frontier)
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= comp_adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    for depth, level in enumerate(levels):
+        for u in _bits(level):
+            if comp_adj[u] & level:
+                return OddComplementCycle(_odd_cycle(comp_adj, levels, depth, u))
+    return sum(levels[0::2]), sum(levels[1::2])
+
+
+def _odd_cycle(
+    comp_adj: list[int], levels: list[int], depth: int, u: int
+) -> tuple[int, ...]:
+    """The cycle closed by the edge from u to its lowest neighbour w on
+    u's level: both walk up one level at a time until they meet."""
+    a, b = [u], [_lowest(comp_adj[u] & levels[depth])]
+    while a[-1] != b[-1]:
+        depth -= 1
+        a.append(_lowest(comp_adj[a[-1]] & levels[depth]))
+        b.append(_lowest(comp_adj[b[-1]] & levels[depth]))
+    return tuple(a + b[-2::-1])
 
 
 def recognize_cochain(
@@ -135,74 +127,91 @@ def recognize_cochain(
     if n == 0:
         return RecognizedCoChain(CoChainGraph(0, 0, ()), ())
     full = (1 << n) - 1
-    comp_adj = [full & ~g.adj[v] & ~(1 << v) for v in range(n)]
+    comp_adj = [full ^ g.adj[v] ^ 1 << v for v in range(n)]
     universal = [v for v in range(n) if comp_adj[v] == 0]
 
-    comps = _components(comp_adj, n)
-    colorings: list[tuple[list[int], list[int]]] = []
-    for comp in comps:
-        res = _two_color(comp_adj, comp)
+    # the complement's components with edges, lowest vertex first
+    colorings: list[tuple[int, int]] = []
+    pending = full
+    for v in universal:
+        pending ^= 1 << v
+    while pending:
+        res = _two_color(comp_adj, _lowest(pending))
         if isinstance(res, OddComplementCycle):
             return RecognitionFailure("complement is not bipartite", res)
         colorings.append(res)
+        pending &= ~(res[0] | res[1])
 
     if len(colorings) >= 2:
         # one complement edge from each of two components induces a 2K_2
         # in the complement; report it as an incomparable pair
-        (a_side, a_other), (b_side, b_other) = colorings[0], colorings[1]
-        a, x = a_side[0], next(_bits(comp_adj[a_side[0]]))
-        b, y = b_side[0], next(_bits(comp_adj[b_side[0]]))
+        a, b = _lowest(colorings[0][0]), _lowest(colorings[1][0])
+        x, y = _lowest(comp_adj[a]), _lowest(comp_adj[b])
         return RecognitionFailure(
             "two complement components carry edges",
             IncomparableNeighborhoods(a=a, b=b, a_only=y, b_only=x),
         )
 
-    if colorings:
-        side_a, side_b = colorings[0]
-        if min(side_b) < min(side_a):
-            side_a, side_b = side_b, side_a
-    else:
-        side_a, side_b = [], []
-
-    # universal vertices may join either side; put them on the second side
-    # except for the minimum needed to give both sides even size (possible
-    # exactly when the total is even), lowest ids first
-    k1 = 0
-    if n % 2 == 0 and len(side_a) % 2 == 1 and universal:
-        k1 = 1
-    side_a = sorted(side_a + sorted(universal)[:k1])
-    side_d = sorted(set(side_b) | set(sorted(universal)[k1:]))
-    d_mask = 0
-    for v in side_d:
-        d_mask |= 1 << v
+    # the class of the component's lowest vertex is the c-side; universal
+    # vertices may join either side: put them on the d-side except for the
+    # minimum needed to give both sides even size (possible exactly when
+    # the total is even), lowest ids first
+    c_side = colorings[0][0] if colorings else 0
+    if n % 2 == 0 and c_side.bit_count() % 2 == 1 and universal:
+        c_side |= 1 << universal[0]
+    d_side = full ^ c_side
 
     # nestedness along the c-side: sort by cross-degree, check containment
-    ordered = sorted(side_a, key=lambda v: (-(g.adj[v] & d_mask).bit_count(), v))
+    ordered = sorted(_bits(c_side), key=lambda v: (-(g.adj[v] & d_side).bit_count(), v))
     for u, v in zip(ordered, ordered[1:]):
-        nu, nv = g.adj[u] & d_mask, g.adj[v] & d_mask
+        nu, nv = g.adj[u] & d_side, g.adj[v] & d_side
         if nv & ~nu:
-            x = next(_bits(nv & ~nu))
-            y = next(_bits(nu & ~nv))
+            x, y = _lowest(nv & ~nu), _lowest(nu & ~nv)
             return RecognitionFailure(
                 "cross-neighborhoods are not nested",
                 IncomparableNeighborhoods(a=u, b=v, a_only=y, b_only=x),
             )
 
     # d-side ordered by growing cross-neighborhood, ties by original id
-    c_mask = 0
-    for v in ordered:
-        c_mask |= 1 << v
-    d_ordered = sorted(side_d, key=lambda v: ((g.adj[v] & c_mask).bit_count(), v))
+    d_ordered = sorted(_bits(d_side), key=lambda v: ((g.adj[v] & c_side).bit_count(), v))
 
-    thresholds = tuple((g.adj[v] & d_mask).bit_count() for v in ordered)
+    thresholds = tuple((g.adj[v] & d_side).bit_count() for v in ordered)
     found = CoChainGraph(len(ordered), len(d_ordered), thresholds)
     order = tuple(ordered + d_ordered)
-
-    # the threshold encoding must reproduce the input exactly
-    encoded = {edge(order[a], order[b]) for a, b in found.to_general().edges}
-    if encoded != g.edges:
-        u, v = min(encoded ^ g.edges)
-        raise RuntimeError(
-            f"recognition produced an inconsistent encoding (vertices {u}, {v})"
-        )
+    _check_encoding(g, found, order)
     return RecognizedCoChain(found, order)
+
+
+def _check_encoding(
+    g: GeneralGraph, found: CoChainGraph, order: tuple[int, ...]
+) -> None:
+    """Raise unless ``found``, its vertex k named order[k], is exactly g.
+
+    One mask comparison per vertex: c_i's mask must be the other c's plus
+    the d's holding the last t_i places of the d-side, and d_j's mask must
+    contain the other d's; the rest of a d's mask is then fixed by the
+    symmetry of g's masks.
+    """
+    L = found.l_size
+    c_mask = d_mask = 0
+    for v in order[:L]:
+        c_mask |= 1 << v
+    # d_suffix[t]: the original ids of the t most connected d's
+    d_suffix = [0]
+    for v in reversed(order[L:]):
+        d_mask |= 1 << v
+        d_suffix.append(d_mask)
+    adj = g.adj
+    for v, t in zip(order, found.thresholds):
+        if adj[v] != c_mask ^ 1 << v | d_suffix[t]:
+            raise _inconsistent(g, v, c_mask ^ 1 << v | d_suffix[t])
+    for v in order[L:]:
+        if adj[v] & d_mask != d_mask ^ 1 << v:
+            raise _inconsistent(g, v, d_mask ^ 1 << v)
+
+
+def _inconsistent(g: GeneralGraph, v: int, expected: int) -> RuntimeError:
+    u = _lowest(g.adj[v] ^ expected)
+    return RuntimeError(
+        f"recognition produced an inconsistent encoding (vertices {min(u, v)}, {max(u, v)})"
+    )

@@ -1,6 +1,7 @@
 import importlib
+import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -16,15 +17,19 @@ from cochain_tuza.certify import (
     RecipeInapplicable,
     _Ctx,
     _portfolio_core,
+    _reversed_hitting,
     _term_packings,
     build_T1,
     build_T2,
     certify,
     swap_sides,
 )
+from cochain_tuza.cli import main as cli_main
+from cochain_tuza.fileio import write_general
 from cochain_tuza.generators import fuzz_instances
 from cochain_tuza.graphs import (
     CoChainGraph,
+    GeneralGraph,
     TrianglePacking,
     build_cochain,
     profile,
@@ -33,6 +38,7 @@ from cochain_tuza.graphs import (
 )
 from cochain_tuza.oracles import exact_nu, exact_tau
 from cochain_tuza.packings import feder_count
+from cochain_tuza.recognition import recognize_cochain
 
 from conftest import monotone_sequences, realize_profile
 
@@ -101,6 +107,51 @@ def test_T1_verifies_on_exhaustive_small_instances():
             g = build_cochain(l_size, m_size, t)
             if profile(g).x_ell >= profile(g).ell:
                 assert verify_hitting(g.to_general(), build_T1(g)), (l_size, m_size, t)
+
+
+def _t1_blocks(g):
+    """T1 written out from its definition: every within-half edge plus the
+    top-ell/bot-m and bot-ell/top-m cross edges of g."""
+    G = g.to_general()
+    edges = {e for half in _halves(g) for e in combinations(half, 2)}
+    edges |= {(u, v) for u in g.l_top() for v in g.m_bot() if G.has_edge(u, v)}
+    edges |= {(u, v) for u in g.l_bot() for v in g.m_top() if G.has_edge(u, v)}
+    return edges
+
+
+def _t2_blocks(g):
+    """T2 written out from its definition: every within-half edge plus all
+    X_ell/bot-m and X_m/top-ell edges."""
+    edges = {e for half in _halves(g) for e in combinations(half, 2)}
+    edges |= {(u, v) for u in g.x_l_vertices() for v in g.m_bot()}
+    edges |= {(u, v) for u in g.l_top() for v in g.x_m_vertices()}
+    return edges
+
+
+def _halves(g):
+    return g.l_top(), g.l_bot(), g.m_top(), g.m_bot()
+
+
+def test_T1_and_T2_equal_their_block_definitions_exhaustively():
+    # the mask builders against the definitions as edge lists, on every
+    # co-chain graph with even sides up to 8; T1 is also the cut of g into
+    # A = top-ell + bot-m and B = bot-ell + top-m, and the side swap's
+    # relabeling of T1 is the T1 of the swapped graph
+    t2_count = 0
+    for l_size, m_size in product((0, 2, 4, 6, 8), repeat=2):
+        for t in monotone_sequences(l_size, m_size):
+            g = build_cochain(l_size, m_size, t)
+            t1 = build_T1(g)
+            assert t1.edges == _t1_blocks(g), g
+            a = set(g.l_top() + g.m_bot())
+            inside = {(u, v) for u, v in g.to_general().edges if (u in a) == (v in a)}
+            assert t1.edges == inside, g
+            sg = swap_sides(g)[0]
+            assert _reversed_hitting(t1, g.n) == build_T1(sg), g
+            if profile(g).x_ell < profile(g).ell:
+                assert build_T2(g).edges == _t2_blocks(g), g
+                t2_count += 1
+    assert t2_count > 5000, t2_count
 
 
 # -- swap -------------------------------------------------------------------
@@ -383,15 +434,18 @@ def test_portfolio_recipes_build_or_report_inapplicable():
                 assert verify_packing(ctx.G, tris), (tag, l_size, m_size, t)
 
 
-def test_certify_verifies_each_witness_once(monkeypatch):
+def test_certify_verifies_each_witness_once(monkeypatch, tmp_path):
     # certify is the one check point: per call, each witness is verified once
     # against a host graph built once, plus once for a side-swapped instance
     certify_module = importlib.import_module("cochain_tuza.certify")
     calls = Counter()
+    checked_hosts = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name.startswith("verify_"):
+                checked_hosts.append((name, args[0]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -440,6 +494,32 @@ def test_certify_verifies_each_witness_once(monkeypatch):
     assert any(m.endswith("/swapped") for m in methods)
     assert any(m.startswith("portfolio(") for m in methods)
     assert any(m.endswith("+polish") for m in methods)
+
+    # cochain-tuza certify on a vertex-permuted edge-list file: certify checks
+    # the recognized graph's certificate, and the certificate relabeled into
+    # the file's ids is checked once more, on the input host; the relabeling
+    # builds no packing through the checking constructor
+    rng = random.Random(3)
+    for g in (FIGURE_GRAPH, build_cochain(6, 4, (4, 3, 3, 1, 0, 0))):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        host = GeneralGraph.from_edges(
+            g.n, ((perm[u], perm[v]) for u, v in g.to_general().edges)
+        )
+        canonical = recognize_cochain(host).graph.to_general()
+        assert canonical != host
+        path = tmp_path / "g.json"
+        write_general(path, host)
+        calls.clear()
+        checked_hosts.clear()
+        assert cli_main(["certify", str(path), "--out", str(tmp_path / "c.json")]) == 0
+        assert calls["packing_checks"] == 0, calls
+        assert checked_hosts == [
+            ("verify_hitting", canonical),
+            ("verify_packing", canonical),
+            ("verify_hitting", host),
+            ("verify_packing", host),
+        ]
 
 
 def test_guided_certify_builds_T1_at_most_once(monkeypatch):

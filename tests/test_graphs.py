@@ -154,11 +154,87 @@ def test_verify_hitting_examples():
     assert verify_hitting(complete_graph(3), [(1, 0)])
 
 
+def _brute_hits(g, h):
+    """Independent check: no triangle of g keeps all three edges once h,
+    in either orientation, is removed."""
+    removed = {(min(u, v), max(u, v)) for u, v in h}
+    return all(
+        removed & {(a, b), (a, c), (b, c)} for a, b, c in enumerate_triangles(g)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_hitting_matches_brute_force(data):
+    n = data.draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    density = data.draw(st.sampled_from((0.3, 0.6, 0.9)))
+    edges = [e for e in pairs if data.draw(st.floats(0, 1)) < density]
+    g = GeneralGraph(n, edges)
+    # mostly edges of g, plus a few pairs that g lacks (they remove nothing)
+    h = [e for e in edges if data.draw(st.booleans())]
+    h += data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    expected = _brute_hits(g, h)
+    assert verify_hitting(g, HittingSet.of(h)) == expected
+    assert verify_hitting(g, h) == expected
+    assert verify_hitting(g, [(v, u) for u, v in h]) == expected
+
+
+def test_verify_hitting_on_a_non_bipartite_remainder():
+    # C5 on 0..4 plus a triangle 4-5-6 hanging off it: the remainder is not
+    # bipartite whatever h removes from the triangle, so the colour classes
+    # hold edges of the C5 that must not be mistaken for triangles
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    g = GeneralGraph.from_edges(7, c5 + [(4, 5), (4, 6), (5, 6)])
+    assert not verify_hitting(g, [])
+    assert not verify_hitting(g, c5)
+    for e in ((4, 5), (6, 4), (5, 6)):
+        assert verify_hitting(g, [e])
+        assert verify_hitting(g, HittingSet.of([e]))
+    # C5 with a chord (0, 2) has the one triangle 0-1-2
+    chorded = GeneralGraph.from_edges(5, c5 + [(0, 2)])
+    assert not verify_hitting(chorded, [(3, 4)])
+    assert verify_hitting(chorded, [(1, 2)])
+
+
+def test_hitting_sets_from_edges_and_masks_agree():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+        masks = [0] * (n + rng.randint(0, 3))  # trailing empty masks
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        from_masks = HittingSet._from_masks(masks)
+        for h in (
+            HittingSet(frozenset(edges)),
+            HittingSet.of([(v, u) for u, v in edges]),
+            HittingSet({(v, u) for u, v in edges}),
+        ):
+            assert h == from_masks and hash(h) == hash(from_masks)
+            assert len(h) == len(from_masks) == len(edges)
+            assert h.sorted_edges() == from_masks.sorted_edges() == sorted(edges)
+            assert h.edges == from_masks.edges == frozenset(edges)
+    assert HittingSet.of([(0, 1)]) != HittingSet.of([(0, 2)])
+    with pytest.raises(ValueError):
+        HittingSet(frozenset({(2, 2)}))
+    with pytest.raises(ValueError):
+        HittingSet(frozenset({(-1, 2)}))
+    # a vertex outside the host raises, as for raw edges
+    with pytest.raises(ValueError):
+        verify_hitting(complete_graph(4), HittingSet.of([(1, 4)]))
+
+
 def test_triangle_packing_type_rejects_shared_edges():
     with pytest.raises(ValueError):
         TrianglePacking.of([(0, 1, 2), (0, 1, 3)])
     with pytest.raises(ValueError):
         TrianglePacking(frozenset({(1, 0, 2), (0, 1, 3)}))
+    # the error names the first shared edge in sorted order
+    with pytest.raises(ValueError, match=r"share edge \(1, 2\)"):
+        TrianglePacking.of([(1, 2, 4), (0, 1, 2), (1, 2, 3), (0, 3, 4), (3, 4, 5)])
+    assert len(TrianglePacking.of([(2, 1, 0), (4, 3, 0), (5, 3, 1)])) == 3
 
 
 def test_hitting_set_normalizes_edges():

@@ -160,3 +160,23 @@ def test_inconsistent_encoding_is_an_error(monkeypatch):
     g = build_cochain(2, 2, (2, 1)).to_general()
     with pytest.raises(RuntimeError, match="inconsistent encoding"):
         recognize_cochain(g)
+
+
+def test_inconsistent_d_side_order_is_an_error(monkeypatch):
+    # the thresholds stay right, but two d's of different cross-degree trade
+    # places in the vertex order: the encoding no longer reproduces g
+    g = build_cochain(4, 4, (3, 2, 1, 1)).to_general()
+    rec = recognize_cochain(g)
+    assert isinstance(rec, RecognizedCoChain)
+    L = rec.graph.l_size
+    c_side = sum(1 << v for v in rec.vertex_order[:L])
+    d_first, d_last = rec.vertex_order[L], rec.vertex_order[-1]
+    assert (g.adj[d_first] & c_side).bit_count() < (g.adj[d_last] & c_side).bit_count()
+    check = recognition._check_encoding
+
+    def swapped_d_order(graph, found, order):
+        check(graph, found, order[:L] + (d_last,) + order[L + 1 : -1] + (d_first,))
+
+    monkeypatch.setattr(recognition, "_check_encoding", swapped_d_order)
+    with pytest.raises(RuntimeError, match="inconsistent encoding"):
+        recognize_cochain(g)
