@@ -249,21 +249,12 @@ def swap_sides(g: CoChainGraph) -> tuple[CoChainGraph, tuple[int, ...]]:
     return CoChainGraph(M, L, tuple(new_t)), tuple(range(L + M - 1, -1, -1))
 
 
-#: _REVERSED_BYTE[b] is the byte b with its 8 bits in reverse order
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 def _reversed_hitting(h: HittingSet, n: int) -> HittingSet:
     """h relabeled by v -> n-1-v on n vertices, mask by mask: mask u moves
     to n-1-u with its n low bits reversed."""
-    k = (n + 7) // 8
-    shift = 8 * k - n
     masks = [0] * n
     for u, mask in enumerate(h.masks):
-        masks[n - 1 - u] = (
-            int.from_bytes(mask.to_bytes(k, "big").translate(_REVERSED_BYTE), "little")
-            >> shift
-        )
+        masks[n - 1 - u] = int(f"{mask:0{n}b}"[::-1], 2)
     return HittingSet._from_masks(masks)
 
 

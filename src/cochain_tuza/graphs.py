@@ -369,14 +369,15 @@ class TrianglePacking:
             used[a] = ua | bc
             used[b] = ub | cbit
 
-    def _first_shared_edge(self) -> Edge:
+    def _first_shared_edge(self) -> Edge | None:
+        """The first edge two triangles share, in sorted order, to name it."""
         seen: set[Edge] = set()
         for t in sorted(triangle(*t) for t in self.triangles):
             for e in triangle_edges(t):
                 if e in seen:
                     return e
                 seen.add(e)
-        raise RuntimeError("no shared edge")
+        return None
 
     @classmethod
     def of(cls, triangles: Iterable[tuple[int, int, int]]) -> "TrianglePacking":
