@@ -37,19 +37,24 @@ list of 12 exceptional tuples; the audit report also evaluates the others.
 check of ``evaluate_case_functions`` and the audit's 3.2.2 chain all derive
 from it.  ``_f_values`` is the one place that turns group sizes into
 f-values.  Each ``search_exceptional`` call tabulates its strategy's clique
-and apex bounds up to 2*limit (no group is larger), computes a profile's
-group sizes once and stops at the first recipe that passes.
-``evaluate_case_functions`` computes all eight values from the same core
-without tables, for the certifier's single profiles and for reports.
-Nothing is kept between calls.
+and apex bounds up to 2*limit (no group is larger) and stops each profile at
+the first recipe that passes.  It reads the group table only four times per
+(ell, m): on the box 0 <= x_ell <= ell, 0 <= x_m <= m every max and min of
+``group_intervals`` resolves one way, so each group size is affine in
+(x_ell, x_m) and follows from the reads at (0, 0), (1, 0) and (0, 1); the
+read at (ell - 1, m - 1) checks this and raises RuntimeError if it fails.
+``evaluate_case_functions`` computes all eight values from the same core,
+reading the table at its one profile, for the certifier's single profiles
+and for reports.  Nothing is kept between calls.
 
 ``audit_inequalities`` replays every displayed inequality chain of the case
 analysis step by step over its case-condition range, in exact arithmetic,
-and reports each violated step.  A step's side is a plain ``int`` unless the
-displayed chain has a denominator, where it is a ``Fraction``; a recorded
-violation stores both sides as ``Fraction``.  Violations indicate slack in a
-written chain, never in a certificate: the certifier checks realized sizes
-directly.
+and reports each violated step.  A step whose sides share a denominator d
+declares it and returns both sides times d as ``int``s, which the audit
+compares directly; otherwise a side is a plain ``int``, or a ``Fraction``
+where the displayed chain divides.  A recorded violation stores both sides
+as ``Fraction`` (divided by d).  Violations indicate slack in a written
+chain, never in a certificate: the certifier checks realized sizes directly.
 """
 
 from __future__ import annotations
@@ -440,14 +445,54 @@ def constrained_profiles(limit: int) -> Iterator[CaseProfile]:
     return (CaseProfile(*t) for t in _search_domain(limit))
 
 
+def _size_planes(ell: int, m: int) -> list[tuple[int, int, int]]:
+    """Every group size at (ell, m) as (base, per x_ell, per x_m), in the
+    order of GROUP_NAMES.
+
+    On the closed box 0 <= x_ell <= ell, 0 <= x_m <= m every max and min in
+    ``group_intervals`` resolves one way: max(x_ell, ell) = ell,
+    min(x_ell, ell) = x_ell and max(2*ell + m, n - x_m) = n - x_m.  So each
+    size is affine in (x_ell, x_m) there, and three reads of the table fix
+    it: at (0, 0), (1, 0) and (0, 1).  A fourth read at the far corner
+    (ell - 1, m - 1) guards the argument; a table that breaks it raises
+    RuntimeError.
+    """
+    base = _group_sizes(ell, m, 0, 0)
+    planes = [
+        (b, at_l - b, at_m - b)
+        for b, at_l, at_m in zip(
+            base, _group_sizes(ell, m, 1, 0), _group_sizes(ell, m, 0, 1)
+        )
+    ]
+    xl, xm = ell - 1, m - 1
+    if _group_sizes(ell, m, xl, xm) != [b + xl * a + xm * c for b, a, c in planes]:
+        raise RuntimeError(f"group sizes are not affine in (x_ell, x_m) at {ell, m}")
+    return planes
+
+
+def _sized_domain(
+    limit: int,
+) -> Iterator[tuple[tuple[int, int, int, int], list[int]]]:
+    """Every search-domain profile with its group sizes, interpolated from
+    ``_size_planes`` of its (ell, m)."""
+    key = None
+    for tup in _search_domain(limit):
+        ell, m, xl, xm = tup
+        if (ell, m) != key:
+            key = ell, m
+            planes = _size_planes(ell, m)
+        yield tup, [b + xl * a + xm * c for b, a, c in planes]
+
+
 def search_exceptional(
     limit: int = 10, strategy: BoundStrategy = DEFAULT_STRATEGY
 ) -> set[CaseProfile]:
     """Profiles in the constrained domain where every f_i fails (<= -3).
 
     The strategy's term bounds are tabulated once per call up to 2*limit,
-    the largest group size in the domain, and each profile stops at the
-    first recipe that passes.
+    the largest group size in the domain.  The group sizes come from four
+    table reads per (ell, m) (``_size_planes``), and each profile stops at
+    the first recipe that passes.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -460,8 +505,7 @@ def search_exceptional(
         return side6[s][k]
 
     found = set()
-    for tup in _search_domain(limit):
-        sizes = _group_sizes(*tup)
+    for tup, sizes in _sized_domain(limit):
         for f in _f_values(sizes, 3 * _t2_size(*tup), clique_at, side_at):
             if f > -3:
                 break
@@ -501,18 +545,23 @@ class AuditReport:
         return [v for c in self.chains for v in c.violations]
 
 
+_Value = int | Fraction
+
+
 @dataclass(frozen=True)
 class _Chain:
     """One displayed chain: a parameter domain plus ordered >= steps.
 
-    Each step maps the parameter tuple to (lhs, rhs); the audit records a
-    violation whenever lhs < rhs.  A side is an ``int`` unless the displayed
-    chain divides, and only then a ``Fraction``.
+    Each step is (name, fn, d): fn maps the parameter tuple to d*lhs and
+    d*rhs, and the audit records a violation whenever lhs < rhs.  A step
+    whose sides share the denominator d returns both scaled to ``int``; a
+    side is a ``Fraction`` only where the displayed chain divides and no
+    denominator is declared (d = 1).
     """
 
     anchor: str
     domain: Callable[[int], Iterable[tuple[int, ...]]]
-    steps: tuple[tuple[str, Callable[..., tuple[int | Fraction, int | Fraction]]], ...]
+    steps: tuple[tuple[str, Callable[..., tuple[_Value, _Value]], int], ...]
 
 
 def _c2(n: int) -> int:
@@ -561,7 +610,9 @@ def _build_chains() -> list[_Chain]:
     chains: list[_Chain] = []
 
     def chain(anchor, domain, *steps):
-        chains.append(_Chain(anchor, domain, tuple(steps)))
+        # a step is (name, fn), or (name, fn, d) with a positive int d
+        steps = tuple(step if len(step) == 3 else (*step, 1) for step in steps)
+        chains.append(_Chain(anchor, domain, steps))
 
     def p3_master(ell, m, xl, xm):
         return (
@@ -1014,27 +1065,26 @@ def _build_chains() -> list[_Chain]:
         ),
         (
             "2m-x_l >= 7/2 x_m + l/2 + 3/2",
-            lambda ell, m, xl, xm: (2 * m - xl, F(7 * xm + ell + 3, 2)),
+            lambda ell, m, xl, xm: (2 * (2 * m - xl), 7 * xm + ell + 3),
+            2,
         ),
         (
             "2m-x_l-2 >= 7/2 x_m",
-            lambda ell, m, xl, xm: (2 * m - xl - 2, F(7 * xm, 2)),
+            lambda ell, m, xl, xm: (2 * (2 * m - xl - 2), 7 * xm),
+            2,
         ),
         (
             "final: quad >= 49x_m^2/16+15x_l^2/4+3x_mx_l-3x_m-3x_l-4",
             lambda ell, m, xl, xm: (
-                f321_quad(ell, m, xl, xm),
-                # over the common denominator 16
-                F(
-                    49 * xm * xm
-                    + 60 * xl * xl
-                    + 48 * xm * xl
-                    - 48 * xm
-                    - 48 * xl
-                    - 64,
-                    16,
-                ),
+                16 * f321_quad(ell, m, xl, xm),
+                49 * xm * xm
+                + 60 * xl * xl
+                + 48 * xm * xl
+                - 48 * xm
+                - 48 * xl
+                - 64,
             ),
+            16,
         ),
     )
 
@@ -1059,12 +1109,12 @@ def _build_chains() -> list[_Chain]:
             - xl * (12 * ell - 2 * m - 1)
         )
 
-    def f322_vertex(ell, m):
-        return F(
-            24 * ell * ell + 24 * m * m - 60 * m - 60 * ell - 36 * ell * m - 85, 28
-        )
+    def f322_vertex28(ell, m):
+        # 28 times the vertex value
+        return 24 * ell * ell + 24 * m * m - 60 * m - 60 * ell - 36 * ell * m - 85
 
-    above_minus_3 = F(-3) + F(1, 1000)
+    # 28000 * (-3 + 1/1000)
+    above_minus_3 = -3 * 28000 + 28
 
     chain(
         "24l^2+24m^2-60m-60l-36lm-85",
@@ -1078,13 +1128,20 @@ def _build_chains() -> list[_Chain]:
         ),
         (
             "quadratic vertex bound",
-            lambda ell, m, xl, xm: (f322_quad(ell, m, xl, xm), f322_vertex(ell, m)),
+            lambda ell, m, xl, xm: (
+                28 * f322_quad(ell, m, xl, xm),
+                f322_vertex28(ell, m),
+            ),
+            28,
         ),
         (
             "max(l,m)>=11 => > -3",
             lambda ell, m, xl, xm: (
-                (f322_vertex(ell, m), above_minus_3) if max(ell, m) >= 11 else (0, 0)
+                (1000 * f322_vertex28(ell, m), above_minus_3)
+                if max(ell, m) >= 11
+                else (0, 0)
             ),
+            28000,
         ),
     )
 
@@ -1102,7 +1159,7 @@ def audit_inequalities(max_half: int = 25) -> AuditReport:
         checked = 0
         for params in chain.domain(max_half):
             checked += 1
-            for name, fn in chain.steps:
+            for name, fn, d in chain.steps:
                 lhs, rhs = fn(*params)
                 if lhs < rhs:
                     violations.append(
@@ -1110,8 +1167,8 @@ def audit_inequalities(max_half: int = 25) -> AuditReport:
                             chain.anchor,
                             name,
                             tuple(params),
-                            Fraction(lhs),
-                            Fraction(rhs),
+                            Fraction(lhs, d),
+                            Fraction(rhs, d),
                         )
                     )
         reports.append(ChainReport(chain.anchor, checked, tuple(violations)))

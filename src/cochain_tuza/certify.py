@@ -840,7 +840,12 @@ def _portfolio_core(
     hittings: list[tuple[str, HittingSet]] = []
     packings: list[tuple[str, list[Triangle]]] = [("trivial", [])]
     adj = G.adj
-    if not any(adj[u] & adj[v] for u, v in G.edges):
+    # an edge (u, v), u < v, with a common neighbour is a triangle
+    if not any(
+        adj[u] & adj[v]
+        for u, mask in enumerate(adj)
+        for v in _bits(mask >> (u + 1) << (u + 1))
+    ):
         hittings.append(("trivial", HittingSet(frozenset())))
     else:
         hittings.append(("all-edges", HittingSet._from_masks(G.adj)))

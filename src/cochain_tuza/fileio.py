@@ -20,7 +20,8 @@ AnyGraph = Union[CoChainGraph, GeneralGraph]
 
 
 class GraphFormatError(ValueError):
-    """The file is valid JSON but not a recognized graph document."""
+    """The file is not valid JSON, or not a recognized graph or certificate
+    document."""
 
 
 def write_cochain(path: str | Path, g: CoChainGraph) -> None:
@@ -37,13 +38,18 @@ def write_general(path: str | Path, g: GeneralGraph) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_graph(path: str | Path) -> AnyGraph:
+def _read_object(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError(f"{path}: expected a JSON object")
+    return doc
+
+
+def read_graph(path: str | Path) -> AnyGraph:
+    doc = _read_object(path)
     if {"l_size", "m_size", "thresholds"} <= doc.keys():
         try:
             return build_cochain(doc["l_size"], doc["m_size"], doc["thresholds"])
@@ -77,7 +83,7 @@ def write_certificate(path: str | Path, cert: Certificate) -> None:
 
 
 def read_certificate(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    doc = _read_object(path)
     required = {"method", "h_size", "p_size", "ratio_ok", "hitting", "packing"}
     if not required <= doc.keys():
         raise GraphFormatError(f"{path}: missing certificate fields")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cochain_tuza import casesearch
 from cochain_tuza.casesearch import (
     ALL_STRATEGIES,
     EXPECTED_EXCEPTIONAL,
@@ -17,6 +18,9 @@ from cochain_tuza.casesearch import (
     search_exceptional,
     t2_size,
     F_RECIPE_IDS,
+    _Chain,
+    _group_sizes,
+    _sized_domain,
 )
 from cochain_tuza.certify import (
     RecipeInapplicable,
@@ -54,6 +58,28 @@ def test_table_search_agrees_with_the_report_path():
                 p,
                 strategy,
             )
+
+
+def test_interpolated_sizes_equal_the_table_everywhere():
+    # 19,519 search-domain profiles up to 20, each read directly
+    count = 0
+    for tup, sizes in _sized_domain(20):
+        assert sizes == _group_sizes(*tup), tup
+        count += 1
+    assert count == 19_519
+
+
+def test_non_affine_group_trips_the_guard(monkeypatch):
+    table = casesearch.group_intervals
+
+    def bent(ell, m, xl, xm):
+        groups = table(ell, m, xl, xm)
+        groups["X_ell+X_m"] = ((0, min(xl, xm)),)
+        return groups
+
+    monkeypatch.setattr(casesearch, "group_intervals", bent)
+    with pytest.raises(RuntimeError, match="not affine"):
+        search_exceptional(5)
 
 
 def test_search_limit_one_is_empty():
@@ -272,3 +298,11 @@ def test_audit_values_are_exact_rationals():
     report = audit_inequalities(6)
     for v in report.violations:
         assert isinstance(v.lhs, Fraction) and isinstance(v.rhs, Fraction)
+
+
+def test_step_denominator_scales_a_recorded_violation(monkeypatch):
+    chain = _Chain("scaled", lambda limit: [(1,)], (("half", lambda x: (x, 3), 2),))
+    monkeypatch.setattr(casesearch, "_CHAINS", [chain])
+    (v,) = audit_inequalities(1).violations
+    assert (v.chain, v.step, v.params) == ("scaled", "half", (1,))
+    assert (v.lhs, v.rhs) == (Fraction(1, 2), Fraction(3, 2))

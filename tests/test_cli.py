@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import subprocess
@@ -12,7 +13,12 @@ from cochain_tuza.cli import (
     EXIT_PRECONDITION,
     main,
 )
-from cochain_tuza.fileio import read_certificate, read_graph, write_general
+from cochain_tuza.fileio import (
+    GraphFormatError,
+    read_certificate,
+    read_graph,
+    write_general,
+)
 from cochain_tuza.graphs import GeneralGraph, build_cochain
 
 
@@ -139,6 +145,34 @@ def test_audit_cli(capsys):
     assert "summary chains=" in out
     # paper slack in the P10' chain is reported with its anchor
     assert "chain='(x_l-l-1)*(2l-1-x_m)'" in out
+
+
+# SHA-256 of stdout, recorded before the search interpolated group sizes per
+# (ell, m) and before the audit compared scaled integer sides
+PINNED_STDOUT = {
+    ("search", "--all-variants", "--limit", "20"):
+        "ead941fedd359db1488074ad2f41b3be1addbb89844c396aa8959d30dbe9d4fa",
+    ("audit", "--max-half", "25"):
+        "69c560434d8f69d804505b8adb544e80cbc26dee3e0e04c68c50663ec032d12a",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_STDOUT))
+def test_search_and_audit_output_is_pinned(args, capsys):
+    assert run(list(args)) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_STDOUT[args]
+
+
+def test_read_certificate_rejects_non_documents(tmp_path):
+    not_json = tmp_path / "oops.json"
+    not_json.write_text("{oops")
+    with pytest.raises(GraphFormatError, match="not valid JSON"):
+        read_certificate(not_json)
+    a_list = tmp_path / "list.json"
+    a_list.write_text("[1,2]")
+    with pytest.raises(GraphFormatError, match="expected a JSON object"):
+        read_certificate(a_list)
 
 
 def test_fuzz_cli(capsys):
