@@ -35,17 +35,24 @@ list of 12 exceptional tuples; the audit report also evaluates the others.
 
 ``_domain_violation`` states the search domain once; the search, the input
 check of ``evaluate_case_functions`` and the audit's 3.2.2 chain all derive
-from it.  ``_f_values`` is the one place that turns group sizes into
-f-values.  Each ``search_exceptional`` call tabulates its strategy's clique
-and apex bounds up to 2*limit (no group is larger) and stops each profile at
-the first recipe that passes.  It reads the group table only four times per
-(ell, m): on the box 0 <= x_ell <= ell, 0 <= x_m <= m every max and min of
-``group_intervals`` resolves one way, so each group size is affine in
-(x_ell, x_m) and follows from the reads at (0, 0), (1, 0) and (0, 1); the
-read at (ell - 1, m - 1) checks this and raises RuntimeError if it fails.
-``evaluate_case_functions`` computes all eight values from the same core,
-reading the table at its one profile, for the certifier's single profiles
-and for reports.  Nothing is kept between calls.
+from it.  ``_row_f_values`` is the one place that turns group sizes into
+f-values, on a row compiled by ``_compile_row``.  On the box
+0 <= x_ell <= ell, 0 <= x_m <= m every max and min of ``group_intervals``
+resolves one way, so each group size is affine in (x_ell, x_m) and
+``_size_planes`` fixes it from four reads of the group table per (ell, m):
+at (0, 0), (1, 0) and (0, 1), with the read at (ell - 1, m - 1) as a guard
+that raises RuntimeError if the argument fails.  Compiling a row scores
+every term whose groups do not vary on it (a term shared by several
+recipes once) into one constant per recipe and keeps only the varying
+terms, as (base, per x_ell, per x_m) planes.  ``search_exceptional``
+tabulates its strategy's clique and apex bounds up to 2*limit (no group is
+larger), compiles each (ell, m) row once from those tables, and walks each
+profile through the recipes in order, interpolating only the sizes of the
+recipe it is evaluating and stopping at the first that passes; almost
+every profile stops at P13, whose two half-packings are row constants.
+``evaluate_case_functions`` reads the table once at its one profile and
+runs the same row code with every gradient zero, for the certifier's single
+profiles and for reports.  Nothing is kept between calls.
 
 ``audit_inequalities`` replays every displayed inequality chain of the case
 analysis step by step over its case-condition range, in exact arithmetic,
@@ -252,13 +259,10 @@ _COMPILED: dict[str, tuple[tuple[int, ...], ...]] = {
     )
     for rid, r in RECIPES.items()
 }
-# each f-recipe as (clique groups, (apex, clique) group pairs)
+# the distinct terms of the f-recipes, and each f-recipe as indices into them
+_F_TERM_GROUPS = tuple(dict.fromkeys(t for rid in F_RECIPE_IDS for t in _COMPILED[rid]))
 _F_TERMS = tuple(
-    (
-        tuple(t[0] for t in _COMPILED[rid] if len(t) == 1),
-        tuple(t for t in _COMPILED[rid] if len(t) == 2),
-    )
-    for rid in F_RECIPE_IDS
+    tuple(_F_TERM_GROUPS.index(t) for t in _COMPILED[rid]) for rid in F_RECIPE_IDS
 )
 
 
@@ -359,26 +363,93 @@ def recipe_lower_bound(
     return sum(recipe_term_bounds(recipe, p, strategy))
 
 
+# a compiled row: per f-recipe, (constant, varying clique planes, varying
+# (apex, clique) plane pairs); a plane is (base, per x_ell, per x_m)
+_Plane = tuple[int, int, int]
+_Row = tuple[tuple[int, tuple[_Plane, ...], tuple[tuple[_Plane, _Plane], ...]], ...]
+
+
+def _compile_row(
+    sizes: list[int],
+    moving: dict[int, _Plane],
+    clique6: Callable[[int], int],
+    side6: Callable[[int, int], int],
+) -> _Row:
+    """Each f-recipe's terms on one (ell, m) row, split by gradient.
+
+    ``sizes`` are the group sizes of GROUP_NAMES at the row's base point,
+    ``moving`` maps each group whose size varies on the row to its (base,
+    per x_ell, per x_m) plane, and ``clique6(n)``/``side6(s, k)`` are one
+    strategy's term bounds.  A term with no moving group is constant on the
+    row: it is scored here, once even where several recipes share it, into
+    each of its recipes' constants.  The other terms are kept as planes for
+    ``_row_f_values``.
+    """
+    # each distinct term's bound if it is constant on the row, else None
+    scored = [
+        None
+        if t[0] in moving or t[-1] in moving
+        else clique6(sizes[t[0]])
+        if len(t) == 1
+        else side6(sizes[t[0]], sizes[t[1]])
+        for t in _F_TERM_GROUPS
+    ]
+    row = []
+    for terms in _F_TERMS:
+        const = 0
+        vary_cliques: tuple[_Plane, ...] = ()
+        vary_sides: tuple[tuple[_Plane, _Plane], ...] = ()
+        for i in terms:
+            bound = scored[i]
+            if bound is not None:
+                const += bound
+                continue
+            t = _F_TERM_GROUPS[i]
+            if len(t) == 1:
+                vary_cliques += (moving[t[0]],)
+            else:
+                s, k = t
+                ps = moving.get(s, (sizes[s], 0, 0))
+                pk = moving.get(k, (sizes[k], 0, 0))
+                vary_sides += ((ps, pk),)
+        row.append((const, vary_cliques, vary_sides))
+    return tuple(row)
+
+
+def _row_f_values(
+    row: _Row,
+    xl: int,
+    xm: int,
+    t2_3: int,
+    clique6: Callable[[int], int],
+    side6: Callable[[int, int], int],
+) -> Iterator[int]:
+    """f_1..f_8 in order at (x_ell, x_m) on a compiled row: 6 times a T2
+    recipe's bound minus ``t2_3`` = 3|T2|.
+
+    Only the varying terms of the recipe being evaluated are interpolated
+    and scored, and the values are yielded one at a time, so a caller that
+    stops at the first recipe that passes never sizes the later recipes.
+    """
+    for const, cliques, sides in row:
+        f = const - t2_3
+        for b, a, c in cliques:
+            f += clique6(b + a * xl + c * xm)
+        for (sb, sa, sc), (kb, ka, kc) in sides:
+            f += side6(sb + sa * xl + sc * xm, kb + ka * xl + kc * xm)
+        yield f
+
+
 def _f_values(
     sizes: list[int],
     t2_3: int,
     clique6: Callable[[int], int],
     side6: Callable[[int, int], int],
 ) -> Iterator[int]:
-    """f_1..f_8 in order: 6 times a T2 recipe's bound minus 3|T2|.
-
-    ``sizes`` are the profile's group sizes, ``t2_3`` is 3|T2| and
-    ``clique6(n)``/``side6(s, k)`` are one strategy's term bounds.  The
-    values are yielded one at a time so that a caller can stop at the
-    first recipe that passes.
-    """
-    for cliques, sides in _F_TERMS:
-        f = -t2_3
-        for g in cliques:
-            f += clique6(sizes[g])
-        for s, k in sides:
-            f += side6(sizes[s], sizes[k])
-        yield f
+    """f_1..f_8 from one profile's group sizes: the row code with no moving
+    group, so every term is scored into its recipe's constant."""
+    row = _compile_row(sizes, {}, clique6, side6)
+    return _row_f_values(row, 0, 0, t2_3, clique6, side6)
 
 
 @dataclass(frozen=True)
@@ -415,12 +486,18 @@ def _check_search_constraints(p: CaseProfile) -> None:
         raise ValueError(f"profile {p.as_tuple()} must satisfy {broken}")
 
 
+def _row_domain(ell: int, m: int) -> Iterator[tuple[int, int]]:
+    """(x_ell, x_m) of every search-domain profile at (ell, m)."""
+    for xl, xm in product(range(ell), range(m)):
+        if _domain_violation(ell, m, xl, xm) is None:
+            yield xl, xm
+
+
 def _search_domain(limit: int) -> Iterator[tuple[int, int, int, int]]:
     """(ell, m, x_ell, x_m) of every search-domain profile with ell, m <= limit."""
     for ell, m in product(range(1, limit + 1), repeat=2):
-        for xl, xm in product(range(ell), range(m)):
-            if _domain_violation(ell, m, xl, xm) is None:
-                yield ell, m, xl, xm
+        for xl, xm in _row_domain(ell, m):
+            yield ell, m, xl, xm
 
 
 def evaluate_case_functions(
@@ -445,9 +522,10 @@ def constrained_profiles(limit: int) -> Iterator[CaseProfile]:
     return (CaseProfile(*t) for t in _search_domain(limit))
 
 
-def _size_planes(ell: int, m: int) -> list[tuple[int, int, int]]:
-    """Every group size at (ell, m) as (base, per x_ell, per x_m), in the
-    order of GROUP_NAMES.
+def _size_planes(ell: int, m: int) -> tuple[list[int], dict[int, _Plane]]:
+    """Every group size at (ell, m) as a plane in (x_ell, x_m): the sizes at
+    x_ell = x_m = 0, in the order of GROUP_NAMES, and the (base, per x_ell,
+    per x_m) plane of each group whose size varies.
 
     On the closed box 0 <= x_ell <= ell, 0 <= x_m <= m every max and min in
     ``group_intervals`` resolves one way: max(x_ell, ell) = ell,
@@ -458,30 +536,25 @@ def _size_planes(ell: int, m: int) -> list[tuple[int, int, int]]:
     RuntimeError.
     """
     base = _group_sizes(ell, m, 0, 0)
-    planes = [
-        (b, at_l - b, at_m - b)
-        for b, at_l, at_m in zip(
-            base, _group_sizes(ell, m, 1, 0), _group_sizes(ell, m, 0, 1)
+    moving = {
+        g: (b, at_l - b, at_m - b)
+        for g, (b, at_l, at_m) in enumerate(
+            zip(base, _group_sizes(ell, m, 1, 0), _group_sizes(ell, m, 0, 1))
         )
-    ]
+        if at_l != b or at_m != b
+    }
     xl, xm = ell - 1, m - 1
-    if _group_sizes(ell, m, xl, xm) != [b + xl * a + xm * c for b, a, c in planes]:
+    if _group_sizes(ell, m, xl, xm) != _sizes_at(base, moving, xl, xm):
         raise RuntimeError(f"group sizes are not affine in (x_ell, x_m) at {ell, m}")
-    return planes
+    return base, moving
 
 
-def _sized_domain(
-    limit: int,
-) -> Iterator[tuple[tuple[int, int, int, int], list[int]]]:
-    """Every search-domain profile with its group sizes, interpolated from
-    ``_size_planes`` of its (ell, m)."""
-    key = None
-    for tup in _search_domain(limit):
-        ell, m, xl, xm = tup
-        if (ell, m) != key:
-            key = ell, m
-            planes = _size_planes(ell, m)
-        yield tup, [b + xl * a + xm * c for b, a, c in planes]
+def _sizes_at(base: list[int], moving: dict[int, _Plane], xl: int, xm: int) -> list[int]:
+    """The group sizes at (x_ell, x_m) on a row given by ``_size_planes``."""
+    sizes = list(base)
+    for g, (b, a, c) in moving.items():
+        sizes[g] = b + xl * a + xm * c
+    return sizes
 
 
 def search_exceptional(
@@ -490,9 +563,12 @@ def search_exceptional(
     """Profiles in the constrained domain where every f_i fails (<= -3).
 
     The strategy's term bounds are tabulated once per call up to 2*limit,
-    the largest group size in the domain.  The group sizes come from four
-    table reads per (ell, m) (``_size_planes``), and each profile stops at
-    the first recipe that passes.
+    the largest group size in the domain.  Each (ell, m) row is compiled
+    once: ``_size_planes`` reads the group table four times, and every term
+    whose groups do not vary on the row is scored from the tables into its
+    recipe's constant.  Each profile then walks the recipes in order,
+    interpolating and scoring only the varying terms of the recipe it is
+    evaluating, and stops at the first recipe that passes.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -505,12 +581,15 @@ def search_exceptional(
         return side6[s][k]
 
     found = set()
-    for tup, sizes in _sized_domain(limit):
-        for f in _f_values(sizes, 3 * _t2_size(*tup), clique_at, side_at):
-            if f > -3:
-                break
-        else:
-            found.add(CaseProfile(*tup))
+    for ell, m in product(range(1, limit + 1), repeat=2):
+        row = _compile_row(*_size_planes(ell, m), clique_at, side_at)
+        for xl, xm in _row_domain(ell, m):
+            t2_3 = 3 * _t2_size(ell, m, xl, xm)
+            for f in _row_f_values(row, xl, xm, t2_3, clique_at, side_at):
+                if f > -3:
+                    break
+            else:
+                found.add(CaseProfile(ell, m, xl, xm))
     return found
 
 

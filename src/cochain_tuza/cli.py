@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 from . import fileio
 from .casesearch import (
@@ -193,28 +195,40 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fuzz_one(task: tuple[int, int, int, tuple[int, ...], int]) -> tuple[int, str]:
-    """Certify one instance; returns (index, report line).  Raises nothing:
-    failures, unexpected exceptions included, are encoded in the line so the
-    pool survives them."""
+@dataclass(frozen=True)
+class FuzzOutcome:
+    """One fuzz instance: whether it failed, whether both exact oracles
+    proved their values on it, and its report line."""
+
+    failed: bool
+    oracle_checked: bool
+    line: str
+
+
+def _fuzz_one(task: tuple[int, int, int, tuple[int, ...], int]) -> FuzzOutcome:
+    """Certify one instance.  Raises nothing: failures, unexpected
+    exceptions included, become failed outcomes so the pool survives them."""
     idx, l_size, m_size, thresholds, oracle_max = task
     g = build_cochain(l_size, m_size, thresholds)
     head = f"instance={idx} profile={profile(g).as_tuple()}"
     try:
-        return idx, f"{head} {_fuzz_report(g, oracle_max)}"
+        failed, checked, text = _fuzz_report(g, oracle_max)
     except (PreconditionError, CertificationFailure) as exc:
-        return idx, f"{head} FAIL reason={exc}"
+        failed, checked, text = True, False, f"FAIL reason={exc}"
     except Exception as exc:
         traceback.print_exc()
-        return idx, f"{head} FAIL reason={type(exc).__name__}: {exc}"
+        failed, checked, text = True, False, f"FAIL reason={type(exc).__name__}: {exc}"
+    return FuzzOutcome(failed, checked, f"{head} {text}")
 
 
-def _fuzz_report(g: CoChainGraph, oracle_max: int) -> str:
-    """The verified guided certificate of g, cross-checked by the oracles on
-    graphs with at most oracle_max vertices."""
+def _fuzz_report(g: CoChainGraph, oracle_max: int) -> tuple[bool, bool, str]:
+    """(failed, oracle-checked, text) of the verified guided certificate of
+    g, cross-checked by the oracles on graphs with at most oracle_max
+    vertices."""
     cert = certify(g, "guided")
     if not cert.ratio_ok:
-        return f"FAIL reason=ratio h={cert.h_size} p={cert.p_size}"
+        return True, False, f"FAIL reason=ratio h={cert.h_size} p={cert.p_size}"
+    checked = False
     oracle_note = "skipped"
     if g.n <= oracle_max:
         G, budget = g.to_general(), oracle_budget()
@@ -226,14 +240,16 @@ def _fuzz_report(g: CoChainGraph, oracle_max: int) -> str:
                 and r_tau.value <= 2 * r_nu.value
             )
             if not sound:
-                return (
+                return True, False, (
                     f"FAIL reason=oracle "
                     f"tau={r_tau.value} nu={r_nu.value} h={cert.h_size} p={cert.p_size}"
                 )
+            checked = True
             oracle_note = f"tau={r_tau.value},nu={r_nu.value}"
         else:
             oracle_note = "budget"
-    return f"method={cert.method} h={cert.h_size} p={cert.p_size} oracle={oracle_note}"
+    text = f"method={cert.method} h={cert.h_size} p={cert.p_size} oracle={oracle_note}"
+    return False, checked, text
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -244,25 +260,21 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         (i, g.l_size, g.m_size, g.thresholds, args.oracle_max)
         for i, g in enumerate(fuzz_instances(args.seed, args.count, args.max_half))
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_fuzz_one, tasks, chunksize=64))
+    # the pool starts all its workers up front, so ask for no more than can
+    # run at once or have a task to run
+    workers = min(args.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_fuzz_one, tasks, chunksize=64))
     else:
-        results = [_fuzz_one(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    failures = 0
-    checked = 0
-    for _idx, line in results:
-        failed = " FAIL " in f" {line} "
-        if "oracle=tau" in line:
-            checked += 1
-        if failed:
-            failures += 1
-        if args.verbose or failed:
-            print(line)
+        outcomes = [_fuzz_one(t) for t in tasks]
+    for o in outcomes:
+        if args.verbose or o.failed:
+            print(o.line)
+    failures = sum(o.failed for o in outcomes)
     print(
         f"summary count={args.count} max_half={args.max_half} seed={args.seed} "
-        f"failures={failures} oracle_checked={checked}"
+        f"failures={failures} oracle_checked={sum(o.oracle_checked for o in outcomes)}"
     )
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 

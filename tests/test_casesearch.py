@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -18,9 +19,16 @@ from cochain_tuza.casesearch import (
     search_exceptional,
     t2_size,
     F_RECIPE_IDS,
+    _COMPILED,
     _Chain,
+    _clique_bound6,
+    _compile_row,
+    _f_values,
     _group_sizes,
-    _sized_domain,
+    _row_f_values,
+    _side_bound6,
+    _size_planes,
+    _sizes_at,
 )
 from cochain_tuza.certify import (
     RecipeInapplicable,
@@ -62,11 +70,63 @@ def test_table_search_agrees_with_the_report_path():
 
 def test_interpolated_sizes_equal_the_table_everywhere():
     # 19,519 search-domain profiles up to 20, each read directly
+    planes = {}
     count = 0
-    for tup, sizes in _sized_domain(20):
-        assert sizes == _group_sizes(*tup), tup
+    for p in constrained_profiles(20):
+        ell, m, xl, xm = p.as_tuple()
+        if (ell, m) not in planes:
+            planes[ell, m] = _size_planes(ell, m)
+        sizes = _sizes_at(*planes[ell, m], xl, xm)
+        assert sizes == _group_sizes(ell, m, xl, xm), p
         count += 1
     assert count == 19_519
+
+
+def test_row_code_agrees_with_the_report_path():
+    # at every profile to 20 under every strategy, the compiled (ell, m) row
+    # with the search's bound tables gives the report's f-values (read from
+    # the group table at the profile, scored by the bound functions), each
+    # the sum of the recipe's term bounds minus 3|T2|; and stopping at the
+    # first value above -3 picks the report's first passing recipe
+    profiles = [p.as_tuple() for p in constrained_profiles(20)]
+    sizes = {tup: _group_sizes(*tup) for tup in profiles}
+    for strategy in ALL_STRATEGIES:
+        clique_t = [_clique_bound6(strategy, n) for n in range(41)]
+        side_t = [[_side_bound6(strategy, s, k) for k in range(41)] for s in range(41)]
+
+        def side_at(s, k):
+            return side_t[s][k]
+
+        def by_terms(rid, sz):
+            return sum(
+                clique_t[sz[t[0]]] if len(t) == 1 else side_t[sz[t[0]]][sz[t[1]]]
+                for t in _COMPILED[rid]
+            )
+
+        rows = {}
+        for tup in profiles:
+            ell, m, xl, xm = tup
+            if (ell, m) not in rows:
+                base, moving = _size_planes(ell, m)
+                rows[ell, m] = _compile_row(base, moving, clique_t.__getitem__, side_at)
+            t2_3 = 3 * t2_size(CaseProfile(*tup))
+            report = list(
+                _f_values(
+                    sizes[tup],
+                    t2_3,
+                    partial(_clique_bound6, strategy),
+                    partial(_side_bound6, strategy),
+                )
+            )
+            assert report == [
+                by_terms(rid, sizes[tup]) - t2_3 for rid in F_RECIPE_IDS
+            ], (tup, strategy)
+            args = (rows[ell, m], xl, xm, t2_3, clique_t.__getitem__, side_at)
+            assert list(_row_f_values(*args)) == report, (tup, strategy)
+            lazy = enumerate(_row_f_values(*args))
+            first = next((i for i, f in lazy if f > -3), None)
+            passing = [i for i, f in enumerate(report) if f > -3]
+            assert first == (passing[0] if passing else None), (tup, strategy)
 
 
 def test_non_affine_group_trips_the_guard(monkeypatch):

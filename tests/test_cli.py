@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -222,3 +223,60 @@ def test_fuzz_reports_unexpected_exceptions_as_failures(monkeypatch, capsys):
     fails = [line for line in lines if " FAIL " in line]
     assert len(fails) == 3
     assert all("FAIL reason=RuntimeError: injected" in line for line in fails)
+
+
+def test_fuzz_counts_outcomes_not_line_text(monkeypatch, capsys):
+    # a success whose method text reads like a failure (" FAIL ") or like an
+    # oracle check ("oracle=tau") is still counted as an unchecked success
+    cli = importlib.import_module("cochain_tuza.cli")
+    real = cli.certify
+
+    def odd_method(g, mode="guided"):
+        cert = real(g, mode)
+        return dataclasses.replace(cert, method="odd FAIL oracle=tau")
+
+    monkeypatch.setattr(cli, "certify", odd_method)
+    assert main(["fuzz", "--count", "5", "--max", "2", "--oracle-max", "0",
+                 "--verbose"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert all(" FAIL oracle=tau " in line for line in lines[:-1])
+    assert lines[-1].endswith("failures=0 oracle_checked=0")
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "workers, count, cpus, pool_size",
+    [
+        (5000, 3, 8, 3),  # no more workers than tasks
+        (5000, 20, 4, 4),  # no more workers than CPUs
+        (2, 20, 8, 2),  # the request, when it is the smallest
+        (5000, 1, 8, None),  # one task runs in this process
+        (5000, 20, None, None),  # an unknown CPU count means one
+    ],
+)
+def test_fuzz_pool_is_capped(monkeypatch, capsys, workers, count, cpus, pool_size):
+    cli = importlib.import_module("cochain_tuza.cli")
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert main(["fuzz", "--count", str(count), "--max", "2",
+                 "--workers", str(workers)]) == EXIT_OK
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert f"count={count} " in capsys.readouterr().out
