@@ -32,6 +32,8 @@ outcome under every variant instead of silently picking one:
 
 The default strategy (exact cliques, even form on) reproduces the published
 list of 12 exceptional tuples; the audit report also evaluates the others.
+``EXCEPTIONAL_ROUTES`` maps each to how the certifier settles it ("P18",
+"P19", "deferred" or "swap"); ``EXPECTED_EXCEPTIONAL`` is its key set.
 
 ``_domain_violation`` states the search domain once; the search, the input
 check of ``evaluate_case_functions`` and the audit's 3.2.2 chain all derive
@@ -59,8 +61,9 @@ analysis step by step over its case-condition range, in exact arithmetic,
 and reports each violated step.  A step whose sides share a denominator d
 declares it and returns both sides times d as ``int``s, which the audit
 compares directly; otherwise a side is a plain ``int``, or a ``Fraction``
-where the displayed chain divides.  A recorded violation stores both sides
-as ``Fraction`` (divided by d).  Violations indicate slack in a written
+where the displayed chain divides.  A step under a guard returns None where
+the guard fails.  A recorded violation stores both sides as ``Fraction``
+(divided by d).  Violations indicate slack in a written
 chain, never in a certificate: the certifier checks realized sizes directly.
 """
 
@@ -76,22 +79,24 @@ from typing import Callable, Iterable, Iterator
 from .graphs import CaseProfile
 from .packings import feder_count
 
-EXPECTED_EXCEPTIONAL: frozenset[tuple[int, int, int, int]] = frozenset(
-    {
-        (1, 2, 0, 1),
-        (2, 1, 1, 0),
-        (2, 2, 1, 1),
-        (2, 3, 1, 2),
-        (2, 5, 1, 4),
-        (3, 2, 2, 1),
-        (3, 3, 2, 1),
-        (3, 4, 2, 3),
-        (3, 6, 2, 5),
-        (4, 3, 3, 2),
-        (5, 2, 4, 1),
-        (6, 3, 5, 2),
-    }
-)
+#: the published exceptional profiles, each settled by the recipe P18 or P19,
+#: by the small-instance route the analysis defers to Puleo's results, or by
+#: the side swap onto the mirror (2, 3, 1, 2)
+EXCEPTIONAL_ROUTES: dict[tuple[int, int, int, int], str] = {
+    (1, 2, 0, 1): "deferred",
+    (2, 1, 1, 0): "deferred",
+    (2, 2, 1, 1): "deferred",
+    (2, 5, 1, 4): "P18",
+    (5, 2, 4, 1): "P18",
+    (3, 4, 2, 3): "P18",
+    (4, 3, 3, 2): "P18",
+    (3, 6, 2, 5): "P18",
+    (6, 3, 5, 2): "P18",
+    (2, 3, 1, 2): "P19",
+    (3, 3, 2, 1): "P19",
+    (3, 2, 2, 1): "swap",
+}
+EXPECTED_EXCEPTIONAL: frozenset[tuple[int, int, int, int]] = frozenset(EXCEPTIONAL_ROUTES)
 
 
 # ---------------------------------------------------------------------------
@@ -635,12 +640,13 @@ class _Chain:
     d*rhs, and the audit records a violation whenever lhs < rhs.  A step
     whose sides share the denominator d returns both scaled to ``int``; a
     side is a ``Fraction`` only where the displayed chain divides and no
-    denominator is declared (d = 1).
+    denominator is declared (d = 1).  A step that holds only under a guard
+    returns None where the guard fails, and the audit skips it there.
     """
 
     anchor: str
     domain: Callable[[int], Iterable[tuple[int, ...]]]
-    steps: tuple[tuple[str, Callable[..., tuple[_Value, _Value]], int], ...]
+    steps: tuple[tuple[str, Callable[..., tuple[_Value, _Value] | None], int], ...]
 
 
 def _c2(n: int) -> int:
@@ -733,8 +739,7 @@ def _build_chains() -> list[_Chain]:
         (
             "l>=3,xm=2m:nonneg",
             lambda ell, m, xl, xm: (
-                (ell - 1) * ell - xl if xm == 2 * m and ell >= 3 else 0,
-                0,
+                ((ell - 1) * ell - xl, 0) if xm == 2 * m and ell >= 3 else None
             ),
         ),
     )
@@ -777,19 +782,20 @@ def _build_chains() -> list[_Chain]:
         (
             "m-l>=2 or l>=4 => >= -2/3",
             lambda ell, m: (
-                F((m - ell) ** 2 + (m - 2) * (ell - 2) - 6, 3)
-                if (m - ell >= 2 or (m == ell and ell >= 4))
-                else 0,
-                F(-2, 3) if (m - ell >= 2 or (m == ell and ell >= 4)) else 0,
+                (F((m - ell) ** 2 + (m - 2) * (ell - 2) - 6, 3), F(-2, 3))
+                if m - ell >= 2 or (m == ell and ell >= 4)
+                else None
             ),
         ),
         (
             "m-l=1,l>=3: odd-n form >= -2/3",
             lambda ell, m: (
-                F(2, 3) * (_c2(2 * ell + 1) - 4) - ell * (ell + 1)
+                (
+                    F(2, 3) * (_c2(2 * ell + 1) - 4) - ell * (ell + 1),
+                    F(ell * ell - ell - 8, 3),
+                )
                 if m - ell == 1
-                else 0,
-                F(ell * ell - ell - 8, 3) if m - ell == 1 else 0,
+                else None
             ),
         ),
     )
@@ -808,10 +814,9 @@ def _build_chains() -> list[_Chain]:
         (
             "m-l>=2 => >= 2m-x_m",
             lambda ell, m, xl, xm: (
-                m * (m - ell - 1) + (xm - m) * (2 * ell - 1 - xl)
+                (m * (m - ell - 1) + (xm - m) * (2 * ell - 1 - xl), 2 * m - xm)
                 if m - ell >= 2
-                else 0,
-                2 * m - xm if m - ell >= 2 else 0,
+                else None
             ),
         ),
     )
@@ -840,8 +845,7 @@ def _build_chains() -> list[_Chain]:
         (
             "x_m-m<=l-1 => >=0",
             lambda ell, m, xl, xm: (
-                ell * ell - 1 - ell * (xm - m) if xm - m <= ell - 1 else 0,
-                0,
+                (ell * ell - 1 - ell * (xm - m), 0) if xm - m <= ell - 1 else None
             ),
         ),
     )
@@ -897,22 +901,21 @@ def _build_chains() -> list[_Chain]:
         (
             "x_l>l+1 => >= l-2",
             lambda ell, xl, xm: (
-                p10_expr(ell, xl, xm) if xl > ell + 1 else ell - 2,
-                ell - 2,
+                (p10_expr(ell, xl, xm), ell - 2) if xl > ell + 1 else None
             ),
         ),
         (
             "x_l>l+1 => >= 0 (used conclusion)",
             lambda ell, xl, xm: (
-                p10_expr(ell, xl, xm) if xl > ell + 1 else 0,
-                0,
+                (p10_expr(ell, xl, xm), 0) if xl > ell + 1 else None
             ),
         ),
         (
             "x_l=l+1,x_m>l => >= x_m-l-1 >= 0",
             lambda ell, xl, xm: (
-                p10_expr(ell, xl, xm) if xl == ell + 1 and xm > ell else 0,
-                xm - ell - 1 if xl == ell + 1 and xm > ell else 0,
+                (p10_expr(ell, xl, xm), xm - ell - 1)
+                if xl == ell + 1 and xm > ell
+                else None
             ),
         ),
     )
@@ -937,21 +940,20 @@ def _build_chains() -> list[_Chain]:
         ),
         (
             "l>=5 => >=1",
-            lambda ell: (
-                F(ell * ell - 4 * ell - 2, 3) if ell >= 5 else 1,
-                1,
-            ),
+            lambda ell: (F(ell * ell - 4 * ell - 2, 3), 1) if ell >= 5 else None,
         ),
         (
             "l=3 exact-K7 form >= 1",
             lambda ell: (
-                F(2, 3) * _c2(2 * ell + 1)
-                + (ell - 1) * (ell - 2)
-                - ell * (ell - 1)
-                - ell * ell
+                (
+                    F(2, 3) * _c2(2 * ell + 1)
+                    + (ell - 1) * (ell - 2)
+                    - ell * (ell - 1)
+                    - ell * ell,
+                    1,
+                )
                 if ell == 3
-                else 1,
-                1,
+                else None
             ),
         ),
     )
@@ -1002,8 +1004,7 @@ def _build_chains() -> list[_Chain]:
         (
             "m-l>=2 => >=1",
             lambda ell, m, xl, xm: (
-                (m - ell) ** 2 - (m - ell) - 1 if m - ell >= 2 else 1,
-                1,
+                ((m - ell) ** 2 - (m - ell) - 1, 1) if m - ell >= 2 else None
             ),
         ),
     )
@@ -1054,16 +1055,12 @@ def _build_chains() -> list[_Chain]:
         ),
         (
             "x_l=3 => >=1/3",
-            lambda m, xl: (
-                F(m * m - 2 * m - 2, 3) if xl == 3 else F(1, 3),
-                F(1, 3),
-            ),
+            lambda m, xl: (F(m * m - 2 * m - 2, 3), F(1, 3)) if xl == 3 else None,
         ),
         (
             "x_l=4,m>=5 => >=-2/3",
             lambda m, xl: (
-                F(m * m - 5 * m - 2, 3) if xl == 4 and m >= 5 else F(-2, 3),
-                F(-2, 3),
+                (F(m * m - 5 * m - 2, 3), F(-2, 3)) if xl == 4 and m >= 5 else None
             ),
         ),
     )
@@ -1218,7 +1215,7 @@ def _build_chains() -> list[_Chain]:
             lambda ell, m, xl, xm: (
                 (1000 * f322_vertex28(ell, m), above_minus_3)
                 if max(ell, m) >= 11
-                else (0, 0)
+                else None
             ),
             28000,
         ),
@@ -1232,6 +1229,8 @@ _CHAINS = _build_chains()
 
 def audit_inequalities(max_half: int = 25) -> AuditReport:
     """Evaluate every displayed chain over its case-condition range."""
+    if max_half < 1:
+        raise ValueError("max_half must be at least 1")
     reports = []
     for chain in _CHAINS:
         violations: list[StepViolation] = []
@@ -1239,16 +1238,11 @@ def audit_inequalities(max_half: int = 25) -> AuditReport:
         for params in chain.domain(max_half):
             checked += 1
             for name, fn, d in chain.steps:
-                lhs, rhs = fn(*params)
-                if lhs < rhs:
+                sides = fn(*params)  # None: a guarded step that does not apply
+                if sides is not None and sides[0] < sides[1]:
+                    lhs, rhs = Fraction(sides[0], d), Fraction(sides[1], d)
                     violations.append(
-                        StepViolation(
-                            chain.anchor,
-                            name,
-                            tuple(params),
-                            Fraction(lhs, d),
-                            Fraction(rhs, d),
-                        )
+                        StepViolation(chain.anchor, name, tuple(params), lhs, rhs)
                     )
         reports.append(ChainReport(chain.anchor, checked, tuple(violations)))
     return AuditReport(max_half, tuple(reports))

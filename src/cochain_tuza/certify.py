@@ -18,12 +18,13 @@ portfolio modes call no exact oracle; only exact mode does, and only it
 raises ``BudgetExhausted``.
 
 The recipes that are plain unions of clique and apex packings are declared
-once, in ``casesearch.RECIPES``; ``_build`` assembles any of them from the
-profile's vertex groups with ``pack_clique``/``pack_side``, and the case
-search derives its profile-level bounds from the same rows.  P5', P6, P10'
-(the P10 row plus an absorption scan), P18 and P19 need unused edges or a
-missing edge located in the graph, and stay as code.  A recipe whose
-preconditions fail raises ``RecipeInapplicable``.
+once, in ``casesearch.RECIPES``, and the case search derives its
+profile-level bounds from the same rows.  P5', P6, P10' (the P10 row plus
+an absorption scan), P18 and P19 need unused edges or a missing edge
+located in the graph, and stay as code in ``_CODE_RECIPES``.  ``_build``
+builds either kind by id, a table row from the profile's vertex groups with
+``_clique_triangles``/``_side_triangles``.  A recipe whose preconditions
+fail raises ``RecipeInapplicable``.
 
 Every packing is realized, not assumed: wherever the analysis asserts that
 some edge or perfect matching was left unused, the construction locates one
@@ -45,11 +46,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .casesearch import (
+    EXCEPTIONAL_ROUTES,
     F_RECIPE_IDS,
     RECIPES,
     Clique,
@@ -424,6 +426,9 @@ def _term_packings(rid: str, ctx: _Ctx) -> list[list[Triangle]]:
 
 
 def _build(rid: str, ctx: _Ctx) -> list[Triangle]:
+    """Build recipe ``rid``: a ``_CODE_RECIPES`` entry, or a ``RECIPES`` row."""
+    if rid in _CODE_RECIPES:
+        return _CODE_RECIPES[rid](ctx)
     return [t for part in _term_packings(rid, ctx) for t in part]
 
 
@@ -555,14 +560,6 @@ _CODE_RECIPES: dict[str, Callable[[_Ctx], list[Triangle]]] = {
     "P19": _p19,
 }
 
-_F_RECIPES: list[tuple[str, Callable[[_Ctx], list[Triangle]]]] = [
-    (rid, partial(_build, rid)) for rid in F_RECIPE_IDS
-]
-
-_PORTFOLIO_RECIPES: list[tuple[str, Callable[[_Ctx], list[Triangle]]]] = [
-    (rid, partial(_build, rid)) for rid in RECIPES
-] + list(_CODE_RECIPES.items())
-
 
 # ---------------------------------------------------------------------------
 # Certify: guided, portfolio, exact
@@ -658,25 +655,6 @@ def _single_clique_certificate(g: CoChainGraph) -> Certificate:
     if not cert.ratio_ok:
         raise CertificationFailure("degenerate-clique", "ratio failed")
     return cert
-
-
-#: how 3.2.2 settles each exceptional profile: a bespoke recipe, the
-#: small-instance route the analysis defers to Puleo's results, or the side
-#: swap onto the mirror profile (2, 3, 1, 2)
-_EXCEPTIONAL_ROUTES: dict[tuple[int, int, int, int], str] = {
-    (1, 2, 0, 1): "deferred",
-    (2, 1, 1, 0): "deferred",
-    (2, 2, 1, 1): "deferred",
-    (2, 5, 1, 4): "P18",
-    (5, 2, 4, 1): "P18",
-    (3, 4, 2, 3): "P18",
-    (4, 3, 3, 2): "P18",
-    (3, 6, 2, 5): "P18",
-    (6, 3, 5, 2): "P18",
-    (2, 3, 1, 2): "P19",
-    (3, 3, 2, 1): "P19",
-    (3, 2, 2, 1): "swap",
-}
 
 
 def _guided(
@@ -813,20 +791,19 @@ def _guided_322(ctx: _Ctx, swapped: Callable[[], Certificate]) -> Certificate:
         return _finish(_build("P13", ctx), "3.2.2-P13", build_T2(g))
     report = evaluate_case_functions(profile(g))
     if report.passing:
-        idx = max(report.passing, key=lambda i: (report.f_values[i], -i))
-        tag, fn = _F_RECIPES[idx]
-        return _finish(fn(ctx), f"3.2.2-{tag}", build_T2(g))
-    # the exceptional profiles
-    route = _EXCEPTIONAL_ROUTES.get(prof)
-    if route in _CODE_RECIPES:
-        return _finish(_CODE_RECIPES[route](ctx), f"3.2.2-{route}", build_T2(g))
+        rid = F_RECIPE_IDS[max(report.passing, key=lambda i: (report.f_values[i], -i))]
+        return _finish(_build(rid, ctx), f"3.2.2-{rid}", build_T2(g))
+    # the exceptional profiles, each settled as casesearch.EXCEPTIONAL_ROUTES says
+    route = EXCEPTIONAL_ROUTES.get(prof)
+    if route is None:
+        raise CertificationFailure(
+            "3.2.2-unexpected-exceptional", f"no construction for profile {prof}"
+        )
     if route == "deferred":
         return _deferred(ctx, "3.2.2-small")
     if route == "swap":
         return swapped()
-    raise CertificationFailure(
-        "3.2.2-unexpected-exceptional", f"no construction for profile {prof}"
-    )
+    return _finish(_build(route, ctx), f"3.2.2-{route}", build_T2(g))
 
 
 def _portfolio_core(
@@ -854,12 +831,12 @@ def _portfolio_core(
         hittings.append(("T1", ctx.t1))
         if ctx.xl < ctx.ell:
             hittings.append(("T2", build_T2(g)))
-        for tag, fn in _PORTFOLIO_RECIPES:
+        for rid in (*RECIPES, *_CODE_RECIPES):
             try:
-                tris = fn(ctx)
+                tris = _build(rid, ctx)
             except RecipeInapplicable:
                 continue
-            packings.append((tag, tris))
+            packings.append((rid, tris))
     else:
         # no recipe applies; the two sides are vertex-disjoint cliques
         tris = _clique_triangles(g.side_l()) + _clique_triangles(g.side_m())

@@ -209,6 +209,9 @@ class CoChainGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "thresholds", tuple(self.thresholds))
+        for v in (self.l_size, self.m_size, *self.thresholds):
+            if type(v) is not int:
+                raise ValueError(f"sizes and thresholds must be int, got {v!r}")
         if self.l_size < 0 or self.m_size < 0:
             raise ValueError("side sizes must be nonnegative")
         if len(self.thresholds) != self.l_size:

@@ -20,9 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
+    Edge,
     GeneralGraph,
     HittingSet,
+    Triangle,
     TrianglePacking,
+    _bits,
     enumerate_triangles,
 )
 
@@ -51,19 +54,21 @@ class _Budget:
         return True
 
 
-def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _edge_index(g: GeneralGraph) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
-    edges = sorted(g.edges)
-    return edges, {e: i for i, e in enumerate(edges)}
+def _incidence(g: GeneralGraph) -> tuple[list[Triangle], list[Edge], list[int], list[int]]:
+    """Both oracles' incidence: the triangles of g in lexicographic order, its
+    sorted edges (edge i is bit i), each triangle as the mask of its edges and
+    each edge as the mask of the triangles through it."""
+    tris = enumerate_triangles(g)
+    edges = g.edge_list()
+    eidx = {e: i for i, e in enumerate(edges)}
+    tri_masks = []
+    edge_tris = [0] * len(edges)
+    for ti, (a, b, c) in enumerate(tris):
+        mask = 1 << eidx[(a, b)] | 1 << eidx[(a, c)] | 1 << eidx[(b, c)]
+        tri_masks.append(mask)
+        for e in _bits(mask):
+            edge_tris[e] |= 1 << ti
+    return tris, edges, tri_masks, edge_tris
 
 
 def exact_nu(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
@@ -75,18 +80,9 @@ def exact_nu(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     add uses three live edges, two of them at each of its vertices, so it
     adds at most min(|live edges| // 3, sum_v floor(live_deg(v) / 2) // 3).
     """
-    tris = enumerate_triangles(g)
+    tris, edges, tri_masks, edge_tris = _incidence(g)
     if not tris:
         return ExactResult(0, TrianglePacking(frozenset()), 0, True)
-    edges, eidx = _edge_index(g)
-    n_edges = len(edges)
-    tri_masks = []
-    edge_tris = [0] * n_edges  # bitmask of the triangles through each edge
-    for ti, (a, b, c) in enumerate(tris):
-        ids = (eidx[(a, b)], eidx[(a, c)], eidx[(b, c)])
-        tri_masks.append((1 << ids[0]) | (1 << ids[1]) | (1 << ids[2]))
-        for e in ids:
-            edge_tris[e] |= 1 << ti
     # conflict[t]: the triangles sharing an edge with t, t included
     conflict = [
         edge_tris[a] | edge_tris[b] | edge_tris[c]
@@ -211,22 +207,11 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     Bipartite incumbent: no triangle has all three edges across a cut, so the
     triangle edges inside the two sides hit every triangle.
     """
-    tris = enumerate_triangles(g)
+    tris, edges, tri_masks, edge_tris = _incidence(g)
     if not tris:
         return ExactResult(0, HittingSet(frozenset()), 0, True)
-    edges, eidx = _edge_index(g)
     n_edges = len(edges)
-    tri_edge_ids = []
-    tri_masks = []
-    tri_verts = []
-    edge_tris = [0] * n_edges  # bitmask of the triangles through each edge
-    for ti, (a, b, c) in enumerate(tris):
-        ids = (eidx[(a, b)], eidx[(a, c)], eidx[(b, c)])
-        tri_edge_ids.append(ids)
-        tri_masks.append((1 << ids[0]) | (1 << ids[1]) | (1 << ids[2]))
-        tri_verts.append((1 << a) | (1 << b) | (1 << c))
-        for e in ids:
-            edge_tris[e] |= 1 << ti
+    tri_verts = [1 << a | 1 << b | 1 << c for a, b, c in tris]
     all_tris = (1 << len(tris)) - 1
 
     # greedy incumbent: repeatedly remove the edge in most uncovered triangles
@@ -303,9 +288,7 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
         r = live_v.bit_count()
         if live_e.bit_count() - r * r // 4 >= room:
             return
-        branch_edges = [
-            e for e in tri_edge_ids[pick] if not kept_mask & (1 << e)
-        ]
+        branch_edges = list(_bits(tri_masks[pick] & free_mask))
         branch_edges.sort(key=lambda e: -(edge_tris[e] & unc).bit_count())
         kept_here = 0
         for e in branch_edges:

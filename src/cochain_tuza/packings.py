@@ -4,7 +4,8 @@ Three building blocks recur in every certificate:
 
 * ``one_factorization`` - the round-robin (circle method) partition of an
   even complete graph into perfect matchings, and its near-1-factorization
-  variant for odd orders (one bye vertex per round);
+  variant for odd orders (one bye vertex per round: the partner of an added
+  hub, whose edges are dropped);
 
 * ``pack_side`` - packings of the join of a clique K with an apex set S in
   which every triangle takes one K-edge and one S-apex: whole matchings of a
@@ -101,20 +102,20 @@ def one_factorization(vertices: Sequence[int]) -> list[list[Edge]]:
 def near_one_factorization(vertices: Sequence[int]) -> list[tuple[list[Edge], int]]:
     """Near-1-factorization of an odd complete graph.
 
-    Returns n rounds of (n-1)/2 edges; round r pairs {r+k, r-k} mod n and
-    leaves vertex r as the bye.  Each edge occurs in exactly one round.
+    Returns n rounds of (n-1)/2 edges: round r of ``one_factorization`` on
+    the vertices plus a hub above them all, without the hub's edge, whose
+    other end vs[r] is the round's bye.  Each edge occurs in exactly one
+    round.
     """
     vs = sorted(vertices)
     n = len(vs)
     if n < 1 or n % 2 == 0:
         raise ValueError(f"odd vertex count required, got {n}")
-    rounds = []
-    for r in range(n):
-        matching = [
-            edge(vs[(r + k) % n], vs[(r - k) % n]) for k in range(1, n // 2 + 1)
-        ]
-        rounds.append((sorted(matching), vs[r]))
-    return rounds
+    hub = vs[-1] + 1
+    return [
+        ([e for e in matching if e != (bye, hub)], bye)
+        for matching, bye in zip(one_factorization(vs + [hub]), vs)
+    ]
 
 
 # ---------------------------------------------------------------------------

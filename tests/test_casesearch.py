@@ -32,8 +32,8 @@ from cochain_tuza.casesearch import (
 )
 from cochain_tuza.certify import (
     RecipeInapplicable,
+    _build,
     _Ctx,
-    _F_RECIPES,
     _term_packings,
     build_T2,
     certify,
@@ -191,7 +191,7 @@ def test_recipe_lower_bound_specializes_at_zero_x():
 def test_recipe_lower_bound_at_most_realized_size():
     rng = random.Random(20240817)
     per_recipe = 200
-    for idx, rid in enumerate(F_RECIPE_IDS):
+    for rid in F_RECIPE_IDS:
         checked = 0
         while checked < per_recipe:
             ell = rng.randint(1, 6)
@@ -204,9 +204,7 @@ def test_recipe_lower_bound_at_most_realized_size():
             prof = profile(g)
             assert prof.as_tuple() == (ell, m, xl, xm)
             ctx = _Ctx.of(g)
-            tag, fn = _F_RECIPES[idx]
-            assert tag == rid
-            tris = fn(ctx)
+            tris = _build(rid, ctx)
             assert verify_packing(ctx.G, tris)
             assert 6 * len(tris) >= recipe_lower_bound(rid, prof), (
                 rid,
@@ -303,8 +301,8 @@ def test_f_values_certified_by_realized_packings():
         ctx = _Ctx.of(g)
         t2 = build_T2(g)
         for i in sorted(rep.passing):
-            tris = _F_RECIPES[i][1](ctx)
-            assert 2 * len(tris) >= len(t2), (p.as_tuple(), _F_RECIPES[i][0])
+            tris = _build(F_RECIPE_IDS[i], ctx)
+            assert 2 * len(tris) >= len(t2), (p.as_tuple(), F_RECIPE_IDS[i])
 
 
 def test_exceptional_profiles_certify_on_realizing_graphs():

@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import json
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -6,15 +8,14 @@ from math import comb
 
 import pytest
 
-from cochain_tuza.casesearch import EXPECTED_EXCEPTIONAL, RECIPES, Clique
+from cochain_tuza.casesearch import RECIPES, Clique
 from cochain_tuza.certify import (
     _CODE_RECIPES,
-    _EXCEPTIONAL_ROUTES,
-    _PORTFOLIO_RECIPES,
     BudgetExhausted,
     CertificationFailure,
     PreconditionError,
     RecipeInapplicable,
+    _build,
     _Ctx,
     _portfolio_core,
     _reversed_hitting,
@@ -25,7 +26,7 @@ from cochain_tuza.certify import (
     swap_sides,
 )
 from cochain_tuza.cli import main as cli_main
-from cochain_tuza.fileio import write_general
+from cochain_tuza.fileio import certificate_document, write_general
 from cochain_tuza.generators import fuzz_instances
 from cochain_tuza.graphs import (
     CoChainGraph,
@@ -414,10 +415,6 @@ def test_exact_mode_skips_nu_once_tau_is_unproven(monkeypatch):
         certify(build_cochain(4, 6, (6, 6, 5, 4)), "exact")
 
 
-def test_exceptional_routes_cover_exactly_the_exceptional_profiles():
-    assert set(_EXCEPTIONAL_ROUTES) == EXPECTED_EXCEPTIONAL
-
-
 def test_portfolio_recipes_build_or_report_inapplicable():
     # a recipe either yields a valid packing or raises RecipeInapplicable;
     # any other exception is a bug the portfolio must not swallow
@@ -426,12 +423,12 @@ def test_portfolio_recipes_build_or_report_inapplicable():
             continue
         for t in monotone_sequences(l_size, m_size):
             ctx = _Ctx.of(build_cochain(l_size, m_size, t))
-            for tag, fn in _PORTFOLIO_RECIPES:
+            for rid in (*RECIPES, *_CODE_RECIPES):
                 try:
-                    tris = fn(ctx)
+                    tris = _build(rid, ctx)
                 except RecipeInapplicable:
                     continue
-                assert verify_packing(ctx.G, tris), (tag, l_size, m_size, t)
+                assert verify_packing(ctx.G, tris), (rid, l_size, m_size, t)
 
 
 def test_certify_verifies_each_witness_once(monkeypatch, tmp_path):
@@ -583,8 +580,22 @@ def test_p18_loses_a_clique_triangle_only_when_the_clique_packing_has_no_leave()
     # is one, so the recipe's size does not depend on which triangles it has
     for ell, m in product(range(2, 9), repeat=2):
         ctx = _Ctx.of(realize_profile(ell, m, ell - 1, m - 1))
-        tris = _CODE_RECIPES["P18"](ctx)
+        tris = _build("P18", ctx)
         clique = set(ctx.vertices("l_top") + ctx.vertices("m_bot"))
         inside = sum(1 for t in tris if clique.issuperset(t))
         full = feder_count(ell + m)
         assert inside == full.count - (full.k == 0), (ell, m)
+
+
+def test_certificates_are_pinned():
+    # SHA-256 of every guided, then portfolio, certificate document over a
+    # fixed fuzz stream; a refactor of the certifier must leave it unchanged
+    digest = hashlib.sha256()
+    for g in fuzz_instances(1, 1000, 8):
+        for mode in ("guided", "portfolio"):
+            doc = certificate_document(certify(g, mode))
+            digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+    assert (
+        digest.hexdigest()
+        == "d966c23e21f906f499e9040f5525426bd595e12fefd85973a2ebb9134b438396"
+    )

@@ -111,6 +111,22 @@ def test_certify_unparseable_file(tmp_path):
     assert run(["certify", str(wrong)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"l_size": 2, "m_size": 2, "thresholds": [2.0, 1.0]},
+        {"l_size": 2.0, "m_size": 2, "thresholds": [2, 1]},
+    ],
+)
+def test_certify_rejects_non_integer_fields(tmp_path, doc):
+    # a float size or threshold is a bad document, not a crash in certify
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError, match="bad co-chain document"):
+        read_graph(graph)
+    assert run(["certify", str(graph)]) == EXIT_PARSE
+
+
 def test_certify_general_graph_via_recognition(tmp_path):
     # the certificate must be expressed in the input file's own labels
     graph = tmp_path / "g.json"
@@ -146,6 +162,11 @@ def test_audit_cli(capsys):
     assert "summary chains=" in out
     # paper slack in the P10' chain is reported with its anchor
     assert "chain='(x_l-l-1)*(2l-1-x_m)'" in out
+
+
+def test_audit_rejects_an_empty_range(capsys):
+    assert run(["audit", "--max-half", "0"]) == EXIT_PRECONDITION
+    assert "max_half must be at least 1" in capsys.readouterr().err
 
 
 # SHA-256 of stdout, recorded before the search interpolated group sizes per

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from hypothesis import given, settings
@@ -175,3 +175,20 @@ def test_oracles_ignore_vertex_labels(data):
         r_g, r_h = oracle(g), oracle(h)
         assert r_g.proven and r_h.proven
         assert r_g.value == r_h.value
+
+
+def test_oracle_work_on_the_even_sided_census_is_pinned():
+    # nodes explored, summed over every even-sided co-chain graph with sides
+    # in {2, 4, 6} and n <= 10: a refactor of the search must not move them
+    graphs = tau_nodes = nu_nodes = 0
+    for l_size, m_size in product((2, 4, 6), repeat=2):
+        if l_size + m_size > 10:
+            continue
+        for t in monotone_sequences(l_size, m_size):
+            G = build_cochain(l_size, m_size, t).to_general()
+            tau, nu = exact_tau(G), exact_nu(G)
+            assert tau.proven and nu.proven
+            graphs += 1
+            tau_nodes += tau.explored
+            nu_nodes += nu.explored
+    assert (graphs, tau_nodes, nu_nodes) == (582, 40638, 12643)
