@@ -37,24 +37,21 @@ list of 12 exceptional tuples; the audit report also evaluates the others.
 
 ``_domain_violation`` states the search domain once; the search, the input
 check of ``evaluate_case_functions`` and the audit's 3.2.2 chain all derive
-from it.  ``_row_f_values`` is the one place that turns group sizes into
-f-values, on a row compiled by ``_compile_row``.  On the box
-0 <= x_ell <= ell, 0 <= x_m <= m every max and min of ``group_intervals``
-resolves one way, so each group size is affine in (x_ell, x_m) and
-``_size_planes`` fixes it from four reads of the group table per (ell, m):
-at (0, 0), (1, 0) and (0, 1), with the read at (ell - 1, m - 1) as a guard
-that raises RuntimeError if the argument fails.  Compiling a row scores
-every term whose groups do not vary on it (a term shared by several
-recipes once) into one constant per recipe and keeps only the varying
-terms, as (base, per x_ell, per x_m) planes.  ``search_exceptional``
-tabulates its strategy's clique and apex bounds up to 2*limit (no group is
-larger), compiles each (ell, m) row once from those tables, and walks each
-profile through the recipes in order, interpolating only the sizes of the
-recipe it is evaluating and stopping at the first that passes; almost
-every profile stops at P13, whose two half-packings are row constants.
-``evaluate_case_functions`` reads the table once at its one profile and
-runs the same row code with every gradient zero, for the certifier's single
-profiles and for reports.  Nothing is kept between calls.
+from it.  Two scorers turn group sizes into f-values.  The reference,
+``evaluate_case_functions``, reads the group table at its one profile and
+sums each recipe's term bounds, every distinct term scored once.
+``search_exceptional`` tabulates its strategy's bounds up to 2*limit (no
+group is larger) and scores whole rows.  On the box 0 <= x_ell <= ell,
+0 <= x_m <= m every max and min of ``group_intervals`` resolves one way,
+so each group size is affine in (x_ell, x_m): ``_size_planes`` reads the
+group table at (0, 0), (1, 0) and (0, 1) per (ell, m), and at
+(ell - 1, m - 1) as a guard that raises RuntimeError if the argument
+fails.  ``_compile_row`` scores every term whose groups do not vary on the
+row into its recipes' constants and keeps the others as (base, per x_ell,
+per x_m) planes; each profile then walks the recipes in order, scoring
+only the varying terms of the recipe at hand, and stops at the first that
+passes (almost always P13, whose two half-packings are row constants).
+Nothing is kept between calls.
 
 ``audit_inequalities`` replays every displayed inequality chain of the case
 analysis step by step over its case-condition range, in exact arithmetic,
@@ -70,7 +67,6 @@ chain, never in a certificate: the certifier checks realized sizes directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -377,26 +373,26 @@ _Row = tuple[tuple[int, tuple[_Plane, ...], tuple[tuple[_Plane, _Plane], ...]], 
 def _compile_row(
     sizes: list[int],
     moving: dict[int, _Plane],
-    clique6: Callable[[int], int],
-    side6: Callable[[int, int], int],
+    clique6: list[int],
+    side6: list[list[int]],
 ) -> _Row:
     """Each f-recipe's terms on one (ell, m) row, split by gradient.
 
     ``sizes`` are the group sizes of GROUP_NAMES at the row's base point,
     ``moving`` maps each group whose size varies on the row to its (base,
-    per x_ell, per x_m) plane, and ``clique6(n)``/``side6(s, k)`` are one
-    strategy's term bounds.  A term with no moving group is constant on the
-    row: it is scored here, once even where several recipes share it, into
-    each of its recipes' constants.  The other terms are kept as planes for
-    ``_row_f_values``.
+    per x_ell, per x_m) plane, and ``clique6[n]``/``side6[s][k]`` are one
+    strategy's term bounds, tabulated.  A term with no moving group is
+    constant on the row: it is scored here, once even where several recipes
+    share it, into each of its recipes' constants.  The other terms are kept
+    as planes, which ``search_exceptional`` interpolates per profile.
     """
     # each distinct term's bound if it is constant on the row, else None
     scored = [
         None
         if t[0] in moving or t[-1] in moving
-        else clique6(sizes[t[0]])
+        else clique6[sizes[t[0]]]
         if len(t) == 1
-        else side6(sizes[t[0]], sizes[t[1]])
+        else side6[sizes[t[0]]][sizes[t[1]]]
         for t in _F_TERM_GROUPS
     ]
     row = []
@@ -419,42 +415,6 @@ def _compile_row(
                 vary_sides += ((ps, pk),)
         row.append((const, vary_cliques, vary_sides))
     return tuple(row)
-
-
-def _row_f_values(
-    row: _Row,
-    xl: int,
-    xm: int,
-    t2_3: int,
-    clique6: Callable[[int], int],
-    side6: Callable[[int, int], int],
-) -> Iterator[int]:
-    """f_1..f_8 in order at (x_ell, x_m) on a compiled row: 6 times a T2
-    recipe's bound minus ``t2_3`` = 3|T2|.
-
-    Only the varying terms of the recipe being evaluated are interpolated
-    and scored, and the values are yielded one at a time, so a caller that
-    stops at the first recipe that passes never sizes the later recipes.
-    """
-    for const, cliques, sides in row:
-        f = const - t2_3
-        for b, a, c in cliques:
-            f += clique6(b + a * xl + c * xm)
-        for (sb, sa, sc), (kb, ka, kc) in sides:
-            f += side6(sb + sa * xl + sc * xm, kb + ka * xl + kc * xm)
-        yield f
-
-
-def _f_values(
-    sizes: list[int],
-    t2_3: int,
-    clique6: Callable[[int], int],
-    side6: Callable[[int, int], int],
-) -> Iterator[int]:
-    """f_1..f_8 from one profile's group sizes: the row code with no moving
-    group, so every term is scored into its recipe's constant."""
-    row = _compile_row(sizes, {}, clique6, side6)
-    return _row_f_values(row, 0, 0, t2_3, clique6, side6)
 
 
 @dataclass(frozen=True)
@@ -485,12 +445,6 @@ def _domain_violation(ell: int, m: int, xl: int, xm: int) -> str | None:
     return None
 
 
-def _check_search_constraints(p: CaseProfile) -> None:
-    broken = _domain_violation(*p.as_tuple())
-    if broken is not None:
-        raise ValueError(f"profile {p.as_tuple()} must satisfy {broken}")
-
-
 def _row_domain(ell: int, m: int) -> Iterator[tuple[int, int]]:
     """(x_ell, x_m) of every search-domain profile at (ell, m)."""
     for xl, xm in product(range(ell), range(m)):
@@ -508,16 +462,19 @@ def _search_domain(limit: int) -> Iterator[tuple[int, int, int, int]]:
 def evaluate_case_functions(
     p: CaseProfile, strategy: BoundStrategy = DEFAULT_STRATEGY
 ) -> CaseFunctionReport:
-    """f_1..f_8 at a profile; a recipe passes when its f-value exceeds -3."""
-    _check_search_constraints(p)
-    values = tuple(
-        _f_values(
-            _group_sizes(*p.as_tuple()),
-            3 * t2_size(p),
-            partial(_clique_bound6, strategy),
-            partial(_side_bound6, strategy),
-        )
-    )
+    """f_1..f_8 at a profile; a recipe passes when its f-value exceeds -3.
+
+    The reference scorer: the group table is read at the profile, each
+    distinct term of the f-recipes is scored once by the bound functions,
+    and f_i is the sum of recipe i's term bounds minus 3|T2|.
+    """
+    tup = p.as_tuple()
+    broken = _domain_violation(*tup)
+    if broken is not None:
+        raise ValueError(f"profile {tup} must satisfy {broken}")
+    bounds = _term_bounds6(_F_TERM_GROUPS, _group_sizes(*tup), strategy)
+    t2_3 = 3 * _t2_size(*tup)
+    values = tuple([sum([bounds[i] for i in terms]) - t2_3 for terms in _F_TERMS])
     passing = frozenset(i for i, v in enumerate(values) if v > -3)
     return CaseFunctionReport(p, values, passing, not passing, strategy)
 
@@ -580,17 +537,18 @@ def search_exceptional(
     top = 2 * limit + 1
     clique6 = [_clique_bound6(strategy, n) for n in range(top)]
     side6 = [[_side_bound6(strategy, s, k) for k in range(top)] for s in range(top)]
-    clique_at = clique6.__getitem__
-
-    def side_at(s: int, k: int) -> int:
-        return side6[s][k]
-
     found = set()
     for ell, m in product(range(1, limit + 1), repeat=2):
-        row = _compile_row(*_size_planes(ell, m), clique_at, side_at)
+        row = _compile_row(*_size_planes(ell, m), clique6, side6)
         for xl, xm in _row_domain(ell, m):
             t2_3 = 3 * _t2_size(ell, m, xl, xm)
-            for f in _row_f_values(row, xl, xm, t2_3, clique_at, side_at):
+            # f_1..f_8 in order: 6 times the recipe's bound minus 3|T2|
+            for const, cliques, sides in row:
+                f = const - t2_3
+                for b, a, c in cliques:
+                    f += clique6[b + a * xl + c * xm]
+                for (sb, sa, sc), (kb, ka, kc) in sides:
+                    f += side6[sb + sa * xl + sc * xm][kb + ka * xl + kc * xm]
                 if f > -3:
                     break
             else:

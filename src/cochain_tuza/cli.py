@@ -24,7 +24,6 @@ from .casesearch import (
     ALL_STRATEGIES,
     DEFAULT_STRATEGY,
     EXPECTED_EXCEPTIONAL,
-    BoundStrategy,
     audit_inequalities,
     evaluate_case_functions,
     search_exceptional,
@@ -141,20 +140,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK if cert.ratio_ok else EXIT_VERIFY
 
 
-def _strategy_from_name(name: str) -> BoundStrategy:
-    for s in ALL_STRATEGIES:
-        if s.describe() == name:
-            return s
-    for s in ALL_STRATEGIES:
-        if s.clique_variant == name:
-            return s
-    raise ValueError(f"unknown bound strategy {name!r}")
+#: every bound strategy by its ``describe()`` name, the values of --variant
+_STRATEGIES = {s.describe(): s for s in ALL_STRATEGIES}
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    strategies = ALL_STRATEGIES if args.all_variants else (
-        _strategy_from_name(args.variant),
-    )
+    strategies = ALL_STRATEGIES if args.all_variants else (_STRATEGIES[args.variant],)
     status = EXIT_OK
     for strategy in strategies:
         found = sorted(p.as_tuple() for p in search_exceptional(args.limit, strategy))
@@ -308,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="exceptional-tuple search")
     p_search.add_argument("--limit", type=int, default=10)
-    p_search.add_argument("--variant", default=DEFAULT_STRATEGY.describe())
+    p_search.add_argument(
+        "--variant", choices=tuple(_STRATEGIES), default=DEFAULT_STRATEGY.describe()
+    )
     p_search.add_argument("--all-variants", action="store_true")
     p_search.set_defaults(func=cmd_search)
 

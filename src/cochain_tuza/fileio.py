@@ -57,7 +57,11 @@ def read_graph(path: str | Path) -> AnyGraph:
             raise GraphFormatError(f"{path}: bad co-chain document ({exc})") from exc
     if {"n", "edges"} <= doc.keys():
         try:
-            return GeneralGraph.from_edges(doc["n"], (tuple(e) for e in doc["edges"]))
+            n, edges = doc["n"], [tuple(e) for e in doc["edges"]]
+            for v in (n, *(u for e in edges for u in e)):
+                if type(v) is not int:
+                    raise ValueError(f"n and edge ends must be int, got {v!r}")
+            return GeneralGraph.from_edges(n, edges)
         except (TypeError, ValueError) as exc:
             raise GraphFormatError(f"{path}: bad graph document ({exc})") from exc
     raise GraphFormatError(

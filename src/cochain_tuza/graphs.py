@@ -352,17 +352,19 @@ def profile(g: CoChainGraph) -> CaseProfile:
 
 @dataclass(frozen=True)
 class TrianglePacking:
-    """A set of pairwise edge-disjoint triangles."""
+    """Pairwise edge-disjoint triangles, given in any vertex order, stored sorted."""
 
     triangles: frozenset[Triangle]
 
     def __post_init__(self) -> None:
         # used[a]: the partners b > a of the edges (a, b) already packed
         used: dict[int, int] = {}
+        canonical = True
         for t in self.triangles:
             a, b, c = t
             if not a < b < c:
                 a, b, c = triangle(a, b, c)
+                canonical = False
             if a < 0:
                 raise ValueError(f"negative vertex id in triangle {t}")
             bc, cbit = 1 << b | 1 << c, 1 << c
@@ -371,6 +373,10 @@ class TrianglePacking:
                 raise ValueError(f"triangles share edge {self._first_shared_edge()}")
             used[a] = ua | bc
             used[b] = ub | cbit
+        if not canonical:
+            object.__setattr__(
+                self, "triangles", frozenset(triangle(*t) for t in self.triangles)
+            )
 
     def _first_shared_edge(self) -> Edge | None:
         """The first edge two triangles share, in sorted order, to name it."""

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -23,9 +22,7 @@ from cochain_tuza.casesearch import (
     _Chain,
     _clique_bound6,
     _compile_row,
-    _f_values,
     _group_sizes,
-    _row_f_values,
     _side_bound6,
     _size_planes,
     _sizes_at,
@@ -84,18 +81,14 @@ def test_interpolated_sizes_equal_the_table_everywhere():
 
 def test_row_code_agrees_with_the_report_path():
     # at every profile to 20 under every strategy, the compiled (ell, m) row
-    # with the search's bound tables gives the report's f-values (read from
-    # the group table at the profile, scored by the bound functions), each
-    # the sum of the recipe's term bounds minus 3|T2|; and stopping at the
-    # first value above -3 picks the report's first passing recipe
+    # walked with the search's bound tables gives the report's f-values, and
+    # both equal each recipe's term bounds (read from the group table at the
+    # profile) summed here, minus 3|T2|
     profiles = [p.as_tuple() for p in constrained_profiles(20)]
     sizes = {tup: _group_sizes(*tup) for tup in profiles}
     for strategy in ALL_STRATEGIES:
         clique_t = [_clique_bound6(strategy, n) for n in range(41)]
         side_t = [[_side_bound6(strategy, s, k) for k in range(41)] for s in range(41)]
-
-        def side_at(s, k):
-            return side_t[s][k]
 
         def by_terms(rid, sz):
             return sum(
@@ -107,26 +100,19 @@ def test_row_code_agrees_with_the_report_path():
         for tup in profiles:
             ell, m, xl, xm = tup
             if (ell, m) not in rows:
-                base, moving = _size_planes(ell, m)
-                rows[ell, m] = _compile_row(base, moving, clique_t.__getitem__, side_at)
+                rows[ell, m] = _compile_row(*_size_planes(ell, m), clique_t, side_t)
             t2_3 = 3 * t2_size(CaseProfile(*tup))
-            report = list(
-                _f_values(
-                    sizes[tup],
-                    t2_3,
-                    partial(_clique_bound6, strategy),
-                    partial(_side_bound6, strategy),
-                )
-            )
-            assert report == [
-                by_terms(rid, sizes[tup]) - t2_3 for rid in F_RECIPE_IDS
-            ], (tup, strategy)
-            args = (rows[ell, m], xl, xm, t2_3, clique_t.__getitem__, side_at)
-            assert list(_row_f_values(*args)) == report, (tup, strategy)
-            lazy = enumerate(_row_f_values(*args))
-            first = next((i for i, f in lazy if f > -3), None)
-            passing = [i for i, f in enumerate(report) if f > -3]
-            assert first == (passing[0] if passing else None), (tup, strategy)
+            walked = []
+            for const, cliques, sides in rows[ell, m]:
+                f = const - t2_3
+                for b, a, c in cliques:
+                    f += clique_t[b + a * xl + c * xm]
+                for (sb, sa, sc), (kb, ka, kc) in sides:
+                    f += side_t[sb + sa * xl + sc * xm][kb + ka * xl + kc * xm]
+                walked.append(f)
+            summed = [by_terms(rid, sizes[tup]) - t2_3 for rid in F_RECIPE_IDS]
+            report = list(evaluate_case_functions(CaseProfile(*tup), strategy).f_values)
+            assert walked == summed == report, (tup, strategy)
 
 
 def test_non_affine_group_trips_the_guard(monkeypatch):

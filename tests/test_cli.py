@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from cochain_tuza.casesearch import ALL_STRATEGIES
 from cochain_tuza.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -127,6 +128,25 @@ def test_certify_rejects_non_integer_fields(tmp_path, doc):
     assert run(["certify", str(graph)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 3, "edges": [[0, True], [1, 2]]},
+        {"n": True, "edges": []},
+        {"n": 3.0, "edges": [[0, 1]]},
+        {"n": 3, "edges": [[0, 1.0]]},
+    ],
+)
+def test_certify_rejects_non_integer_graph_fields(tmp_path, doc):
+    # a boolean or float vertex count or edge end is a bad document, not a
+    # graph read with True as 1
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError, match="bad graph document"):
+        read_graph(graph)
+    assert run(["certify", str(graph)]) == EXIT_PARSE
+
+
 def test_certify_general_graph_via_recognition(tmp_path):
     # the certificate must be expressed in the input file's own labels
     graph = tmp_path / "g.json"
@@ -154,6 +174,21 @@ def test_search_cli(capsys):
     assert "exceptional-count=12" in out
     assert "matches-published-list=True" in out
     assert "tuple=(2,3,1,2)" in out
+
+
+@pytest.mark.parametrize("variant", ["universal", "exact", "clique=bogus"])
+def test_search_rejects_a_bare_or_unknown_variant(variant):
+    # only the four full strategy names are accepted: two strategies share
+    # the clique name "universal"
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--limit", "3", "--variant", variant])
+    assert exc.value.code == EXIT_PARSE
+
+
+def test_search_runs_each_named_variant(capsys):
+    for strategy in ALL_STRATEGIES:
+        assert run(["search", "--limit", "3", "--variant", strategy.describe()]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"strategy {strategy.describe()}\n")
 
 
 def test_audit_cli(capsys):

@@ -237,6 +237,14 @@ def test_triangle_packing_type_rejects_shared_edges():
     assert len(TrianglePacking.of([(2, 1, 0), (4, 3, 0), (5, 3, 1)])) == 3
 
 
+def test_triangle_packing_stores_triangles_sorted():
+    # the checked constructor stores each triangle sorted, as HittingSet
+    # stores each edge canonical, so orientation does not affect equality
+    p = TrianglePacking(frozenset({(2, 1, 0), (0, 3, 4)}))
+    assert p.sorted_triangles() == [(0, 1, 2), (0, 3, 4)]
+    assert p == TrianglePacking.of([(0, 1, 2), (4, 3, 0)])
+
+
 def test_hitting_set_normalizes_edges():
     h = HittingSet.of([(3, 1), (1, 3), (0, 2)])
     assert h.sorted_edges() == [(0, 2), (1, 3)]
