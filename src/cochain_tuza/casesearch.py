@@ -35,9 +35,13 @@ list of 12 exceptional tuples; the audit report also evaluates the others.
 ``EXCEPTIONAL_ROUTES`` maps each to how the certifier settles it ("P18",
 "P19", "deferred" or "swap"); ``EXPECTED_EXCEPTIONAL`` is its key set.
 
-``_domain_violation`` states the search domain once; the search, the input
-check of ``evaluate_case_functions`` and the audit's 3.2.2 chain all derive
-from it.  Two scorers turn group sizes into f-values.  The reference,
+``_domain_violation`` defines the search domain and guards the input of
+``evaluate_case_functions``.  ``_row_domain`` is its closed form: on each
+(ell, m) row it lists x_ell < ell and, for each, the interval of x_m the
+three conditions leave, in the filter's order, so the search and the
+audit's 3.2.2 chain visit only domain profiles; the tests check the two
+against each other on every row up to 40.  Two scorers turn group sizes
+into f-values.  The reference,
 ``evaluate_case_functions``, reads the group table at its one profile and
 sums each recipe's term bounds, every distinct term scored once.
 ``search_exceptional`` tabulates its strategy's bounds up to 2*limit (no
@@ -55,17 +59,21 @@ Nothing is kept between calls.
 
 ``audit_inequalities`` replays every displayed inequality chain of the case
 analysis step by step over its case-condition range, in exact arithmetic,
-and reports each violated step.  A step whose sides share a denominator d
-declares it and returns both sides times d as ``int``s, which the audit
-compares directly; otherwise a side is a plain ``int``, or a ``Fraction``
-where the displayed chain divides.  A step under a guard returns None where
-the guard fails.  A recorded violation stores both sides as ``Fraction``
-(divided by d).  Violations indicate slack in a written
-chain, never in a certificate: the certifier checks realized sizes directly.
+and reports each violated step.  Every step returns its two sides as
+``int``s: where the displayed chain divides, the step declares the common
+denominator d and returns both sides times d.  A step under a guard
+returns None where the guard fails.  A step's signature names the leading
+parameters it reads; one that reads fewer than its domain's tuples hold is
+evaluated once per distinct prefix, and its value stands for every tuple
+under that prefix.  A recorded violation stores the full parameter tuple
+and both sides as ``Fraction`` (divided by d).  Violations indicate slack
+in a written chain, never in a certificate: the certifier checks realized
+sizes directly.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -433,8 +441,9 @@ class CaseFunctionReport:
 def _domain_violation(ell: int, m: int, xl: int, xm: int) -> str | None:
     """The first condition of the 3.2.2 search domain the profile breaks.
 
-    None means the profile is in the domain.  This is the one statement of
-    the domain: the search, the input check and the audit all use it.
+    None means the profile is in the domain.  This is the definition of the
+    domain and the input check of ``evaluate_case_functions``;
+    ``_row_domain`` enumerates the same profiles in closed form.
     """
     if not (xl < ell and xm < m):
         return "x_ell < ell, x_m < m"
@@ -446,9 +455,15 @@ def _domain_violation(ell: int, m: int, xl: int, xm: int) -> str | None:
 
 
 def _row_domain(ell: int, m: int) -> Iterator[tuple[int, int]]:
-    """(x_ell, x_m) of every search-domain profile at (ell, m)."""
-    for xl, xm in product(range(ell), range(m)):
-        if _domain_violation(ell, m, xl, xm) is None:
+    """(x_ell, x_m) of every search-domain profile at (ell, m), in the order
+    of ``product(range(ell), range(m))``.
+
+    The closed form of ``_domain_violation`` on the row: x_ell < ell, and
+    x_m runs from ell - 2*x_ell (ell - x_ell <= x_m + x_ell) to the smaller
+    of m - 1 (x_m < m) and m - ell + x_ell (ell + x_m <= m + x_ell).
+    """
+    for xl in range(ell):
+        for xm in range(max(0, ell - 2 * xl), min(m - 1, m - ell + xl) + 1):
             yield xl, xm
 
 
@@ -526,11 +541,13 @@ def search_exceptional(
 
     The strategy's term bounds are tabulated once per call up to 2*limit,
     the largest group size in the domain.  Each (ell, m) row is compiled
-    once: ``_size_planes`` reads the group table four times, and every term
+    once: ``_size_planes`` reads the group table four times, every term
     whose groups do not vary on the row is scored from the tables into its
-    recipe's constant.  Each profile then walks the recipes in order,
-    interpolating and scoring only the varying terms of the recipe it is
-    evaluating, and stops at the first recipe that passes.
+    recipe's constant, and 3|T2| is taken at x_ell = x_m = 0, so a profile
+    adds only 3*(m*x_ell + ell*x_m - x_ell*x_m).  Each profile then walks
+    the recipes in order, interpolating and scoring only the varying terms
+    of the recipe it is evaluating, and stops at the first recipe that
+    passes.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -540,8 +557,9 @@ def search_exceptional(
     found = set()
     for ell, m in product(range(1, limit + 1), repeat=2):
         row = _compile_row(*_size_planes(ell, m), clique6, side6)
+        row_t2_3 = 3 * _t2_size(ell, m, 0, 0)
         for xl, xm in _row_domain(ell, m):
-            t2_3 = 3 * _t2_size(ell, m, xl, xm)
+            t2_3 = row_t2_3 + 3 * (m * xl + ell * xm - xl * xm)
             # f_1..f_8 in order: 6 times the recipe's bound minus 3|T2|
             for const, cliques, sides in row:
                 f = const - t2_3
@@ -587,24 +605,32 @@ class AuditReport:
         return [v for c in self.chains for v in c.violations]
 
 
-_Value = int | Fraction
+_Step = Callable[..., tuple[int, int] | None]
 
 
 @dataclass(frozen=True)
 class _Chain:
     """One displayed chain: a parameter domain plus ordered >= steps.
 
-    Each step is (name, fn, d): fn maps the parameter tuple to d*lhs and
-    d*rhs, and the audit records a violation whenever lhs < rhs.  A step
-    whose sides share the denominator d returns both scaled to ``int``; a
-    side is a ``Fraction`` only where the displayed chain divides and no
-    denominator is declared (d = 1).  A step that holds only under a guard
-    returns None where the guard fails, and the audit skips it there.
+    Each step is (name, fn, d): fn maps the leading parameters it names to
+    d*lhs and d*rhs as ``int``s, and the audit records a violation whenever
+    lhs < rhs.  A step that names fewer parameters than the domain's tuples
+    hold reads their prefix; the audit evaluates it once per run of tuples
+    with that prefix, and a domain lists its tuples grouped by prefix (each
+    is a nest of loops), so once per distinct prefix.  A step that holds
+    only under a guard returns None where the guard fails, and the audit
+    skips it there.
     """
 
     anchor: str
     domain: Callable[[int], Iterable[tuple[int, ...]]]
-    steps: tuple[tuple[str, Callable[..., tuple[_Value, _Value] | None], int], ...]
+    steps: tuple[tuple[str, _Step, int], ...]
+
+    def __post_init__(self) -> None:
+        for name, fn, _ in self.steps:
+            code = fn.__code__
+            if code.co_argcount == 0 or code.co_flags & inspect.CO_VARARGS:
+                raise ValueError(f"step {name!r} must name each parameter it reads")
 
 
 def _c2(n: int) -> int:
@@ -617,6 +643,24 @@ def _dom_case1(limit: int) -> Iterable[tuple[int, ...]]:
         for m in range(ell, limit + 1):
             for xl in range(ell, min(m, 2 * ell) + 1):
                 for xm in range(m, 2 * m + 1):
+                    yield ell, m, xl, xm
+
+
+def _dom_case1_min_ell(limit: int) -> Iterable[tuple[int, ...]]:
+    # case 1 with x_m - m >= ell
+    for ell in range(2, limit + 1):
+        for m in range(ell, limit + 1):
+            for xl in range(ell, min(m, 2 * ell) + 1):
+                for xm in range(m + ell, 2 * m + 1):
+                    yield ell, m, xl, xm
+
+
+def _dom_case1_min_xm(limit: int) -> Iterable[tuple[int, ...]]:
+    # case 1 with x_m - m < ell and x_ell > ell
+    for ell in range(2, limit + 1):
+        for m in range(ell, limit + 1):
+            for xl in range(ell + 1, min(m, 2 * ell) + 1):
+                for xm in range(m, min(m + ell, 2 * m + 1)):
                     yield ell, m, xl, xm
 
 
@@ -643,13 +687,11 @@ def _dom_321(limit: int) -> Iterable[tuple[int, ...]]:
     for ell in range(1, limit + 1):
         for m in range(1, limit + 1):
             for xl in range(ell):
-                for xm in range(m):
-                    if ell + xm <= m + xl and xm + xl < ell - xl:
-                        yield ell, m, xl, xm
+                for xm in range(min(m - 1, m - ell + xl, ell - 2 * xl - 1) + 1):
+                    yield ell, m, xl, xm
 
 
 def _build_chains() -> list[_Chain]:
-    F = Fraction
     chains: list[_Chain] = []
 
     def chain(anchor, domain, *steps):
@@ -679,14 +721,9 @@ def _build_chains() -> list[_Chain]:
     )
 
     # case 1, min = ell branch
-    def dom_case1_min_ell(limit):
-        for ell, m, xl, xm in _dom_case1(limit):
-            if xm - m >= ell:
-                yield ell, m, xl, xm
-
     chain(
         "(x_l-l)*(2m-x_m)",
-        dom_case1_min_ell,
+        _dom_case1_min_ell,
         (
             "xm<2m:val>=(l-2)l",
             lambda ell, m, xl, xm: (
@@ -703,14 +740,9 @@ def _build_chains() -> list[_Chain]:
     )
 
     # case 1, min = x_m - m, x_ell > ell
-    def dom_case1_min_xm(limit):
-        for ell, m, xl, xm in _dom_case1(limit):
-            if xm - m < ell and xl > ell:
-                yield ell, m, xl, xm
-
     chain(
         "case1 x_l>l slack",
-        dom_case1_min_xm,
+        _dom_case1_min_xm,
         (
             "val>=m-x_l>=0",
             lambda ell, m, xl, xm: (
@@ -719,6 +751,10 @@ def _build_chains() -> list[_Chain]:
             ),
         ),
     )
+
+    # The P7, P2, P9, P11, l = 1 and both P4 chains divide by 3; their steps
+    # declare d = 3, so a displayed 2/3 * (binom(n, 2) - n/2 - 1) reads
+    # 2 * binom(n, 2) - n - 2 and a displayed (...)/3 reads (...).
 
     # P7 chain
     def dom_p7(limit):
@@ -733,28 +769,31 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell, m: (
-                F(2, 3) * (_c2(ell + m) - F(ell + m, 2) - 1) - ell * m,
-                F((m - ell) ** 2 + (m - 2) * (ell - 2) - 6, 3),
+                2 * _c2(ell + m) - (ell + m) - 2 - 3 * ell * m,
+                (m - ell) ** 2 + (m - 2) * (ell - 2) - 6,
             ),
+            3,
         ),
         (
             "m-l>=2 or l>=4 => >= -2/3",
             lambda ell, m: (
-                (F((m - ell) ** 2 + (m - 2) * (ell - 2) - 6, 3), F(-2, 3))
+                ((m - ell) ** 2 + (m - 2) * (ell - 2) - 6, -2)
                 if m - ell >= 2 or (m == ell and ell >= 4)
                 else None
             ),
+            3,
         ),
         (
             "m-l=1,l>=3: odd-n form >= -2/3",
             lambda ell, m: (
                 (
-                    F(2, 3) * (_c2(2 * ell + 1) - 4) - ell * (ell + 1),
-                    F(ell * ell - ell - 8, 3),
+                    2 * (_c2(2 * ell + 1) - 4) - 3 * ell * (ell + 1),
+                    ell * ell - ell - 8,
                 )
                 if m - ell == 1
                 else None
             ),
+            3,
         ),
     )
 
@@ -793,12 +832,13 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell, m, xl, xm: (
-                F(2, 3) * (_c2(3 * ell + 1) - F(3 * ell + 1, 2) - 1)
-                - ell * (ell + 1)
-                - 2 * _c2(ell)
-                - (xm - m) * ell,
-                ell * ell - 1 - ell * (xm - m),
+                2 * _c2(3 * ell + 1)
+                - (3 * ell + 1)
+                - 2
+                - 3 * (ell * (ell + 1) + 2 * _c2(ell) + (xm - m) * ell),
+                3 * (ell * ell - 1 - ell * (xm - m)),
             ),
+            3,
         ),
         (
             "x_m-m<=l-1 => >=0",
@@ -820,13 +860,15 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell: (
-                F(2, 3) * (_c2(4 * ell + 1) - 4) - 4 * ell * ell - ell,
-                F(4 * ell * ell + ell - 8, 3),
+                2 * (_c2(4 * ell + 1) - 4) - 3 * (4 * ell * ell + ell),
+                4 * ell * ell + ell - 8,
             ),
+            3,
         ),
         (
             ">=10/3",
-            lambda ell: (F(4 * ell * ell + ell - 8, 3), F(10, 3)),
+            lambda ell: (4 * ell * ell + ell - 8, 10),
+            3,
         ),
     )
 
@@ -889,30 +931,29 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell: (
-                F(2, 3) * (_c2(2 * ell + 1) - 4)
-                + (ell - 1) * (ell - 2)
-                - ell * (ell - 1)
-                - ell * ell,
-                F(ell * ell - 4 * ell - 2, 3),
+                2 * (_c2(2 * ell + 1) - 4)
+                + 3 * ((ell - 1) * (ell - 2) - ell * (ell - 1) - ell * ell),
+                ell * ell - 4 * ell - 2,
             ),
+            3,
         ),
         (
             "l>=5 => >=1",
-            lambda ell: (F(ell * ell - 4 * ell - 2, 3), 1) if ell >= 5 else None,
+            lambda ell: (ell * ell - 4 * ell - 2, 3) if ell >= 5 else None,
+            3,
         ),
         (
             "l=3 exact-K7 form >= 1",
             lambda ell: (
                 (
-                    F(2, 3) * _c2(2 * ell + 1)
-                    + (ell - 1) * (ell - 2)
-                    - ell * (ell - 1)
-                    - ell * ell,
-                    1,
+                    2 * _c2(2 * ell + 1)
+                    + 3 * ((ell - 1) * (ell - 2) - ell * (ell - 1) - ell * ell),
+                    3,
                 )
                 if ell == 3
                 else None
             ),
+            3,
         ),
     )
 
@@ -961,7 +1002,7 @@ def _build_chains() -> list[_Chain]:
         ),
         (
             "m-l>=2 => >=1",
-            lambda ell, m, xl, xm: (
+            lambda ell, m: (
                 ((m - ell) ** 2 - (m - ell) - 1, 1) if m - ell >= 2 else None
             ),
         ),
@@ -977,20 +1018,23 @@ def _build_chains() -> list[_Chain]:
         (
             "P1-identity",
             lambda m: (
-                F(2, 3) * (_c2(2 * m) - m - 1) - m * m,
-                F(m * m - 4 * m - 2, 3),
+                2 * (_c2(2 * m) - m - 1) - 3 * m * m,
+                m * m - 4 * m - 2,
             ),
+            3,
         ),
         (
             "P2-identity",
             lambda m: (
-                F(2, 3) * (_c2(m + 2) - F(m + 2, 2) - 1) + m * (m - 1) - m * m - m,
-                F(m * m - 4 * m - 2, 3),
+                2 * _c2(m + 2) - (m + 2) - 2 + 3 * (m * (m - 1) - m * m - m),
+                m * m - 4 * m - 2,
             ),
+            3,
         ),
         (
             ">= -2/3",
-            lambda m: (F(m * m - 4 * m - 2, 3), F(-2, 3)),
+            lambda m: (m * m - 4 * m - 2, -2),
+            3,
         ),
     )
 
@@ -1007,19 +1051,20 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda m, xl: (
-                F(2, 3) * (_c2(2 * m + 2) - m - 2) - m * m - m * (xl - 1),
-                F(m * m - 2 - m * (3 * xl - 7), 3),
+                2 * (_c2(2 * m + 2) - m - 2) - 3 * (m * m + m * (xl - 1)),
+                m * m - 2 - m * (3 * xl - 7),
             ),
+            3,
         ),
         (
             "x_l=3 => >=1/3",
-            lambda m, xl: (F(m * m - 2 * m - 2, 3), F(1, 3)) if xl == 3 else None,
+            lambda m, xl: (m * m - 2 * m - 2, 1) if xl == 3 else None,
+            3,
         ),
         (
             "x_l=4,m>=5 => >=-2/3",
-            lambda m, xl: (
-                (F(m * m - 5 * m - 2, 3), F(-2, 3)) if xl == 4 and m >= 5 else None
-            ),
+            lambda m, xl: (m * m - 5 * m - 2, -2) if xl == 4 and m >= 5 else None,
+            3,
         ),
     )
 
@@ -1036,19 +1081,18 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell, xl: (
-                F(2, 3) * (_c2(3 * ell + 2) - F(3 * ell + 2, 2) - 1)
-                - 2 * _c2(ell + 1)
-                - ell * (ell + 1)
-                - (ell + 1) * (xl - ell),
-                F(3 * ell * ell - 2, 3) - (ell + 1) * (xl - ell),
+                2 * _c2(3 * ell + 2)
+                - (3 * ell + 2)
+                - 2
+                - 3 * (2 * _c2(ell + 1) + ell * (ell + 1) + (ell + 1) * (xl - ell)),
+                3 * ell * ell - 2 - 3 * (ell + 1) * (xl - ell),
             ),
+            3,
         ),
         (
             "x_l<=2l-1 => >=1/3",
-            lambda ell, xl: (
-                F(3 * ell * ell - 2, 3) - (ell + 1) * (xl - ell),
-                F(1, 3),
-            ),
+            lambda ell, xl: (3 * ell * ell - 2 - 3 * (ell + 1) * (xl - ell), 1),
+            3,
         ),
     )
 
@@ -1131,7 +1175,7 @@ def _build_chains() -> list[_Chain]:
             - 3 * (m * xl + ell * xm - xl * xm)
         )
 
-    def f322_quad(ell, m, xl, xm):
+    def f322_quad(ell, m, xl):
         return (
             m * m
             - 2 * m
@@ -1157,20 +1201,17 @@ def _build_chains() -> list[_Chain]:
             "x_m substitution",
             lambda ell, m, xl, xm: (
                 f322_start(ell, m, xl, xm),
-                f322_quad(ell, m, xl, xm),
+                f322_quad(ell, m, xl),
             ),
         ),
         (
             "quadratic vertex bound",
-            lambda ell, m, xl, xm: (
-                28 * f322_quad(ell, m, xl, xm),
-                f322_vertex28(ell, m),
-            ),
+            lambda ell, m, xl: (28 * f322_quad(ell, m, xl), f322_vertex28(ell, m)),
             28,
         ),
         (
             "max(l,m)>=11 => > -3",
-            lambda ell, m, xl, xm: (
+            lambda ell, m: (
                 (1000 * f322_vertex28(ell, m), above_minus_3)
                 if max(ell, m) >= 11
                 else None
@@ -1185,6 +1226,24 @@ def _build_chains() -> list[_Chain]:
 _CHAINS = _build_chains()
 
 
+def _on_prefix(fn: _Step, arity: int) -> _Step:
+    """fn for tuples of ``arity`` parameters: fn itself if it reads them all,
+    else fn on the prefix it reads, evaluated again only when that changes."""
+    k = fn.__code__.co_argcount
+    if k >= arity:
+        return fn
+    key = sides = None
+
+    def step(*params):
+        nonlocal key, sides
+        if params[:k] != key:
+            key = params[:k]
+            sides = fn(*key)
+        return sides
+
+    return step
+
+
 def audit_inequalities(max_half: int = 25) -> AuditReport:
     """Evaluate every displayed chain over its case-condition range."""
     if max_half < 1:
@@ -1193,9 +1252,13 @@ def audit_inequalities(max_half: int = 25) -> AuditReport:
     for chain in _CHAINS:
         violations: list[StepViolation] = []
         checked = 0
+        steps = None
         for params in chain.domain(max_half):
+            if steps is None:  # the domain's tuple length is known from here
+                arity = len(params)
+                steps = [(name, _on_prefix(fn, arity), d) for name, fn, d in chain.steps]
             checked += 1
-            for name, fn, d in chain.steps:
+            for name, fn, d in steps:
                 sides = fn(*params)  # None: a guarded step that does not apply
                 if sides is not None and sides[0] < sides[1]:
                     lhs, rhs = Fraction(sides[0], d), Fraction(sides[1], d)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -22,7 +23,13 @@ from cochain_tuza.casesearch import (
     _Chain,
     _clique_bound6,
     _compile_row,
+    _dom_321,
+    _dom_case1,
+    _dom_case1_min_ell,
+    _dom_case1_min_xm,
+    _domain_violation,
     _group_sizes,
+    _row_domain,
     _side_bound6,
     _size_planes,
     _sizes_at,
@@ -126,6 +133,33 @@ def test_non_affine_group_trips_the_guard(monkeypatch):
     monkeypatch.setattr(casesearch, "group_intervals", bent)
     with pytest.raises(RuntimeError, match="not affine"):
         search_exceptional(5)
+
+
+def test_row_domain_is_the_closed_form_of_the_domain_filter():
+    for ell, m in product(range(1, 41), repeat=2):
+        filtered = [
+            (xl, xm)
+            for xl, xm in product(range(ell), range(m))
+            if _domain_violation(ell, m, xl, xm) is None
+        ]
+        assert list(_row_domain(ell, m)) == filtered, (ell, m)
+
+
+def test_audit_subdomains_are_the_closed_forms_of_their_filters():
+    limit = 30
+    case1 = list(_dom_case1(limit))
+    assert list(_dom_case1_min_ell(limit)) == [
+        (ell, m, xl, xm) for ell, m, xl, xm in case1 if xm - m >= ell
+    ]
+    assert list(_dom_case1_min_xm(limit)) == [
+        (ell, m, xl, xm) for ell, m, xl, xm in case1 if xm - m < ell and xl > ell
+    ]
+    assert list(_dom_321(limit)) == [
+        (ell, m, xl, xm)
+        for ell, m in product(range(1, limit + 1), repeat=2)
+        for xl, xm in product(range(ell), range(m))
+        if ell + xm <= m + xl and xm + xl < ell - xl
+    ]
 
 
 def test_search_limit_one_is_empty():
@@ -317,9 +351,15 @@ def test_audit_runs_clean_except_known_slack():
     assert len(report.violations) == 144
     for v in report.violations:
         assert (v.chain, v.step) == KNOWN_SLACK, v
-    # the 3.2.2 chain runs over exactly the search domain
+    # the 3.2.2 chain runs over exactly the search domain, as filtered
     (c322,) = [c for c in report.chains if c.chain.startswith("24l^2")]
-    assert c322.checked == sum(1 for _ in constrained_profiles(25))
+    in_domain = sum(
+        1
+        for ell, m in product(range(1, 26), repeat=2)
+        for xl, xm in product(range(ell), range(m))
+        if _domain_violation(ell, m, xl, xm) is None
+    )
+    assert c322.checked == in_domain == 46_524
     # the slack is real: it appears at, e.g., a complete balanced join
     assert any(v.params == (3, 6, 6) for v in report.violations)
 
@@ -350,3 +390,46 @@ def test_step_denominator_scales_a_recorded_violation(monkeypatch):
     (v,) = audit_inequalities(1).violations
     assert (v.chain, v.step, v.params) == ("scaled", "half", (1,))
     assert (v.lhs, v.rhs) == (Fraction(1, 2), Fraction(3, 2))
+
+
+def test_a_prefix_step_runs_once_per_prefix_and_reports_every_tuple(monkeypatch):
+    domain = list(product(range(3), range(3), range(2)))
+    calls = []
+
+    def prefix(a, b):
+        calls.append((a, b))
+        return a, b  # fails where a < b
+
+    chain = _Chain(
+        "prefix",
+        lambda limit: iter(domain),
+        (
+            ("first", lambda a, b, c: (c, 1), 1),  # fails where c = 0
+            ("prefix", prefix, 1),
+            ("last", lambda a, b, c: (a, 2), 1),  # fails where a < 2
+        ),
+    )
+    monkeypatch.setattr(casesearch, "_CHAINS", [chain])
+    (report,) = audit_inequalities(1).chains
+    assert calls == list(dict.fromkeys(t[:2] for t in domain))
+    assert report.checked == len(domain)
+    expected = [
+        (name, t)
+        for t in domain
+        for name, (lhs, rhs) in (
+            ("first", (t[2], 1)),
+            ("prefix", t[:2]),
+            ("last", (t[0], 2)),
+        )
+        if lhs < rhs
+    ]
+    assert [(v.step, v.params) for v in report.violations] == expected
+    failing = [v.params for v in report.violations if v.step == "prefix"]
+    assert failing == [t for t in domain if t[0] < t[1]]
+    assert len(failing) == 2 * 3  # three failing prefixes, two tuples under each
+
+
+@pytest.mark.parametrize("fn", [lambda *params: (0, 0), lambda: (0, 0)])
+def test_a_step_must_name_the_parameters_it_reads(fn):
+    with pytest.raises(ValueError, match="must name each parameter"):
+        _Chain("bad", lambda limit: [(1,)], (("step", fn, 1),))
