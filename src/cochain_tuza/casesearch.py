@@ -430,12 +430,12 @@ class CaseFunctionReport:
     profile: CaseProfile
     f_values: tuple[int, ...]
     passing: frozenset[int]
-    exceptional: bool
     strategy: BoundStrategy = DEFAULT_STRATEGY
 
-    def __post_init__(self) -> None:
-        if self.exceptional != (not self.passing):
-            raise ValueError("a profile is exceptional exactly when no recipe passes")
+    @property
+    def exceptional(self) -> bool:
+        """Whether no recipe passes at the profile."""
+        return not self.passing
 
 
 def _domain_violation(ell: int, m: int, xl: int, xm: int) -> str | None:
@@ -491,7 +491,7 @@ def evaluate_case_functions(
     t2_3 = 3 * _t2_size(*tup)
     values = tuple([sum([bounds[i] for i in terms]) - t2_3 for terms in _F_TERMS])
     passing = frozenset(i for i, v in enumerate(values) if v > -3)
-    return CaseFunctionReport(p, values, passing, not passing, strategy)
+    return CaseFunctionReport(p, values, passing, strategy)
 
 
 def constrained_profiles(limit: int) -> Iterator[CaseProfile]:

@@ -5,17 +5,19 @@ edge-disjoint triangle packing P; since tau <= |H| and |P| <= nu, the check
 |H| <= 2|P| witnesses tau <= 2*nu on the instance.
 
 Guided mode drives the full case analysis on the profile (ell, m, x_ell,
-x_m).  For x_ell >= ell the hitting set is T1 (all within-half edges plus
-the cross edges top-ell/bot-m and bot-ell/top-m: the edges inside A =
-top-ell + bot-m and inside B = bot-ell + top-m) and the packing is chosen
-among the constructions P1..P12; for x_ell < ell the hitting set is T2 (all
-within-half edges plus all X_ell/bot-m and X_m/top-ell edges) paired with
-P13..P19; both are built as vertex masks from the thresholds in O(n).  The
-analysis defers a few corners to external results; those are handled here,
-on every instance, by the portfolio, whose witnesses are polished when their
-ratio fails, never by a silent gap.  Guided and
-portfolio modes call no exact oracle; only exact mode does, and only it
-raises ``BudgetExhausted``.
+x_m).  ``_route`` is that analysis as a function of the profile alone: it
+names the case and the leaf (a recipe, the side swap, a portfolio deferral
+or the refined P7), and ``_guided`` builds the leaf at one site.  The
+hitting set follows the section: for x_ell >= ell (Section 3.1) it is T1
+(the edges inside A = top-ell + bot-m and inside B = bot-ell + top-m),
+paired with P1..P12; for x_ell < ell (Section 3.2) it is T2 (all within-half
+edges plus all X_ell/bot-m and X_m/top-ell edges), paired with P13..P19.
+Both are built as vertex masks in O(n) from ``casesearch.group_intervals``,
+the one statement of the halves and the X sets.  The analysis defers a few
+corners to external results; those are handled here, on every instance, by
+the portfolio, whose witnesses are polished when their ratio fails, never
+by a silent gap.  Guided and portfolio modes call no exact oracle; only
+exact mode does, and only it raises ``BudgetExhausted``.
 
 The recipes that are plain unions of clique and apex packings are declared
 once, in ``casesearch.RECIPES``, and the case search derives its
@@ -61,6 +63,7 @@ from .casesearch import (
     t2_size,
 )
 from .graphs import (
+    CaseProfile,
     CoChainGraph,
     Edge,
     GeneralGraph,
@@ -115,8 +118,17 @@ class RecipeInapplicable(Exception):
 
 
 def oracle_budget() -> int:
+    """The oracle node budget: COCHAIN_TUZA_ORACLE_BUDGET, a nonnegative
+    integer (else ``PreconditionError``), if set, else ``DEFAULT_BUDGET``."""
     raw = os.environ.get(ORACLE_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise PreconditionError(f"{ORACLE_BUDGET_ENV} must be a nonnegative integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -163,35 +175,28 @@ def make_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _half_masks(g: CoChainGraph) -> tuple[int, int, int, int]:
-    """Vertex masks of the halves top-ell, bot-ell, top-m, bot-m."""
-    g._require_even()
-    side_l = (1 << g.l_size) - 1
-    side_m = ((1 << g.n) - 1) ^ side_l
-    l_top = (1 << g.l_size // 2) - 1
-    m_top = ((1 << g.m_size // 2) - 1) << g.l_size
-    return l_top, side_l ^ l_top, m_top, side_m ^ m_top
+def _group_mask(groups: dict[str, Intervals], name: str) -> int:
+    """The vertex mask of a group of ``group_intervals`` (disjoint intervals)."""
+    return sum((1 << hi) - (1 << lo) for lo, hi in groups[name])
 
 
 def build_T1(g: CoChainGraph) -> HittingSet:
     """The edges of g inside A = top-ell + bot-m and inside B = bot-ell +
     top-m: all within-half edges plus the top-ell/bot-m and bot-ell/top-m
     cross edges present in g.  A hitting set for every even-sided co-chain
-    graph, as masks in O(n) from the thresholds."""
-    l_top, l_bot, m_top, m_bot = _half_masks(g)
-    a, b = l_top | m_bot, l_bot | m_top
+    graph, as masks in O(n) from the adjacency masks and the halves of
+    ``group_intervals``; with one side empty it splits the other side's
+    clique into its halves."""
+    prof = profile(g)
+    ell, m, xl, xm = prof.as_tuple()
+    groups = group_intervals(ell, m, xl, xm)
+    a = _group_mask(groups, "l_top") | _group_mask(groups, "m_bot")
+    b = ((1 << g.n) - 1) ^ a
     h = HittingSet._from_masks(
         [mask & (a if a >> u & 1 else b) for u, mask in enumerate(g.adjacency_masks())]
     )
-    prof = profile(g)
-    ell, m, xl, xm = prof.as_tuple()
     if xl >= ell:
-        bound = (
-            ell * m
-            + (xl - ell) * (xm - m)
-            + 2 * (m * (m - 1) // 2)
-            + 2 * (ell * (ell - 1) // 2)
-        )
+        bound = ell * m + (xl - ell) * (xm - m) + m * (m - 1) + ell * (ell - 1)
         if len(h) > bound:
             raise RuntimeError(f"T1 has {len(h)} edges, above {bound} at {prof}")
     return h
@@ -199,7 +204,7 @@ def build_T1(g: CoChainGraph) -> HittingSet:
 
 def build_T2(g: CoChainGraph) -> HittingSet:
     """All within-half edges plus all X_ell/bot-m and X_m/top-ell edges, as
-    masks in O(n); X_ell is a prefix of the c's and X_m a suffix of the d's.
+    masks in O(n) from the groups of ``group_intervals``.
 
     Requires x_ell < ell; the size then equals ``casesearch.t2_size``
     exactly.
@@ -207,9 +212,11 @@ def build_T2(g: CoChainGraph) -> HittingSet:
     prof = profile(g)
     if prof.x_ell >= prof.ell:
         raise PreconditionError(f"T2 requires x_ell < ell, got profile {prof}")
-    l_top, l_bot, m_top, m_bot = _half_masks(g)
-    x_l = (1 << prof.x_ell) - 1
-    x_m = ((1 << prof.x_m) - 1) << (g.n - prof.x_m)
+    groups = group_intervals(*prof.as_tuple())
+    l_top, l_bot, m_top, m_bot, x_l, x_m = (
+        _group_mask(groups, name)
+        for name in ("l_top", "l_bot", "m_top", "m_bot", "X_ell", "X_m")
+    )
     masks = []
     for u in range(g.n):
         bit = 1 << u
@@ -566,7 +573,7 @@ _CODE_RECIPES: dict[str, Callable[[_Ctx], list[Triangle]]] = {
 # ---------------------------------------------------------------------------
 
 
-def _finish(tris: list[Triangle], tag: str, hitting: HittingSet) -> Certificate:
+def _finish(tris: Iterable[Triangle], tag: str, hitting: HittingSet) -> Certificate:
     cert = Certificate(hitting, TrianglePacking._trusted(frozenset(tris)), tag)
     if not cert.ratio_ok:
         raise CertificationFailure(
@@ -627,34 +634,106 @@ def _deferred(ctx: _Ctx, tag: str) -> Certificate:
 def _refined_T1(ctx: _Ctx) -> HittingSet:
     """T1 minus the edge c_ell d_{m+1}, valid when every triangle through it
     has its third vertex in the top-ell or bot-m half (checked at runtime)."""
-    g = ctx.g
-    u, v = g.c(ctx.ell), g.d(ctx.m + 1)
-    safe = set(ctx.vertices("l_top") + ctx.vertices("m_bot"))
-    for w in range(ctx.G.n):
-        if w not in (u, v) and ctx.G.has_edge(u, w) and ctx.G.has_edge(v, w):
-            if w not in safe:
-                raise CertificationFailure(
-                    "3.1-case1-P7-refined",
-                    f"triangle through deleted edge via vertex {w} is uncovered",
-                )
+    u, v = ctx.g.c(ctx.ell), ctx.g.d(ctx.m + 1)
+    safe = _group_mask(ctx.groups, "l_top") | _group_mask(ctx.groups, "m_bot")
+    unsafe = ctx.G.adj[u] & ctx.G.adj[v] & ~safe
+    if unsafe:
+        w = (unsafe & -unsafe).bit_length() - 1
+        raise CertificationFailure(
+            "3.1-case1-P7-refined",
+            f"triangle through deleted edge via vertex {w} is uncovered",
+        )
     masks = list(ctx.t1.masks)
     masks[u] &= ~(1 << v)
     masks[v] &= ~(1 << u)
     return HittingSet._from_masks(masks)
 
 
-def _single_clique_certificate(g: CoChainGraph) -> Certificate:
-    """Degenerate instances where one side is empty: the graph is one clique;
-    splitting it into halves gives the hitting set."""
-    side = g.side_m() if g.l_size == 0 else g.side_l()
-    half = len(side) // 2
-    hitting = HittingSet(
-        frozenset(combinations(side[:half], 2)) | frozenset(combinations(side[half:], 2))
-    )
-    cert = Certificate(hitting, pack_clique(side), "degenerate-clique")
-    if not cert.ratio_ok:
-        raise CertificationFailure("degenerate-clique", "ratio failed")
-    return cert
+def _route(ell: int, m: int, xl: int, xm: int) -> tuple[str, str]:
+    """The case and the leaf the analysis reaches at a profile with
+    ell, m >= 1; it reads the profile alone.
+
+    A leaf is a recipe id, "swap" (settle the mirror profile (m, ell, x_m,
+    x_ell) and relabel), a portfolio deferral ("small", "balanced-even") or
+    "P7-refined" (P7 with T1 minus one edge).  Section 3.1 (x_ell >= ell)
+    pairs its recipes with T1, Section 3.2 with T2.
+    """
+    if xl >= ell:
+        if ell == 1:
+            if m <= 3:
+                return "3.1-l1", "small"
+            return "3.1-l1", "P1" if xl == 1 else "P2"
+        if m == 1 or ell > m:
+            return "3.1", "swap"
+        if xl <= m:
+            return "3.1-case1", _case1(ell, m, xl, xm)
+        if xm <= m + ell:
+            return "3.1-case2.1", _case21(ell, m, xl, xm)
+        # subcase 2.2: x_m > m + ell forces m > ell; at m = ell + 1, x_m = 2m
+        return "3.1-case2.2", "P12" if m - ell >= 2 or xl == 2 * ell else "P4"
+    if ell + xm > m + xl:
+        return "3.2", "swap"
+    if xm + xl < ell - xl:
+        return "3.2.1", "P13"
+    return "3.2.2", _case322(ell, m, xl, xm)
+
+
+def _case1(ell: int, m: int, xl: int, xm: int) -> str:
+    """x_ell >= ell, 2 <= ell <= m, x_ell <= m."""
+    if xm - m >= ell:
+        if xm < 2 * m or ell >= 3:
+            return "P3"
+        # ell == 2, x_m == 2m
+        if m == 2:
+            return "small"
+        if xl == 2:
+            return "P3"
+        # x_ell is 3, or 4 == 2*ell <= m
+        return "P4" if xl == 3 or m >= 5 else "P5'"
+    # min(x_m - m, ell) = x_m - m
+    if xl > ell:
+        return "P3"
+    # x_ell == ell
+    if ell + m == 5:
+        return "P6"
+    if m - ell >= 1 or ell >= 4:
+        return "P7"
+    if ell == 2:  # ell == m == 2
+        return "small"
+    # ell == m == x_ell == 3
+    return "P7-refined" if xm == 3 else "P8"
+
+
+def _case21(ell: int, m: int, xl: int, xm: int) -> str:
+    """x_ell >= ell, 2 <= ell <= m, x_ell > m, x_m <= m + ell."""
+    if m - ell >= 2:
+        return "P3"
+    if m - ell == 1:
+        if xl < 2 * ell:
+            return "P3"
+        return "P2" if xm - m <= ell - 1 else "P9"
+    # m == ell
+    if ell % 2 == 0:
+        return "balanced-even"
+    return "P10'" if xl > ell + 1 or xm > ell else "P11"
+
+
+def _case322(ell: int, m: int, xl: int, xm: int) -> str:
+    """x_ell < ell, ell + x_m <= m + x_ell, x_m + x_ell >= ell - x_ell.
+
+    Above 10 P13; up to 10 the passing T2 recipe with the largest f-value,
+    or the exceptional profile's entry of ``EXCEPTIONAL_ROUTES``."""
+    if ell > 10 or m > 10:
+        return "P13"
+    report = evaluate_case_functions(CaseProfile(ell, m, xl, xm))
+    if report.passing:
+        return F_RECIPE_IDS[max(report.passing, key=lambda i: (report.f_values[i], -i))]
+    route = EXCEPTIONAL_ROUTES.get((ell, m, xl, xm))
+    if route is None:
+        raise CertificationFailure(
+            "3.2.2-unexpected-exceptional", f"no construction for profile {(ell, m, xl, xm)}"
+        )
+    return "small" if route == "deferred" else route
 
 
 def _guided(
@@ -662,10 +741,14 @@ def _guided(
 ) -> Certificate:
     """The case analysis on g, whose general form is G; unverified.
 
+    ``_route`` picks the leaf from the profile; the graph decides only
+    whether P9 applies (else P2, the cross block then being incomplete),
+    whether the refined T1 covers the triangles through its dropped edge,
+    and whether P13 reaches the ratio in 3.2.1 (else the portfolio).
     ctx, if given, is the context of g; its T1 is reused.
     """
-    if depth > 3:
-        raise RuntimeError("guided dispatch did not terminate")
+    if depth > 1:
+        raise RuntimeError("guided dispatch swapped sides twice")
     if g.l_size % 2 or g.m_size % 2:
         raise PreconditionError(
             f"guided mode requires even sides, got ({g.l_size}, {g.m_size})"
@@ -675,12 +758,13 @@ def _guided(
             HittingSet(frozenset()), TrianglePacking._trusted(frozenset()), "empty"
         )
     if g.l_size == 0 or g.m_size == 0:
-        return _single_clique_certificate(g)
+        # the graph is one clique, and T1 splits it into its halves
+        side = g.side_m() if g.l_size == 0 else g.side_l()
+        return _finish(pack_clique(side).triangles, "degenerate-clique", build_T1(g))
 
     ctx = _Ctx.of(g, G) if ctx is None else ctx
-    ell, m, xl, xm = ctx.ell, ctx.m, ctx.xl, ctx.xm
-
-    def swapped() -> Certificate:
+    case, leaf = _route(ctx.ell, ctx.m, ctx.xl, ctx.xm)
+    if leaf == "swap":
         sg = swap_sides(g)[0]
         sctx = _Ctx.of(sg)
         if "t1" in vars(ctx):
@@ -688,122 +772,27 @@ def _guided(
             # half, so T1 is invariant: relabel the T1 already built
             sctx.t1 = _reversed_hitting(ctx.t1, g.n)
         return _reversed(_guided(sg, sctx.G, sctx, depth + 1), g.n)
-
+    if leaf in ("small", "balanced-even"):
+        return _deferred(ctx, f"{case}-{leaf}")
     try:
-        if xl >= ell:
-            if ell == 1:
-                if m <= 3:
-                    return _deferred(ctx, "3.1-l1-small")
-                if xl == 1:
-                    return _finish(_build("P1", ctx), "3.1-l1-P1", ctx.t1)
-                return _finish(_build("P2", ctx), "3.1-l1-P2", ctx.t1)
-            if m == 1 or ell > m:
-                return swapped()
-            if xl <= m:
-                return _guided_case1(ctx)
-            return _guided_case2(ctx)
-        # x_ell < ell
-        if ell + xm > m + xl:
-            return swapped()
-        if xm + xl < ell - xl:
-            t2 = build_T2(g)
-            tris = _build("P13", ctx)
-            if len(t2) <= 2 * len(tris):
-                return _finish(tris, "3.2.1-P13", t2)
-            return _deferred(ctx, "3.2.1-small")
-        return _guided_322(ctx, swapped)
+        if leaf == "P9":
+            try:
+                tris = _build("P9", ctx)
+            except RecipeInapplicable:
+                leaf, tris = "P2", _build("P2", ctx)
+        else:
+            tris = _build("P7" if leaf == "P7-refined" else leaf, ctx)
     except RecipeInapplicable as exc:
         raise CertificationFailure("guided", f"recipe preconditions failed: {exc}")
-
-
-def _guided_case1(ctx: _Ctx) -> Certificate:
-    """x_ell >= ell, 2 <= ell <= m, x_ell <= m."""
-    ell, m, xl, xm = ctx.ell, ctx.m, ctx.xl, ctx.xm
-    t1 = ctx.t1
-    if xm - m >= ell:
-        if xm < 2 * m or ell >= 3:
-            return _finish(_build("P3", ctx), "3.1-case1-P3", t1)
-        # ell == 2, x_m == 2m
-        if m == 2:
-            return _deferred(ctx, "3.1-case1-small")
-        if xl == 2:
-            return _finish(_build("P3", ctx), "3.1-case1-P3", t1)
-        if xl == 3:
-            return _finish(_build("P4", ctx), "3.1-case1-P4", t1)
-        # x_ell == 4 == 2*ell <= m
-        if m >= 5:
-            return _finish(_build("P4", ctx), "3.1-case1-P4", t1)
-        return _finish(_p5_prime(ctx), "3.1-case1-P5'", t1)
-    # min(x_m - m, ell) = x_m - m
-    if xl > ell:
-        return _finish(_build("P3", ctx), "3.1-case1-P3", t1)
-    # x_ell == ell
-    if ell + m == 5:
-        return _finish(_p6(ctx), "3.1-case1-P6", t1)
-    if m - ell >= 1 or ell >= 4:
-        return _finish(_build("P7", ctx), "3.1-case1-P7", t1)
-    if ell == 2:  # ell == m == 2
-        return _deferred(ctx, "3.1-case1-small")
-    # ell == m == x_ell == 3
-    if xm == 3:
-        return _finish(_build("P7", ctx), "3.1-case1-P7-refined", _refined_T1(ctx))
-    return _finish(_build("P8", ctx), "3.1-case1-P8", t1)
-
-
-def _guided_case2(ctx: _Ctx) -> Certificate:
-    """x_ell >= ell, 2 <= ell <= m, x_ell > m."""
-    ell, m, xl, xm = ctx.ell, ctx.m, ctx.xl, ctx.xm
-    t1 = ctx.t1
-    if xm <= m + ell:  # subcase 2.1
-        if m - ell >= 2:
-            return _finish(_build("P3", ctx), "3.1-case2.1-P3", t1)
-        if m - ell == 1:
-            if xl < 2 * ell:
-                return _finish(_build("P3", ctx), "3.1-case2.1-P3", t1)
-            if xm - m <= ell - 1:
-                return _finish(_build("P2", ctx), "3.1-case2.1-P2", t1)
-            # x_m = m + ell: either the cross block is incomplete (T1 is
-            # one edge smaller, realized) or X_ell union X_m is a clique
-            try:
-                return _finish(_build("P9", ctx), "3.1-case2.1-P9", t1)
-            except RecipeInapplicable:
-                return _finish(_build("P2", ctx), "3.1-case2.1-P2", t1)
-        # m == ell
-        if ell % 2 == 0:
-            return _deferred(ctx, "3.1-case2.1-balanced-even")
-        if xl > ell + 1 or xm > ell:
-            return _finish(_p10_prime(ctx), "3.1-case2.1-P10'", t1)
-        return _finish(_build("P11", ctx), "3.1-case2.1-P11", t1)
-    # subcase 2.2: x_m > m + ell (forces m > ell)
-    if m - ell >= 2:
-        return _finish(_build("P12", ctx), "3.1-case2.2-P12", t1)
-    # m = ell + 1, x_m = 2m
-    if xl == 2 * ell:
-        return _finish(_build("P12", ctx), "3.1-case2.2-P12", t1)
-    return _finish(_build("P4", ctx), "3.1-case2.2-P4", t1)
-
-
-def _guided_322(ctx: _Ctx, swapped: Callable[[], Certificate]) -> Certificate:
-    """x_ell < ell, ell + x_m <= m + x_ell, x_m + x_ell >= ell - x_ell."""
-    g = ctx.g
-    prof = (ctx.ell, ctx.m, ctx.xl, ctx.xm)
-    if ctx.ell > 10 or ctx.m > 10:
-        return _finish(_build("P13", ctx), "3.2.2-P13", build_T2(g))
-    report = evaluate_case_functions(profile(g))
-    if report.passing:
-        rid = F_RECIPE_IDS[max(report.passing, key=lambda i: (report.f_values[i], -i))]
-        return _finish(_build(rid, ctx), f"3.2.2-{rid}", build_T2(g))
-    # the exceptional profiles, each settled as casesearch.EXCEPTIONAL_ROUTES says
-    route = EXCEPTIONAL_ROUTES.get(prof)
-    if route is None:
-        raise CertificationFailure(
-            "3.2.2-unexpected-exceptional", f"no construction for profile {prof}"
-        )
-    if route == "deferred":
-        return _deferred(ctx, "3.2.2-small")
-    if route == "swap":
-        return swapped()
-    return _finish(_build(route, ctx), f"3.2.2-{route}", build_T2(g))
+    if leaf == "P7-refined":
+        hitting = _refined_T1(ctx)
+    elif ctx.xl >= ctx.ell:
+        hitting = ctx.t1
+    else:
+        hitting = build_T2(g)
+        if case == "3.2.1" and len(hitting) > 2 * len(tris):
+            return _deferred(ctx, "3.2.1-small")
+    return _finish(tris, f"{case}-{leaf}", hitting)
 
 
 def _portfolio_core(

@@ -196,14 +196,14 @@ class FuzzOutcome:
     line: str
 
 
-def _fuzz_one(task: tuple[int, int, int, tuple[int, ...], int]) -> FuzzOutcome:
+def _fuzz_one(task: tuple[int, int, int, tuple[int, ...], int, int]) -> FuzzOutcome:
     """Certify one instance.  Raises nothing: failures, unexpected
     exceptions included, become failed outcomes so the pool survives them."""
-    idx, l_size, m_size, thresholds, oracle_max = task
+    idx, l_size, m_size, thresholds, oracle_max, budget = task
     g = build_cochain(l_size, m_size, thresholds)
     head = f"instance={idx} profile={profile(g).as_tuple()}"
     try:
-        failed, checked, text = _fuzz_report(g, oracle_max)
+        failed, checked, text = _fuzz_report(g, oracle_max, budget)
     except (PreconditionError, CertificationFailure) as exc:
         failed, checked, text = True, False, f"FAIL reason={exc}"
     except Exception as exc:
@@ -212,17 +212,17 @@ def _fuzz_one(task: tuple[int, int, int, tuple[int, ...], int]) -> FuzzOutcome:
     return FuzzOutcome(failed, checked, f"{head} {text}")
 
 
-def _fuzz_report(g: CoChainGraph, oracle_max: int) -> tuple[bool, bool, str]:
+def _fuzz_report(g: CoChainGraph, oracle_max: int, budget: int) -> tuple[bool, bool, str]:
     """(failed, oracle-checked, text) of the verified guided certificate of
-    g, cross-checked by the oracles on graphs with at most oracle_max
-    vertices."""
+    g, cross-checked by the oracles, each with the node budget, on graphs
+    with at most oracle_max vertices."""
     cert = certify(g, "guided")
     if not cert.ratio_ok:
         return True, False, f"FAIL reason=ratio h={cert.h_size} p={cert.p_size}"
     checked = False
     oracle_note = "skipped"
     if g.n <= oracle_max:
-        G, budget = g.to_general(), oracle_budget()
+        G = g.to_general()
         r_tau, r_nu = exact_tau(G, budget), exact_nu(G, budget)
         if r_tau.proven and r_nu.proven:
             sound = (
@@ -247,8 +247,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.count < 1 or args.max_half < 1:
         print("fuzz: count and max half-size must be positive", file=sys.stderr)
         return EXIT_PRECONDITION
+    try:
+        budget = oracle_budget()
+    except PreconditionError as exc:
+        print(f"fuzz: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     tasks = [
-        (i, g.l_size, g.m_size, g.thresholds, args.oracle_max)
+        (i, g.l_size, g.m_size, g.thresholds, args.oracle_max, budget)
         for i, g in enumerate(fuzz_instances(args.seed, args.count, args.max_half))
     ]
     # the pool starts all its workers up front, so ask for no more than can

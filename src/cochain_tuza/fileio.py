@@ -40,8 +40,10 @@ def write_general(path: str | Path, g: GeneralGraph) -> None:
 
 def _read_object(path: str | Path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers text that is not UTF-8 and JSON that does not
+        # parse; RecursionError, arrays or objects nested too deeply
         raise GraphFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError(f"{path}: expected a JSON object")

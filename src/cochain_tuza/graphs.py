@@ -290,44 +290,6 @@ class CoChainGraph:
         """The graph on vertices 0..n-1, with ``adjacency_masks``."""
         return GeneralGraph._from_masks(tuple(self.adjacency_masks()))
 
-    # -- even-sided structure ------------------------------------------------
-
-    def _require_even(self) -> None:
-        if self.l_size % 2 or self.m_size % 2:
-            raise ValueError(
-                f"even side sizes required, got ({self.l_size}, {self.m_size})"
-            )
-
-    def l_top(self) -> tuple[int, ...]:
-        self._require_even()
-        return tuple(range(self.l_size // 2))
-
-    def l_bot(self) -> tuple[int, ...]:
-        self._require_even()
-        return tuple(range(self.l_size // 2, self.l_size))
-
-    def m_top(self) -> tuple[int, ...]:
-        self._require_even()
-        return tuple(range(self.l_size, self.l_size + self.m_size // 2))
-
-    def m_bot(self) -> tuple[int, ...]:
-        self._require_even()
-        return tuple(range(self.l_size + self.m_size // 2, self.n))
-
-    def x_l_vertices(self) -> tuple[int, ...]:
-        """X_ell: c's adjacent to the whole bottom half of the d-side (a prefix)."""
-        self._require_even()
-        m = self.m_size // 2
-        return tuple(i for i, t in enumerate(self.thresholds) if t >= m)
-
-    def x_m_vertices(self) -> tuple[int, ...]:
-        """X_m: d's adjacent to the whole top half of the c-side (a suffix)."""
-        self._require_even()
-        if self.l_size == 0:
-            return self.side_m()
-        t_ell = self.thresholds[self.l_size // 2 - 1]
-        return tuple(range(self.n - t_ell, self.n))
-
 
 def build_cochain(
     l_size: int, m_size: int, thresholds: Iterable[int]
@@ -337,11 +299,15 @@ def build_cochain(
 
 
 def profile(g: CoChainGraph) -> CaseProfile:
-    """Case parameters (ell, m, x_ell, x_m) of an even-sided co-chain graph."""
-    g._require_even()
+    """Case parameters (ell, m, x_ell, x_m) of an even-sided co-chain graph,
+    read off the thresholds: X_ell is the c's with t_i >= m, and X_m the
+    t_ell d's that c_ell sees (all of them when the c-side is empty).
+    ``casesearch.group_intervals`` turns the profile into vertex groups."""
+    if g.l_size % 2 or g.m_size % 2:
+        raise ValueError(f"even side sizes required, got ({g.l_size}, {g.m_size})")
     ell, m = g.l_size // 2, g.m_size // 2
-    x_ell = len(g.x_l_vertices())
-    x_m = len(g.x_m_vertices())
+    x_ell = sum(t >= m for t in g.thresholds)
+    x_m = g.thresholds[ell - 1] if ell else g.m_size
     return CaseProfile(ell, m, x_ell, x_m)
 
 

@@ -26,6 +26,25 @@ def monotone_sequences(length: int, max_value: int) -> Iterator[tuple[int, ...]]
     yield from rec([], max_value)
 
 
+def reference_groups(g: CoChainGraph) -> dict[str, tuple[int, ...]]:
+    """The halves and X sets of an even-sided g from their definitions, not
+    from the package's group table: each half an index range, X_ell the c's
+    adjacent to all of bot-m, X_m the d's adjacent to all of top-ell."""
+    L, n = g.l_size, g.n
+    ell, mid = L // 2, L + g.m_size // 2
+    halves = {
+        "l_top": tuple(range(ell)),
+        "l_bot": tuple(range(ell, L)),
+        "m_top": tuple(range(L, mid)),
+        "m_bot": tuple(range(mid, n)),
+    }
+    return {
+        **halves,
+        "X_ell": tuple(c for c in range(L) if all(g.has_edge(c, d) for d in halves["m_bot"])),
+        "X_m": tuple(d for d in range(L, n) if all(g.has_edge(c, d) for c in halves["l_top"])),
+    }
+
+
 def complete_graph(n: int) -> GeneralGraph:
     return GeneralGraph.from_edges(n, combinations(range(n), 2))
 

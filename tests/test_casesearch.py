@@ -45,7 +45,7 @@ from cochain_tuza.certify import (
 from cochain_tuza.generators import random_cochain
 from cochain_tuza.graphs import CaseProfile, profile, verify_packing
 
-from conftest import random_realization, realize_profile
+from conftest import random_realization, realize_profile, reference_groups
 
 
 def test_search_reproduces_published_tuples():
@@ -236,9 +236,10 @@ def test_recipe_lower_bound_at_most_realized_size():
 
 def _graph_level_groups(g):
     """Every table group, built from the graph's own vertex sets."""
-    lt, lb, mt, mb = (set(s) for s in (g.l_top(), g.l_bot(), g.m_top(), g.m_bot()))
+    ref = reference_groups(g)
+    lt, lb, mt, mb = (set(ref[h]) for h in ("l_top", "l_bot", "m_top", "m_bot"))
     side_l, side_m = set(g.side_l()), set(g.side_m())
-    xl, xm = set(g.x_l_vertices()), set(g.x_m_vertices())
+    xl, xm = set(ref["X_ell"]), set(ref["X_m"])
     d_m, d_2m, c_1 = g.d(g.m_size // 2), g.d(g.m_size), g.c(1)
     return {
         "l_top": lt,

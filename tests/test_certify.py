@@ -18,11 +18,14 @@ from cochain_tuza.certify import (
     _build,
     _Ctx,
     _portfolio_core,
+    _refined_T1,
     _reversed_hitting,
+    _route,
     _term_packings,
     build_T1,
     build_T2,
     certify,
+    oracle_budget,
     swap_sides,
 )
 from cochain_tuza.cli import main as cli_main
@@ -37,11 +40,11 @@ from cochain_tuza.graphs import (
     verify_hitting,
     verify_packing,
 )
-from cochain_tuza.oracles import exact_nu, exact_tau
+from cochain_tuza.oracles import DEFAULT_BUDGET, exact_nu, exact_tau
 from cochain_tuza.packings import feder_count
 from cochain_tuza.recognition import recognize_cochain
 
-from conftest import monotone_sequences, realize_profile
+from conftest import complete_graph, monotone_sequences, realize_profile, reference_groups
 
 FIGURE_GRAPH = build_cochain(4, 8, (8, 5, 4, 2))
 
@@ -113,24 +116,25 @@ def test_T1_verifies_on_exhaustive_small_instances():
 def _t1_blocks(g):
     """T1 written out from its definition: every within-half edge plus the
     top-ell/bot-m and bot-ell/top-m cross edges of g."""
-    G = g.to_general()
-    edges = {e for half in _halves(g) for e in combinations(half, 2)}
-    edges |= {(u, v) for u in g.l_top() for v in g.m_bot() if G.has_edge(u, v)}
-    edges |= {(u, v) for u in g.l_bot() for v in g.m_top() if G.has_edge(u, v)}
+    G, ref = g.to_general(), reference_groups(g)
+    edges = {e for half in _halves(ref) for e in combinations(half, 2)}
+    edges |= {(u, v) for u in ref["l_top"] for v in ref["m_bot"] if G.has_edge(u, v)}
+    edges |= {(u, v) for u in ref["l_bot"] for v in ref["m_top"] if G.has_edge(u, v)}
     return edges
 
 
 def _t2_blocks(g):
     """T2 written out from its definition: every within-half edge plus all
     X_ell/bot-m and X_m/top-ell edges."""
-    edges = {e for half in _halves(g) for e in combinations(half, 2)}
-    edges |= {(u, v) for u in g.x_l_vertices() for v in g.m_bot()}
-    edges |= {(u, v) for u in g.l_top() for v in g.x_m_vertices()}
+    ref = reference_groups(g)
+    edges = {e for half in _halves(ref) for e in combinations(half, 2)}
+    edges |= {(u, v) for u in ref["X_ell"] for v in ref["m_bot"]}
+    edges |= {(u, v) for u in ref["l_top"] for v in ref["X_m"]}
     return edges
 
 
-def _halves(g):
-    return g.l_top(), g.l_bot(), g.m_top(), g.m_bot()
+def _halves(ref):
+    return ref["l_top"], ref["l_bot"], ref["m_top"], ref["m_bot"]
 
 
 def test_T1_and_T2_equal_their_block_definitions_exhaustively():
@@ -144,7 +148,8 @@ def test_T1_and_T2_equal_their_block_definitions_exhaustively():
             g = build_cochain(l_size, m_size, t)
             t1 = build_T1(g)
             assert t1.edges == _t1_blocks(g), g
-            a = set(g.l_top() + g.m_bot())
+            ref = reference_groups(g)
+            a = set(ref["l_top"] + ref["m_bot"])
             inside = {(u, v) for u, v in g.to_general().edges if (u in a) == (v in a)}
             assert t1.edges == inside, g
             sg = swap_sides(g)[0]
@@ -311,6 +316,43 @@ def test_refined_T1_drops_exactly_one_edge():
     assert cert.h_size == len(t1) - 1
 
 
+def test_route_settles_every_profile_up_to_30_from_the_profile_alone():
+    # every valid profile with 1 <= ell, m <= 30: the leaf is in the
+    # vocabulary, a table recipe's precondition holds and its hitting set
+    # follows the section, and a swap lands on a profile that does not swap
+    kinds = Counter()
+    for ell, m in product(range(1, 31), repeat=2):
+        for xl, xm in product(range(2 * ell + 1), range(2 * m + 1)):
+            if (xl >= ell) != (xm >= m):
+                continue
+            case, leaf = _route(ell, m, xl, xm)
+            assert case.startswith("3.1") == (xl >= ell), (ell, m, xl, xm, case)
+            if leaf in RECIPES:
+                recipe = RECIPES[leaf]
+                assert recipe.applies is None or recipe.applies(ell, m, xl, xm), leaf
+                assert (recipe.hitting == "T1") == (xl >= ell), (ell, m, xl, xm, leaf)
+                kinds["table"] += 1
+            elif leaf in _CODE_RECIPES:
+                kinds["code"] += 1
+            elif leaf == "swap":
+                assert _route(m, ell, xm, xl)[1] != "swap", (ell, m, xl, xm)
+                kinds["swap"] += 1
+            else:
+                assert leaf in ("small", "balanced-even", "P7-refined"), leaf
+                kinds[leaf] += 1
+    assert sum(kinds.values()) == 461250
+    assert set(kinds) == {"table", "code", "swap", "small", "balanced-even", "P7-refined"}
+
+
+def test_refined_T1_refuses_a_triangle_outside_the_safe_halves():
+    # on a host where c_ell d_{m+1} has common neighbours outside top-ell and
+    # bot-m, dropping it would leave a triangle: the first such vertex is named
+    ctx = _Ctx.of(build_cochain(6, 6, (3, 3, 3, 2, 1, 0)))
+    ctx.G = complete_graph(12)
+    with pytest.raises(CertificationFailure, match="via vertex 3 is uncovered"):
+        _refined_T1(ctx)
+
+
 def test_guided_exhaustive_small_profiles():
     for l_size, m_size in product((2, 4), (2, 4, 6)):
         for t in monotone_sequences(l_size, m_size):
@@ -395,6 +437,21 @@ def test_exact_mode_budget_exhaustion_is_reported(monkeypatch):
     g = build_cochain(4, 6, (6, 6, 6, 6))
     with pytest.raises(CertificationFailure, match="budget"):
         certify(g, "exact")
+
+
+@pytest.mark.parametrize("value, budget", [("", DEFAULT_BUDGET), ("0", 0), (" 7 ", 7)])
+def test_oracle_budget_reads_a_nonnegative_integer(monkeypatch, value, budget):
+    monkeypatch.setenv("COCHAIN_TUZA_ORACLE_BUDGET", value)
+    assert oracle_budget() == budget
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "2.0"])
+def test_oracle_budget_rejects_other_values_naming_the_variable(monkeypatch, value):
+    monkeypatch.setenv("COCHAIN_TUZA_ORACLE_BUDGET", value)
+    with pytest.raises(PreconditionError, match="COCHAIN_TUZA_ORACLE_BUDGET"):
+        oracle_budget()
+    with pytest.raises(PreconditionError, match="COCHAIN_TUZA_ORACLE_BUDGET"):
+        certify(build_cochain(2, 2, (2, 2)), "exact")
 
 
 def test_unknown_mode_rejected():

@@ -147,6 +147,38 @@ def test_certify_rejects_non_integer_graph_fields(tmp_path, doc):
     assert run(["certify", str(graph)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # nested past the decoder's recursion limit
+    ],
+    ids=["not-utf8", "nested-too-deeply"],
+)
+def test_certify_rejects_undecodable_files_as_parse_errors(tmp_path, data):
+    graph = tmp_path / "g.json"
+    graph.write_bytes(data)
+    with pytest.raises(GraphFormatError, match="not valid JSON"):
+        read_graph(graph)
+    assert run(["certify", str(graph)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_malformed_oracle_budget_is_a_precondition_error(
+    tmp_path, monkeypatch, capsys, value
+):
+    # reported once, naming the variable, before any instance is counted
+    monkeypatch.setenv("COCHAIN_TUZA_ORACLE_BUDGET", value)
+    assert run(["fuzz", "--count", "3", "--max", "2"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("COCHAIN_TUZA_ORACLE_BUDGET") == 1
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"l_size": 2, "m_size": 2, "thresholds": [2, 2]}))
+    assert run(["certify", str(graph), "--mode", "exact"]) == EXIT_PRECONDITION
+    assert "COCHAIN_TUZA_ORACLE_BUDGET" in capsys.readouterr().err
+
+
 def test_certify_general_graph_via_recognition(tmp_path):
     # the certificate must be expressed in the input file's own labels
     graph = tmp_path / "g.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cochain_tuza.casesearch import group_intervals
 from cochain_tuza.generators import random_cochain
 from cochain_tuza.graphs import (
     CaseProfile,
@@ -18,7 +19,12 @@ from cochain_tuza.graphs import (
     verify_packing,
 )
 
-from conftest import brute_triangles, complete_graph, monotone_sequences
+from conftest import (
+    brute_triangles,
+    complete_graph,
+    monotone_sequences,
+    reference_groups,
+)
 
 FIGURE_GRAPH = build_cochain(4, 8, (8, 5, 4, 2))
 
@@ -251,24 +257,18 @@ def test_hitting_set_normalizes_edges():
 
 
 def test_x_m_shortcut_equals_direct_set_computation():
-    # x_m = t_ell must match the membership definition of X_m
+    # profile() reads x_m = t_ell and x_ell = #{t_i >= m} off the thresholds;
+    # the group table's X sets must match the membership definitions
     for l_size, m_size in ((2, 2), (2, 4), (4, 4), (4, 6), (6, 4)):
         for t in monotone_sequences(l_size, m_size):
             g = build_cochain(l_size, m_size, t)
-            G = g.to_general()
-            l_top = g.l_top()
-            direct = [
-                v
-                for v in g.side_m()
-                if all(G.has_edge(v, c) for c in l_top)
-            ]
-            assert tuple(direct) == g.x_m_vertices()
-            direct_xl = [
-                v
-                for v in g.side_l()
-                if all(G.has_edge(v, d) for d in g.m_bot())
-            ]
-            assert tuple(direct_xl) == g.x_l_vertices()
+            p = profile(g)
+            ref = reference_groups(g)
+            groups = group_intervals(*p.as_tuple())
+            (lo, hi), = groups["X_m"]
+            assert ref["X_m"] == tuple(range(lo, hi)) and len(ref["X_m"]) == p.x_m
+            (lo, hi), = groups["X_ell"]
+            assert ref["X_ell"] == tuple(range(lo, hi)) and len(ref["X_ell"]) == p.x_ell
 
 
 def test_x_iff_property_exhaustive():
