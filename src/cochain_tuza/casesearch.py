@@ -41,21 +41,19 @@ list of 12 exceptional tuples; the audit report also evaluates the others.
 three conditions leave, in the filter's order, so the search and the
 audit's 3.2.2 chain visit only domain profiles; the tests check the two
 against each other on every row up to 40.  Two scorers turn group sizes
-into f-values.  The reference,
-``evaluate_case_functions``, reads the group table at its one profile and
-sums each recipe's term bounds, every distinct term scored once.
-``search_exceptional`` tabulates its strategy's bounds up to 2*limit (no
-group is larger) and scores whole rows.  On the box 0 <= x_ell <= ell,
-0 <= x_m <= m every max and min of ``group_intervals`` resolves one way,
-so each group size is affine in (x_ell, x_m): ``_size_planes`` reads the
-group table at (0, 0), (1, 0) and (0, 1) per (ell, m), and at
-(ell - 1, m - 1) as a guard that raises RuntimeError if the argument
-fails.  ``_compile_row`` scores every term whose groups do not vary on the
-row into its recipes' constants and keeps the others as (base, per x_ell,
-per x_m) planes; each profile then walks the recipes in order, scoring
-only the varying terms of the recipe at hand, and stops at the first that
-passes (almost always P13, whose two half-packings are row constants).
-Nothing is kept between calls.
+into f-values.  The reference, ``evaluate_case_functions``, reads the group
+table at its one profile and sums each recipe's term bounds, every distinct
+term scored once.  ``search_exceptional`` tabulates its strategy's bounds
+up to 2*limit (no group is larger) and scores whole rows: each group size
+is one affine form in (ell, m, x_ell, x_m) on the box x_ell <= ell,
+x_m <= m, fixed by five reads of the group table per call, so which
+f-recipe terms vary with (x_ell, x_m) is decided once per call.  A row
+evaluates the forms at (ell, m), checks them by one more read, scores its
+constant terms and keeps the others as (base, per x_ell, per x_m) planes;
+each profile then walks the recipes in order, scoring only the varying
+terms of the recipe at hand, and stops at the first that passes (almost
+always P13, whose two half-packings are row constants).  Nothing is kept
+between calls.
 
 ``audit_inequalities`` replays every displayed inequality chain of the case
 analysis step by step over its case-condition range, in exact arithmetic,
@@ -372,56 +370,79 @@ def recipe_lower_bound(
     return sum(recipe_term_bounds(recipe, p, strategy))
 
 
+# the size forms of GROUP_NAMES and, per f-recipe, its constant and its
+# varying terms, each term as in _COMPILED
+_Terms = tuple[tuple[int, ...], ...]
+_Plan = tuple[list[tuple[int, ...]], tuple[tuple[_Terms, _Terms], ...]]
 # a compiled row: per f-recipe, (constant, varying clique planes, varying
 # (apex, clique) plane pairs); a plane is (base, per x_ell, per x_m)
 _Plane = tuple[int, int, int]
 _Row = tuple[tuple[int, tuple[_Plane, ...], tuple[tuple[_Plane, _Plane], ...]], ...]
 
 
-def _compile_row(
-    sizes: list[int],
-    moving: dict[int, _Plane],
-    clique6: list[int],
-    side6: list[list[int]],
-) -> _Row:
-    """Each f-recipe's terms on one (ell, m) row, split by gradient.
+def _size_forms() -> list[tuple[int, ...]]:
+    """Every group size of GROUP_NAMES as an affine form (c, a, b, p, q):
+    the size c + a*ell + b*m + p*x_ell + q*x_m.
 
-    ``sizes`` are the group sizes of GROUP_NAMES at the row's base point,
-    ``moving`` maps each group whose size varies on the row to its (base,
-    per x_ell, per x_m) plane, and ``clique6[n]``/``side6[s][k]`` are one
-    strategy's term bounds, tabulated.  A term with no moving group is
-    constant on the row: it is scored here, once even where several recipes
-    share it, into each of its recipes' constants.  The other terms are kept
-    as planes, which ``search_exceptional`` interpolates per profile.
+    On the closed box 0 <= x_ell <= ell, 0 <= x_m <= m every max and min in
+    ``group_intervals`` resolves one way: max(x_ell, ell) = ell,
+    min(x_ell, ell) = x_ell and max(2*ell + m, n - x_m) = n - x_m.  So each
+    size is one affine form there, the same on every (ell, m) row, and five
+    reads of the table fix it: at (1, 1, 0, 0) and one step along each
+    parameter.  ``_compile_row`` checks the forms on every row.
     """
-    # each distinct term's bound if it is constant on the row, else None
-    scored = [
-        None
-        if t[0] in moving or t[-1] in moving
-        else clique6[sizes[t[0]]]
-        if len(t) == 1
-        else side6[sizes[t[0]]][sizes[t[1]]]
-        for t in _F_TERM_GROUPS
+    base = _group_sizes(1, 1, 0, 0)
+    steps = [
+        _group_sizes(*point)
+        for point in ((2, 1, 0, 0), (1, 2, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1))
     ]
+    forms = []
+    for g, size in enumerate(base):
+        a, b, p, q = [step[g] - size for step in steps]
+        forms.append((size - a - b, a, b, p, q))
+    return forms
+
+
+def _row_plan() -> _Plan:
+    """The size forms, and each f-recipe's terms split once for all rows: a
+    term varies when one of its groups has a nonzero x_ell or x_m
+    coefficient, and is constant on every row otherwise."""
+    forms = _size_forms()
+    moving = {g for g, (*_, p, q) in enumerate(forms) if p or q}
+    return forms, tuple(
+        (
+            tuple(t for t in _COMPILED[rid] if moving.isdisjoint(t)),
+            tuple(t for t in _COMPILED[rid] if not moving.isdisjoint(t)),
+        )
+        for rid in F_RECIPE_IDS
+    )
+
+
+def _compile_row(
+    ell: int, m: int, plan: _Plan, clique6: list[int], side6: list[list[int]]
+) -> _Row:
+    """Each f-recipe's terms on the (ell, m) row, split as ``plan`` says.
+
+    The forms, evaluated at (ell, m), are checked by one read of the group
+    table at (ell - 1, m - 1): a table that breaks the argument of
+    ``_size_forms`` raises RuntimeError.  Constant terms are scored from one
+    strategy's bound tables ``clique6[n]``/``side6[s][k]``; varying terms
+    are kept as planes, which ``search_exceptional`` interpolates.
+    """
+    forms, split = plan
+    planes = [(c + a * ell + b * m, p, q) for c, a, b, p, q in forms]
+    xl, xm = ell - 1, m - 1
+    if _group_sizes(ell, m, xl, xm) != [s + p * xl + q * xm for s, p, q in planes]:
+        raise RuntimeError(f"group sizes are not affine in (x_ell, x_m) at {ell, m}")
     row = []
-    for terms in _F_TERMS:
+    for fixed, vary in split:
         const = 0
-        vary_cliques: tuple[_Plane, ...] = ()
-        vary_sides: tuple[tuple[_Plane, _Plane], ...] = ()
-        for i in terms:
-            bound = scored[i]
-            if bound is not None:
-                const += bound
-                continue
-            t = _F_TERM_GROUPS[i]
-            if len(t) == 1:
-                vary_cliques += (moving[t[0]],)
-            else:
-                s, k = t
-                ps = moving.get(s, (sizes[s], 0, 0))
-                pk = moving.get(k, (sizes[k], 0, 0))
-                vary_sides += ((ps, pk),)
-        row.append((const, vary_cliques, vary_sides))
+        for t in fixed:
+            size = planes[t[0]][0]
+            const += clique6[size] if len(t) == 1 else side6[size][planes[t[1]][0]]
+        cliques = tuple([planes[t[0]] for t in vary if len(t) == 1])
+        sides = tuple([(planes[t[0]], planes[t[1]]) for t in vary if len(t) == 2])
+        row.append((const, cliques, sides))
     return tuple(row)
 
 
@@ -499,64 +520,27 @@ def constrained_profiles(limit: int) -> Iterator[CaseProfile]:
     return (CaseProfile(*t) for t in _search_domain(limit))
 
 
-def _size_planes(ell: int, m: int) -> tuple[list[int], dict[int, _Plane]]:
-    """Every group size at (ell, m) as a plane in (x_ell, x_m): the sizes at
-    x_ell = x_m = 0, in the order of GROUP_NAMES, and the (base, per x_ell,
-    per x_m) plane of each group whose size varies.
-
-    On the closed box 0 <= x_ell <= ell, 0 <= x_m <= m every max and min in
-    ``group_intervals`` resolves one way: max(x_ell, ell) = ell,
-    min(x_ell, ell) = x_ell and max(2*ell + m, n - x_m) = n - x_m.  So each
-    size is affine in (x_ell, x_m) there, and three reads of the table fix
-    it: at (0, 0), (1, 0) and (0, 1).  A fourth read at the far corner
-    (ell - 1, m - 1) guards the argument; a table that breaks it raises
-    RuntimeError.
-    """
-    base = _group_sizes(ell, m, 0, 0)
-    moving = {
-        g: (b, at_l - b, at_m - b)
-        for g, (b, at_l, at_m) in enumerate(
-            zip(base, _group_sizes(ell, m, 1, 0), _group_sizes(ell, m, 0, 1))
-        )
-        if at_l != b or at_m != b
-    }
-    xl, xm = ell - 1, m - 1
-    if _group_sizes(ell, m, xl, xm) != _sizes_at(base, moving, xl, xm):
-        raise RuntimeError(f"group sizes are not affine in (x_ell, x_m) at {ell, m}")
-    return base, moving
-
-
-def _sizes_at(base: list[int], moving: dict[int, _Plane], xl: int, xm: int) -> list[int]:
-    """The group sizes at (x_ell, x_m) on a row given by ``_size_planes``."""
-    sizes = list(base)
-    for g, (b, a, c) in moving.items():
-        sizes[g] = b + xl * a + xm * c
-    return sizes
-
-
 def search_exceptional(
     limit: int = 10, strategy: BoundStrategy = DEFAULT_STRATEGY
 ) -> set[CaseProfile]:
     """Profiles in the constrained domain where every f_i fails (<= -3).
 
-    The strategy's term bounds are tabulated once per call up to 2*limit,
-    the largest group size in the domain.  Each (ell, m) row is compiled
-    once: ``_size_planes`` reads the group table four times, every term
-    whose groups do not vary on the row is scored from the tables into its
-    recipe's constant, and 3|T2| is taken at x_ell = x_m = 0, so a profile
-    adds only 3*(m*x_ell + ell*x_m - x_ell*x_m).  Each profile then walks
-    the recipes in order, interpolating and scoring only the varying terms
-    of the recipe it is evaluating, and stops at the first recipe that
-    passes.
+    The strategy's term bounds (up to 2*limit, the largest group size) and
+    ``_row_plan`` are made once per call, each (ell, m) row is compiled
+    once, and 3|T2| is taken at x_ell = x_m = 0, so a profile adds only
+    3*(m*x_ell + ell*x_m - x_ell*x_m).  Each profile walks the recipes in
+    order, scoring only the varying terms of the recipe at hand, and stops
+    at the first recipe that passes.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
     top = 2 * limit + 1
     clique6 = [_clique_bound6(strategy, n) for n in range(top)]
     side6 = [[_side_bound6(strategy, s, k) for k in range(top)] for s in range(top)]
+    plan = _row_plan()
     found = set()
     for ell, m in product(range(1, limit + 1), repeat=2):
-        row = _compile_row(*_size_planes(ell, m), clique6, side6)
+        row = _compile_row(ell, m, plan, clique6, side6)
         row_t2_3 = 3 * _t2_size(ell, m, 0, 0)
         for xl, xm in _row_domain(ell, m):
             t2_3 = row_t2_3 + 3 * (m * xl + ell * xm - xl * xm)

@@ -403,6 +403,11 @@ class _Ctx:
         """``build_T1(g)``, built at most once per context."""
         return build_T1(self.g)
 
+    @cached_property
+    def t2(self) -> HittingSet:
+        """``build_T2(g)``, built at most once per context."""
+        return build_T2(self.g)
+
 
 def _recipe_context(g: CoChainGraph, G: GeneralGraph) -> _Ctx | None:
     """The context of g, or None when g has an odd or an empty side and so
@@ -745,7 +750,7 @@ def _guided(
     whether P9 applies (else P2, the cross block then being incomplete),
     whether the refined T1 covers the triangles through its dropped edge,
     and whether P13 reaches the ratio in 3.2.1 (else the portfolio).
-    ctx, if given, is the context of g; its T1 is reused.
+    ctx, if given, is the context of g; its T1 and T2 are reused.
     """
     if depth > 1:
         raise RuntimeError("guided dispatch swapped sides twice")
@@ -767,10 +772,12 @@ def _guided(
     if leaf == "swap":
         sg = swap_sides(g)[0]
         sctx = _Ctx.of(sg)
+        # the swap maps each side's top half onto the other side's bottom half
+        # and X_ell onto X_m: relabel the T1 and T2 already built
         if "t1" in vars(ctx):
-            # the swap maps each side's top half onto the other side's bottom
-            # half, so T1 is invariant: relabel the T1 already built
             sctx.t1 = _reversed_hitting(ctx.t1, g.n)
+        if "t2" in vars(ctx) and sctx.xl < sctx.ell:
+            sctx.t2 = _reversed_hitting(ctx.t2, g.n)
         return _reversed(_guided(sg, sctx.G, sctx, depth + 1), g.n)
     if leaf in ("small", "balanced-even"):
         return _deferred(ctx, f"{case}-{leaf}")
@@ -789,7 +796,7 @@ def _guided(
     elif ctx.xl >= ctx.ell:
         hitting = ctx.t1
     else:
-        hitting = build_T2(g)
+        hitting = ctx.t2
         if case == "3.2.1" and len(hitting) > 2 * len(tris):
             return _deferred(ctx, "3.2.1-small")
     return _finish(tris, f"{case}-{leaf}", hitting)
@@ -801,7 +808,7 @@ def _portfolio_core(
     """Best hitting set and best packing over every applicable construction
     on g, whose general form is G; unverified, and the ratio may fail.
 
-    ctx, if given, is the context of g; its T1 is reused.
+    ctx, if given, is the context of g; its T1 and T2 are reused.
     """
     hittings: list[tuple[str, HittingSet]] = []
     packings: list[tuple[str, list[Triangle]]] = [("trivial", [])]
@@ -819,7 +826,7 @@ def _portfolio_core(
     if ctx is not None:
         hittings.append(("T1", ctx.t1))
         if ctx.xl < ctx.ell:
-            hittings.append(("T2", build_T2(g)))
+            hittings.append(("T2", ctx.t2))
         for rid in (*RECIPES, *_CODE_RECIPES):
             try:
                 tris = _build(rid, ctx)

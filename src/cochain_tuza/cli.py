@@ -59,8 +59,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return EXIT_PRECONDITION
     try:
         if args.thresholds is not None:
-            thresholds = [int(x) for x in args.thresholds.split(",")] if args.thresholds else []
-            g = build_cochain(l_size, m_size, thresholds)
+            g = build_cochain(l_size, m_size, args.thresholds)
         elif args.complete:
             g = complete_join(l_size, m_size)
         elif args.disjoint:
@@ -72,12 +71,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return EXIT_PRECONDITION
     try:
         if args.out == "-":
-            doc = {
-                "l_size": g.l_size,
-                "m_size": g.m_size,
-                "thresholds": list(g.thresholds),
-            }
-            sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+            sys.stdout.write(json.dumps(fileio.cochain_document(g), indent=2) + "\n")
         else:
             fileio.write_cochain(args.out, g)
     except OSError as exc:
@@ -275,6 +269,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
+def _int_list(text: str) -> list[int]:
+    """Comma-separated integers; the empty string is the empty list."""
+    try:
+        return [int(x) for x in text.split(",")] if text else []
+    except ValueError:
+        msg = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cochain-tuza",
@@ -286,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--l-size", type=int, required=True)
     p_gen.add_argument("--m-size", type=int, required=True)
     kind = p_gen.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--thresholds", help="comma-separated nonincreasing values")
+    kind.add_argument(
+        "--thresholds", type=_int_list, help="comma-separated nonincreasing values"
+    )
     kind.add_argument("--random", action="store_true")
     kind.add_argument("--complete", action="store_true")
     kind.add_argument("--disjoint", action="store_true")

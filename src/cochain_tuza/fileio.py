@@ -24,13 +24,16 @@ class GraphFormatError(ValueError):
     document."""
 
 
-def write_cochain(path: str | Path, g: CoChainGraph) -> None:
-    doc = {
+def cochain_document(g: CoChainGraph) -> dict:
+    return {
         "l_size": g.l_size,
         "m_size": g.m_size,
         "thresholds": list(g.thresholds),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def write_cochain(path: str | Path, g: CoChainGraph) -> None:
+    Path(path).write_text(json.dumps(cochain_document(g), indent=2) + "\n")
 
 
 def write_general(path: str | Path, g: GeneralGraph) -> None:

@@ -30,9 +30,9 @@ from cochain_tuza.casesearch import (
     _domain_violation,
     _group_sizes,
     _row_domain,
+    _row_plan,
     _side_bound6,
-    _size_planes,
-    _sizes_at,
+    _size_forms,
 )
 from cochain_tuza.certify import (
     RecipeInapplicable,
@@ -73,17 +73,30 @@ def test_table_search_agrees_with_the_report_path():
 
 
 def test_interpolated_sizes_equal_the_table_everywhere():
-    # 19,519 search-domain profiles up to 20, each read directly
-    planes = {}
+    # every point of the closed box 0 <= x_ell <= ell, 0 <= x_m <= m with
+    # ell, m <= 20 (52,900 points), each read directly
+    forms = _size_forms()
     count = 0
-    for p in constrained_profiles(20):
-        ell, m, xl, xm = p.as_tuple()
-        if (ell, m) not in planes:
-            planes[ell, m] = _size_planes(ell, m)
-        sizes = _sizes_at(*planes[ell, m], xl, xm)
-        assert sizes == _group_sizes(ell, m, xl, xm), p
-        count += 1
-    assert count == 19_519
+    for ell, m in product(range(1, 21), repeat=2):
+        for xl, xm in product(range(ell + 1), range(m + 1)):
+            sizes = [c + a * ell + b * m + p * xl + q * xm for c, a, b, p, q in forms]
+            assert sizes == _group_sizes(ell, m, xl, xm), (ell, m, xl, xm)
+            count += 1
+    assert count == 52_900
+
+
+def test_search_reads_the_group_table_five_times_plus_once_per_row(monkeypatch):
+    table = casesearch.group_intervals
+    reads = 0
+
+    def counted(ell, m, xl, xm):
+        nonlocal reads
+        reads += 1
+        return table(ell, m, xl, xm)
+
+    monkeypatch.setattr(casesearch, "group_intervals", counted)
+    search_exceptional(20)
+    assert reads == 5 + 20 * 20
 
 
 def test_row_code_agrees_with_the_report_path():
@@ -93,6 +106,7 @@ def test_row_code_agrees_with_the_report_path():
     # profile) summed here, minus 3|T2|
     profiles = [p.as_tuple() for p in constrained_profiles(20)]
     sizes = {tup: _group_sizes(*tup) for tup in profiles}
+    plan = _row_plan()
     for strategy in ALL_STRATEGIES:
         clique_t = [_clique_bound6(strategy, n) for n in range(41)]
         side_t = [[_side_bound6(strategy, s, k) for k in range(41)] for s in range(41)]
@@ -107,7 +121,7 @@ def test_row_code_agrees_with_the_report_path():
         for tup in profiles:
             ell, m, xl, xm = tup
             if (ell, m) not in rows:
-                rows[ell, m] = _compile_row(*_size_planes(ell, m), clique_t, side_t)
+                rows[ell, m] = _compile_row(ell, m, plan, clique_t, side_t)
             t2_3 = 3 * t2_size(CaseProfile(*tup))
             walked = []
             for const, cliques, sides in rows[ell, m]:

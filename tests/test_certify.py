@@ -617,6 +617,28 @@ def test_portfolio_certify_builds_T1_at_most_once(monkeypatch):
     assert swapped >= 50, swapped
 
 
+def test_portfolio_certify_builds_T2_at_most_once(monkeypatch):
+    # the portfolio and guided dispatch share the context's T2, and a side
+    # swap onto a mirror with x_ell < ell relabels the T2 already built
+    certify_module = importlib.import_module("cochain_tuza.certify")
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return build_T2(g)
+
+    monkeypatch.setattr(certify_module, "build_T2", counted)
+    with_t2 = swapped = 0
+    for g in fuzz_instances(1, 300, 8):
+        built.clear()
+        certify(g, "portfolio")
+        assert len(built) <= 1, (g, len(built))
+        if built:
+            with_t2 += 1
+            swapped += "/swapped" in certify(g, "guided").method
+    assert with_t2 >= 50 and swapped >= 10, (with_t2, swapped)
+
+
 def test_portfolio_packs_both_sides_of_an_odd_sided_cochain():
     g = build_cochain(3, 4, (4, 2, 0))
     cert = certify(g, "portfolio")

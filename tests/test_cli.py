@@ -60,6 +60,28 @@ def test_gen_rejects_bad_thresholds(tmp_path):
                 "--thresholds", "1,2", "--out", str(out)]) == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("text", ["3,x", ",", "1,,2", "2.0,1"])
+def test_gen_rejects_malformed_thresholds_as_a_parse_error(tmp_path, capsys, text):
+    # text that is not a list of integers is a usage error (exit 2), like a
+    # co-chain file with float thresholds; a well-formed list that is not
+    # nonincreasing stays a precondition violation (exit 3)
+    with pytest.raises(SystemExit) as exc:
+        run(["gen", "--l-size", "2", "--m-size", "2", "--thresholds", text,
+             "--out", str(tmp_path / "g.json")])
+    assert exc.value.code == EXIT_PARSE
+    assert "comma-separated integers" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_gen_stdout_is_the_file_document(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    args = ["gen", "--l-size", "4", "--m-size", "8", "--thresholds", "8,5,4,2"]
+    assert run([*args, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert run(args) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_certify_figure_instance(tmp_path):
     graph = tmp_path / "g.json"
     cert = tmp_path / "c.json"
