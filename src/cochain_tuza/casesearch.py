@@ -32,8 +32,9 @@ outcome under every variant instead of silently picking one:
 
 The default strategy (exact cliques, even form on) reproduces the published
 list of 12 exceptional tuples; the audit report also evaluates the others.
-``EXCEPTIONAL_ROUTES`` maps each to how the certifier settles it ("P18",
-"P19", "deferred" or "swap"); ``EXPECTED_EXCEPTIONAL`` is its key set.
+``EXCEPTIONAL_ROUTES`` maps each to the certifier's leaf for it (the recipe
+P18 or P19, the "small" deferral or the "swap"); ``EXPECTED_EXCEPTIONAL`` is
+its key set.
 
 ``_domain_violation`` defines the search domain and guards the input of
 ``evaluate_case_functions``.  ``_row_domain`` is its closed form: on each
@@ -83,19 +84,20 @@ from .packings import feder_count
 
 #: the published exceptional profiles, each settled by the recipe P18 or P19,
 #: by the small-instance route the analysis defers to Puleo's results, or by
-#: the side swap onto the mirror (2, 3, 1, 2)
-EXCEPTIONAL_ROUTES: dict[tuple[int, int, int, int], str] = {
-    (1, 2, 0, 1): "deferred",
-    (2, 1, 1, 0): "deferred",
-    (2, 2, 1, 1): "deferred",
-    (2, 5, 1, 4): "P18",
-    (5, 2, 4, 1): "P18",
-    (3, 4, 2, 3): "P18",
-    (4, 3, 3, 2): "P18",
-    (3, 6, 2, 5): "P18",
-    (6, 3, 5, 2): "P18",
-    (2, 3, 1, 2): "P19",
-    (3, 3, 2, 1): "P19",
+#: the side swap onto the mirror (2, 3, 1, 2); each value is the certifier's
+#: leaf for the profile, a recipe leaf being a tuple of recipe ids
+EXCEPTIONAL_ROUTES: dict[tuple[int, int, int, int], str | tuple[str, ...]] = {
+    (1, 2, 0, 1): "small",
+    (2, 1, 1, 0): "small",
+    (2, 2, 1, 1): "small",
+    (2, 5, 1, 4): ("P18",),
+    (5, 2, 4, 1): ("P18",),
+    (3, 4, 2, 3): ("P18",),
+    (4, 3, 3, 2): ("P18",),
+    (3, 6, 2, 5): ("P18",),
+    (6, 3, 5, 2): ("P18",),
+    (2, 3, 1, 2): ("P19",),
+    (3, 3, 2, 1): ("P19",),
     (3, 2, 2, 1): "swap",
 }
 EXPECTED_EXCEPTIONAL: frozenset[tuple[int, int, int, int]] = frozenset(EXCEPTIONAL_ROUTES)

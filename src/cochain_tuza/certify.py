@@ -6,18 +6,21 @@ edge-disjoint triangle packing P; since tau <= |H| and |P| <= nu, the check
 
 Guided mode drives the full case analysis on the profile (ell, m, x_ell,
 x_m).  ``_route`` is that analysis as a function of the profile alone: it
-names the case and the leaf (a recipe, the side swap, a portfolio deferral
-or the refined P7), and ``_guided`` builds the leaf at one site.  The
-hitting set follows the section: for x_ell >= ell (Section 3.1) it is T1
-(the edges inside A = top-ell + bot-m and inside B = bot-ell + top-m),
-paired with P1..P12; for x_ell < ell (Section 3.2) it is T2 (all within-half
-edges plus all X_ell/bot-m and X_m/top-ell edges), paired with P13..P19.
-Both are built as vertex masks in O(n) from ``casesearch.group_intervals``,
-the one statement of the halves and the X sets.  The analysis defers a few
-corners to external results; those are handled here, on every instance, by
-the portfolio, whose witnesses are polished when their ratio fails, never
-by a silent gap.  Guided and portfolio modes call no exact oracle; only
-exact mode does, and only it raises ``BudgetExhausted``.
+names the case and the leaf (an ordered tuple of recipe ids, the side swap,
+a portfolio deferral or the refined P7), and ``_guided`` settles every
+recipe leaf with one loop: the first recipe that builds and reaches
+|H| <= 2|P| is the certificate, else ``CertificationFailure``; no profile
+is scored at run time.  The hitting set follows the section: for x_ell >=
+ell (Section 3.1) it is T1 (the edges inside A = top-ell + bot-m and inside
+B = bot-ell + top-m), paired with P1..P12; for x_ell < ell (Section 3.2) it
+is T2 (all within-half edges plus all X_ell/bot-m and X_m/top-ell edges),
+paired with P13..P19.  Both are built as vertex masks in O(n) from
+``casesearch.group_intervals``, the one statement of the halves and the X
+sets.  The analysis defers a few corners to external results; those are
+handled here, on every instance, by the portfolio, whose witnesses are
+polished when their ratio fails, never by a silent gap.  Guided and
+portfolio modes call no exact oracle; only exact mode does, and only it
+raises ``BudgetExhausted``.
 
 The recipes that are plain unions of clique and apex packings are declared
 once, in ``casesearch.RECIPES``, and the case search derives its
@@ -58,12 +61,11 @@ from .casesearch import (
     RECIPES,
     Clique,
     Intervals,
-    evaluate_case_functions,
+    evaluate_case_functions,  # noqa: F401  (perfbench's trace wraps it on this module)
     group_intervals,
     t2_size,
 )
 from .graphs import (
-    CaseProfile,
     CoChainGraph,
     Edge,
     GeneralGraph,
@@ -654,20 +656,26 @@ def _refined_T1(ctx: _Ctx) -> HittingSet:
     return HittingSet._from_masks(masks)
 
 
-def _route(ell: int, m: int, xl: int, xm: int) -> tuple[str, str]:
+Leaf = str | tuple[str, ...]
+
+
+def _route(ell: int, m: int, xl: int, xm: int) -> tuple[str, Leaf]:
     """The case and the leaf the analysis reaches at a profile with
     ell, m >= 1; it reads the profile alone.
 
-    A leaf is a recipe id, "swap" (settle the mirror profile (m, ell, x_m,
-    x_ell) and relabel), a portfolio deferral ("small", "balanced-even") or
+    A leaf is a tuple of recipe ids, tried in order until one reaches the
+    ratio, "swap" (settle the mirror profile (m, ell, x_m, x_ell) and
+    relabel), a portfolio deferral ("small", "balanced-even") or
     "P7-refined" (P7 with T1 minus one edge).  Section 3.1 (x_ell >= ell)
-    pairs its recipes with T1, Section 3.2 with T2.
+    pairs its recipes with T1; Section 3.2 pairs the T2 recipes
+    ``F_RECIPE_IDS`` with T2, except at the profiles of
+    ``EXCEPTIONAL_ROUTES``, whose entry is the leaf.
     """
     if xl >= ell:
         if ell == 1:
             if m <= 3:
                 return "3.1-l1", "small"
-            return "3.1-l1", "P1" if xl == 1 else "P2"
+            return "3.1-l1", ("P1",) if xl == 1 else ("P2",)
         if m == 1 or ell > m:
             return "3.1", "swap"
         if xl <= m:
@@ -675,70 +683,53 @@ def _route(ell: int, m: int, xl: int, xm: int) -> tuple[str, str]:
         if xm <= m + ell:
             return "3.1-case2.1", _case21(ell, m, xl, xm)
         # subcase 2.2: x_m > m + ell forces m > ell; at m = ell + 1, x_m = 2m
-        return "3.1-case2.2", "P12" if m - ell >= 2 or xl == 2 * ell else "P4"
+        return "3.1-case2.2", ("P12",) if m - ell >= 2 or xl == 2 * ell else ("P4",)
     if ell + xm > m + xl:
         return "3.2", "swap"
-    if xm + xl < ell - xl:
-        return "3.2.1", "P13"
-    return "3.2.2", _case322(ell, m, xl, xm)
+    case = "3.2.1" if xm + xl < ell - xl else "3.2.2"
+    return case, EXCEPTIONAL_ROUTES.get((ell, m, xl, xm), F_RECIPE_IDS)
 
 
-def _case1(ell: int, m: int, xl: int, xm: int) -> str:
+def _case1(ell: int, m: int, xl: int, xm: int) -> Leaf:
     """x_ell >= ell, 2 <= ell <= m, x_ell <= m."""
     if xm - m >= ell:
         if xm < 2 * m or ell >= 3:
-            return "P3"
+            return ("P3",)
         # ell == 2, x_m == 2m
         if m == 2:
             return "small"
         if xl == 2:
-            return "P3"
+            return ("P3",)
         # x_ell is 3, or 4 == 2*ell <= m
-        return "P4" if xl == 3 or m >= 5 else "P5'"
+        return ("P4",) if xl == 3 or m >= 5 else ("P5'",)
     # min(x_m - m, ell) = x_m - m
     if xl > ell:
-        return "P3"
+        return ("P3",)
     # x_ell == ell
     if ell + m == 5:
-        return "P6"
+        return ("P6",)
     if m - ell >= 1 or ell >= 4:
-        return "P7"
+        return ("P7",)
     if ell == 2:  # ell == m == 2
         return "small"
     # ell == m == x_ell == 3
-    return "P7-refined" if xm == 3 else "P8"
+    return "P7-refined" if xm == 3 else ("P8",)
 
 
-def _case21(ell: int, m: int, xl: int, xm: int) -> str:
+def _case21(ell: int, m: int, xl: int, xm: int) -> Leaf:
     """x_ell >= ell, 2 <= ell <= m, x_ell > m, x_m <= m + ell."""
     if m - ell >= 2:
-        return "P3"
+        return ("P3",)
     if m - ell == 1:
         if xl < 2 * ell:
-            return "P3"
-        return "P2" if xm - m <= ell - 1 else "P9"
+            return ("P3",)
+        # P9 needs X_ell + X_m to be a clique; else the cross block is
+        # incomplete and P2 settles it
+        return ("P2",) if xm - m <= ell - 1 else ("P9", "P2")
     # m == ell
     if ell % 2 == 0:
         return "balanced-even"
-    return "P10'" if xl > ell + 1 or xm > ell else "P11"
-
-
-def _case322(ell: int, m: int, xl: int, xm: int) -> str:
-    """x_ell < ell, ell + x_m <= m + x_ell, x_m + x_ell >= ell - x_ell.
-
-    Above 10 P13; up to 10 the passing T2 recipe with the largest f-value,
-    or the exceptional profile's entry of ``EXCEPTIONAL_ROUTES``."""
-    if ell > 10 or m > 10:
-        return "P13"
-    report = evaluate_case_functions(CaseProfile(ell, m, xl, xm))
-    if report.passing:
-        return F_RECIPE_IDS[max(report.passing, key=lambda i: (report.f_values[i], -i))]
-    route = EXCEPTIONAL_ROUTES.get((ell, m, xl, xm))
-    if route is None:
-        raise CertificationFailure(
-            "3.2.2-unexpected-exceptional", f"no construction for profile {(ell, m, xl, xm)}"
-        )
-    return "small" if route == "deferred" else route
+    return ("P10'",) if xl > ell + 1 or xm > ell else ("P11",)
 
 
 def _guided(
@@ -746,11 +737,14 @@ def _guided(
 ) -> Certificate:
     """The case analysis on g, whose general form is G; unverified.
 
-    ``_route`` picks the leaf from the profile; the graph decides only
-    whether P9 applies (else P2, the cross block then being incomplete),
-    whether the refined T1 covers the triangles through its dropped edge,
-    and whether P13 reaches the ratio in 3.2.1 (else the portfolio).
-    ctx, if given, is the context of g; its T1 and T2 are reused.
+    ``_route`` picks the leaf from the profile.  A recipe leaf is settled
+    by one loop: each recipe is built in order, an inapplicable one is
+    skipped, and the first whose realized packing reaches |H| <= 2|P|
+    against the section's hitting set is the certificate; if none does,
+    ``CertificationFailure`` names the case and the profile.  The graph
+    decides only which recipe of the leaf that is, and whether the refined
+    T1 covers the triangles through its dropped edge.  ctx, if given, is
+    the context of g; its T1 and T2 are reused.
     """
     if depth > 1:
         raise RuntimeError("guided dispatch swapped sides twice")
@@ -781,25 +775,24 @@ def _guided(
         return _reversed(_guided(sg, sctx.G, sctx, depth + 1), g.n)
     if leaf in ("small", "balanced-even"):
         return _deferred(ctx, f"{case}-{leaf}")
-    try:
-        if leaf == "P9":
-            try:
-                tris = _build("P9", ctx)
-            except RecipeInapplicable:
-                leaf, tris = "P2", _build("P2", ctx)
-        else:
-            tris = _build("P7" if leaf == "P7-refined" else leaf, ctx)
-    except RecipeInapplicable as exc:
-        raise CertificationFailure("guided", f"recipe preconditions failed: {exc}")
     if leaf == "P7-refined":
-        hitting = _refined_T1(ctx)
-    elif ctx.xl >= ctx.ell:
-        hitting = ctx.t1
+        hitting, rids, tag = _refined_T1(ctx), ("P7",), f"{case}-{leaf}"
     else:
-        hitting = ctx.t2
-        if case == "3.2.1" and len(hitting) > 2 * len(tris):
-            return _deferred(ctx, "3.2.1-small")
-    return _finish(tris, f"{case}-{leaf}", hitting)
+        hitting, rids, tag = ctx.t1 if ctx.xl >= ctx.ell else ctx.t2, leaf, ""
+    for rid in rids:
+        try:
+            tris = _build(rid, ctx)
+        except RecipeInapplicable:
+            continue
+        if len(hitting) <= 2 * len(tris):
+            return Certificate(
+                hitting, TrianglePacking._trusted(frozenset(tris)), tag or f"{case}-{rid}"
+            )
+    raise CertificationFailure(
+        case,
+        f"no recipe of {rids} reaches |H| <= 2|P| at profile "
+        f"{(ctx.ell, ctx.m, ctx.xl, ctx.xm)}",
+    )
 
 
 def _portfolio_core(

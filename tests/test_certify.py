@@ -8,7 +8,14 @@ from math import comb
 
 import pytest
 
-from cochain_tuza.casesearch import RECIPES, Clique
+from cochain_tuza.casesearch import (
+    EXCEPTIONAL_ROUTES,
+    F_RECIPE_IDS,
+    RECIPES,
+    Clique,
+    recipe_lower_bound,
+    t2_size,
+)
 from cochain_tuza.certify import (
     _CODE_RECIPES,
     BudgetExhausted,
@@ -28,10 +35,12 @@ from cochain_tuza.certify import (
     oracle_budget,
     swap_sides,
 )
+from cochain_tuza.cli import EXIT_VERIFY
 from cochain_tuza.cli import main as cli_main
-from cochain_tuza.fileio import certificate_document, write_general
+from cochain_tuza.fileio import certificate_document, write_cochain, write_general
 from cochain_tuza.generators import fuzz_instances
 from cochain_tuza.graphs import (
+    CaseProfile,
     CoChainGraph,
     GeneralGraph,
     TrianglePacking,
@@ -44,7 +53,13 @@ from cochain_tuza.oracles import DEFAULT_BUDGET, exact_nu, exact_tau
 from cochain_tuza.packings import feder_count
 from cochain_tuza.recognition import recognize_cochain
 
-from conftest import complete_graph, monotone_sequences, realize_profile, reference_groups
+from conftest import (
+    complete_graph,
+    monotone_sequences,
+    random_realization,
+    realize_profile,
+    reference_groups,
+)
 
 FIGURE_GRAPH = build_cochain(4, 8, (8, 5, 4, 2))
 
@@ -318,8 +333,9 @@ def test_refined_T1_drops_exactly_one_edge():
 
 def test_route_settles_every_profile_up_to_30_from_the_profile_alone():
     # every valid profile with 1 <= ell, m <= 30: the leaf is in the
-    # vocabulary, a table recipe's precondition holds and its hitting set
-    # follows the section, and a swap lands on a profile that does not swap
+    # vocabulary; a recipe leaf is a nonempty tuple of recipe ids, each table
+    # recipe's precondition holds and its hitting set follows the section;
+    # and a swap lands on a profile that does not swap
     kinds = Counter()
     for ell, m in product(range(1, 31), repeat=2):
         for xl, xm in product(range(2 * ell + 1), range(2 * m + 1)):
@@ -327,13 +343,13 @@ def test_route_settles_every_profile_up_to_30_from_the_profile_alone():
                 continue
             case, leaf = _route(ell, m, xl, xm)
             assert case.startswith("3.1") == (xl >= ell), (ell, m, xl, xm, case)
-            if leaf in RECIPES:
-                recipe = RECIPES[leaf]
-                assert recipe.applies is None or recipe.applies(ell, m, xl, xm), leaf
-                assert (recipe.hitting == "T1") == (xl >= ell), (ell, m, xl, xm, leaf)
-                kinds["table"] += 1
-            elif leaf in _CODE_RECIPES:
-                kinds["code"] += 1
+            if isinstance(leaf, tuple):
+                assert leaf and set(leaf) <= {*RECIPES, *_CODE_RECIPES}, leaf
+                for rid in set(leaf) & set(RECIPES):
+                    recipe = RECIPES[rid]
+                    assert recipe.applies is None or recipe.applies(ell, m, xl, xm), rid
+                    assert (recipe.hitting == "T1") == (xl >= ell), (ell, m, xl, xm, rid)
+                kinds["code" if set(leaf) & set(_CODE_RECIPES) else "table"] += 1
             elif leaf == "swap":
                 assert _route(m, ell, xm, xl)[1] != "swap", (ell, m, xl, xm)
                 kinds["swap"] += 1
@@ -342,6 +358,72 @@ def test_route_settles_every_profile_up_to_30_from_the_profile_alone():
                 kinds[leaf] += 1
     assert sum(kinds.values()) == 461250
     assert set(kinds) == {"table", "code", "swap", "small", "balanced-even", "P7-refined"}
+
+
+def test_section_32_certifies_with_the_first_recipe_the_reference_bound_passes():
+    # every Section 3.2 profile with ell, m <= 12 that neither swaps nor is
+    # exceptional: table recipes realize their exact-strategy bound, so the
+    # guided loop settles on the first T2 recipe with f > -3, on the
+    # canonical and on a random realization alike
+    rng = random.Random(19)
+    graphs = 0
+    for ell, m in product(range(1, 13), repeat=2):
+        for xl, xm in product(range(ell), range(m)):
+            tup = (ell, m, xl, xm)
+            if ell + xm > m + xl or tup in EXCEPTIONAL_ROUTES:
+                continue
+            p = CaseProfile(*tup)
+            rid = next(
+                r for r in F_RECIPE_IDS if recipe_lower_bound(r, p) - 3 * t2_size(p) > -3
+            )
+            case = "3.2.1" if xm + xl < ell - xl else "3.2.2"
+            for g in (realize_profile(*tup), random_realization(rng, *tup)):
+                assert profile(g).as_tuple() == tup
+                assert certify(g, "guided").method == f"{case}-{rid}", (tup, rid)
+                graphs += 1
+    assert graphs == 6710
+
+
+def test_certify_calls_no_case_scorer(monkeypatch):
+    # guided dispatch builds and checks recipes; it never scores a profile
+    def scorer_must_not_run(*args, **kwargs):
+        raise AssertionError("certify called evaluate_case_functions")
+
+    for name in ("cochain_tuza.certify", "cochain_tuza.casesearch"):
+        monkeypatch.setattr(
+            importlib.import_module(name), "evaluate_case_functions", scorer_must_not_run
+        )
+    for g in fuzz_instances(1, 1000, 16):
+        assert certify(g, "guided").ratio_ok
+        assert certify(g, "portfolio").ratio_ok
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        FIGURE_GRAPH,  # 3.1-case1, P3
+        build_cochain(6, 6, (3, 3, 3, 2, 1, 0)),  # 3.1-case1, P7-refined
+        build_cochain(4, 6, (5, 5, 5, 5)),  # 3.1-case2.1, P9 then P2
+        build_cochain(8, 8, (8, 0, 0, 0, 0, 0, 0, 0)),  # 3.2.1
+        realize_profile(3, 3, 2, 1),  # 3.2.2, P19
+        realize_profile(4, 6, 2, 3),  # 3.2.2, the T2 recipes
+    ],
+)
+def test_a_leaf_without_a_buildable_recipe_fails_naming_its_case(monkeypatch, tmp_path, g):
+    certify_module = importlib.import_module("cochain_tuza.certify")
+
+    def inapplicable(rid, ctx):
+        raise RecipeInapplicable(f"{rid} forced off")
+
+    monkeypatch.setattr(certify_module, "_build", inapplicable)
+    case = _route(*profile(g).as_tuple())[0]
+    with pytest.raises(CertificationFailure) as failure:
+        certify(g, "guided")
+    assert failure.value.case == case
+    assert str(profile(g).as_tuple()) in failure.value.details
+    path = tmp_path / "g.json"
+    write_cochain(path, g)
+    assert cli_main(["certify", str(path)]) == EXIT_VERIFY
 
 
 def test_refined_T1_refuses_a_triangle_outside_the_safe_halves():
@@ -676,5 +758,5 @@ def test_certificates_are_pinned():
             digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
     assert (
         digest.hexdigest()
-        == "d966c23e21f906f499e9040f5525426bd595e12fefd85973a2ebb9134b438396"
+        == "851d63590ed649324098f888b375d278eaa4be01df303f5f9a28b7e6ebbb9a32"
     )
