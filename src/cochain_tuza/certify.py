@@ -7,20 +7,21 @@ edge-disjoint triangle packing P; since tau <= |H| and |P| <= nu, the check
 Guided mode drives the full case analysis on the profile (ell, m, x_ell,
 x_m).  ``_route`` is that analysis as a function of the profile alone: it
 names the case and the leaf (an ordered tuple of recipe ids, the side swap,
-a portfolio deferral or the refined P7), and ``_guided`` settles every
-recipe leaf with one loop: the first recipe that builds and reaches
-|H| <= 2|P| is the certificate, else ``CertificationFailure``; no profile
-is scored at run time.  The hitting set follows the section: for x_ell >=
-ell (Section 3.1) it is T1 (the edges inside A = top-ell + bot-m and inside
-B = bot-ell + top-m), paired with P1..P12; for x_ell < ell (Section 3.2) it
-is T2 (all within-half edges plus all X_ell/bot-m and X_m/top-ell edges),
-paired with P13..P19.  Both are built as vertex masks in O(n) from
+the refined P7 or "small"), and ``_guided`` settles every recipe leaf with
+one loop: the first recipe that builds and reaches |H| <= 2|P| is the
+certificate, else ``CertificationFailure``; no profile is scored at run
+time.  The hitting set follows the section: for x_ell >= ell (Section 3.1)
+it is T1 (the edges inside A = top-ell + bot-m and inside B = bot-ell +
+top-m), paired with P1..P12; for x_ell < ell (Section 3.2) it is T2 (all
+within-half edges plus all X_ell/bot-m and X_m/top-ell edges), paired with
+P13..P19.  Both are built as vertex masks in O(n) from
 ``casesearch.group_intervals``, the one statement of the halves and the X
-sets.  The analysis defers a few corners to external results; those are
-handled here, on every instance, by the portfolio, whose witnesses are
-polished when their ratio fails, never by a silent gap.  Guided and
-portfolio modes call no exact oracle; only exact mode does, and only it
-raises ``BudgetExhausted``.
+sets.  The analysis defers a few finite corners (sides <= 6) to external
+results; ``_guided`` settles each such "small" leaf with the largest packing
+any recipe builds against the section's hitting set, both polished when
+their ratio fails, never by a silent gap and never through the portfolio.
+Guided and portfolio modes call no exact oracle; only exact mode does, and
+only it raises ``BudgetExhausted``.
 
 The recipes that are plain unions of clique and apex packings are declared
 once, in ``casesearch.RECIPES``, and the case search derives its
@@ -604,38 +605,40 @@ def _exact_certificate(G: GeneralGraph, tag: str) -> Certificate:
     return Certificate(r_tau.witness, r_nu.witness, tag)
 
 
-def _polish(G: GeneralGraph, cand: Certificate) -> tuple[list[Triangle], HittingSet]:
-    """cand's packing extended to a maximal one, first fit over the
-    triangles of G, and its hitting set cut down to a minimal one, by
-    dropping edges in sorted order while every triangle keeps an edge."""
-    tris = enumerate_triangles(G)
-    packing = list(cand.packing.triangles)
+def _polish(
+    G: GeneralGraph, hitting: HittingSet, tris: list[Triangle]
+) -> tuple[list[Triangle], HittingSet]:
+    """tris extended to a maximal packing, first fit over the triangles of
+    G, and hitting cut down to a minimal hitting set, by dropping edges in
+    sorted order while every triangle keeps an edge."""
+    packing = list(tris)
     used = _used_edges(packing)
     through: dict[Edge, list[Triangle]] = {}
-    for t in tris:
+    for t in enumerate_triangles(G):
         edges = triangle_edges(t)
         if used.isdisjoint(edges):
             packing.append(t)
             used.update(edges)
         for e in edges:
             through.setdefault(e, []).append(t)
-    hitting = set(cand.hitting.edges)
-    for e in sorted(cand.hitting.edges):
-        hitting.discard(e)
-        if any(hitting.isdisjoint(triangle_edges(t)) for t in through.get(e, ())):
-            hitting.add(e)
-    return packing, HittingSet(frozenset(hitting))
+    kept = set(hitting.edges)
+    for e in sorted(hitting.edges):
+        kept.discard(e)
+        if any(kept.isdisjoint(triangle_edges(t)) for t in through.get(e, ())):
+            kept.add(e)
+    return packing, HittingSet(frozenset(kept))
 
 
-def _deferred(ctx: _Ctx, tag: str) -> Certificate:
-    """Cases the analysis delegates to external results: the portfolio, its
-    witnesses polished if their ratio fails, otherwise an explicit failure."""
-    cand = _portfolio_core(ctx.g, ctx.G, ctx)
-    method = f"portfolio({tag}){cand.method.removeprefix('portfolio')}"
-    if cand.ratio_ok:
-        return Certificate(cand.hitting, cand.packing, method)
-    tris, hitting = _polish(ctx.G, cand)
-    return _finish(tris, method + "+polish", hitting)
+def _largest_packing(ctx: _Ctx) -> tuple[str, list[Triangle]]:
+    """The largest packing over "trivial" and every applicable recipe, as
+    (id, triangles); a tie goes to the greater id."""
+    packings: list[tuple[str, list[Triangle]]] = [("trivial", [])]
+    for rid in (*RECIPES, *_CODE_RECIPES):
+        try:
+            packings.append((rid, _build(rid, ctx)))
+        except RecipeInapplicable:
+            continue
+    return max(packings, key=lambda tp: (len(tp[1]), tp[0]))
 
 
 def _refined_T1(ctx: _Ctx) -> HittingSet:
@@ -665,11 +668,11 @@ def _route(ell: int, m: int, xl: int, xm: int) -> tuple[str, Leaf]:
 
     A leaf is a tuple of recipe ids, tried in order until one reaches the
     ratio, "swap" (settle the mirror profile (m, ell, x_m, x_ell) and
-    relabel), a portfolio deferral ("small", "balanced-even") or
-    "P7-refined" (P7 with T1 minus one edge).  Section 3.1 (x_ell >= ell)
-    pairs its recipes with T1; Section 3.2 pairs the T2 recipes
-    ``F_RECIPE_IDS`` with T2, except at the profiles of
-    ``EXCEPTIONAL_ROUTES``, whose entry is the leaf.
+    relabel), "small" (a finite corner the analysis defers) or "P7-refined"
+    (P7 with T1 minus one edge).  Section 3.1 (x_ell >= ell) pairs its
+    recipes with T1; Section 3.2 pairs the T2 recipes ``F_RECIPE_IDS`` with
+    T2, except at the profiles of ``EXCEPTIONAL_ROUTES``, whose entry is the
+    leaf.
     """
     if xl >= ell:
         if ell == 1:
@@ -727,9 +730,7 @@ def _case21(ell: int, m: int, xl: int, xm: int) -> Leaf:
         # incomplete and P2 settles it
         return ("P2",) if xm - m <= ell - 1 else ("P9", "P2")
     # m == ell
-    if ell % 2 == 0:
-        return "balanced-even"
-    return ("P10'",) if xl > ell + 1 or xm > ell else ("P11",)
+    return ("P10'",) if ell % 2 == 0 or xl > ell + 1 or xm > ell else ("P11",)
 
 
 def _guided(
@@ -741,10 +742,12 @@ def _guided(
     by one loop: each recipe is built in order, an inapplicable one is
     skipped, and the first whose realized packing reaches |H| <= 2|P|
     against the section's hitting set is the certificate; if none does,
-    ``CertificationFailure`` names the case and the profile.  The graph
-    decides only which recipe of the leaf that is, and whether the refined
-    T1 covers the triangles through its dropped edge.  ctx, if given, is
-    the context of g; its T1 and T2 are reused.
+    ``CertificationFailure`` names the case and the profile.  A "small"
+    leaf pairs ``_largest_packing`` with that hitting set, ``_polish``ed if
+    short of the ratio.  The graph decides only which recipe of the leaf
+    that is, and whether the refined T1 covers the triangles through its
+    dropped edge.  ctx, if given, is the context of g; its T1 and T2 are
+    reused.
     """
     if depth > 1:
         raise RuntimeError("guided dispatch swapped sides twice")
@@ -773,12 +776,18 @@ def _guided(
         if "t2" in vars(ctx) and sctx.xl < sctx.ell:
             sctx.t2 = _reversed_hitting(ctx.t2, g.n)
         return _reversed(_guided(sg, sctx.G, sctx, depth + 1), g.n)
-    if leaf in ("small", "balanced-even"):
-        return _deferred(ctx, f"{case}-{leaf}")
+    hitting = ctx.t1 if ctx.xl >= ctx.ell else ctx.t2
+    if leaf == "small":
+        rid, tris = _largest_packing(ctx)
+        tag = f"{case}-small[{rid}]"
+        if len(hitting) > 2 * len(tris):
+            tris, hitting = _polish(ctx.G, hitting, tris)
+            tag += "+polish"
+        return _finish(tris, tag, hitting)
     if leaf == "P7-refined":
         hitting, rids, tag = _refined_T1(ctx), ("P7",), f"{case}-{leaf}"
     else:
-        hitting, rids, tag = ctx.t1 if ctx.xl >= ctx.ell else ctx.t2, leaf, ""
+        rids, tag = leaf, ""
     for rid in rids:
         try:
             tris = _build(rid, ctx)
@@ -795,16 +804,13 @@ def _guided(
     )
 
 
-def _portfolio_core(
-    g: CoChainGraph, G: GeneralGraph, ctx: _Ctx | None = None
-) -> Certificate:
+def _portfolio_core(g: CoChainGraph, G: GeneralGraph, ctx: _Ctx | None) -> Certificate:
     """Best hitting set and best packing over every applicable construction
     on g, whose general form is G; unverified, and the ratio may fail.
 
-    ctx, if given, is the context of g; its T1 and T2 are reused.
+    ctx is ``_recipe_context(g, G)``; its T1 and T2 are reused.
     """
     hittings: list[tuple[str, HittingSet]] = []
-    packings: list[tuple[str, list[Triangle]]] = [("trivial", [])]
     adj = G.adj
     # an edge (u, v), u < v, with a common neighbour is a triangle
     if not any(
@@ -815,23 +821,16 @@ def _portfolio_core(
         hittings.append(("trivial", HittingSet(frozenset())))
     else:
         hittings.append(("all-edges", HittingSet._from_masks(G.adj)))
-    ctx = _recipe_context(g, G) if ctx is None else ctx
     if ctx is not None:
         hittings.append(("T1", ctx.t1))
         if ctx.xl < ctx.ell:
             hittings.append(("T2", ctx.t2))
-        for rid in (*RECIPES, *_CODE_RECIPES):
-            try:
-                tris = _build(rid, ctx)
-            except RecipeInapplicable:
-                continue
-            packings.append((rid, tris))
+        p_tag, best_p = _largest_packing(ctx)
     else:
         # no recipe applies; the two sides are vertex-disjoint cliques
         tris = _clique_triangles(g.side_l()) + _clique_triangles(g.side_m())
-        packings.append(("side-cliques", tris))
+        p_tag, best_p = ("side-cliques", tris) if tris else ("trivial", [])
     h_tag, best_h = min(hittings, key=lambda th: (len(th[1]), th[0]))
-    p_tag, best_p = max(packings, key=lambda tp: (len(tp[1]), tp[0]))
     return Certificate(
         best_h, TrianglePacking._trusted(frozenset(best_p)), f"portfolio[{p_tag}+{h_tag}]"
     )

@@ -288,6 +288,7 @@ def test_named_case_paths_are_reachable():
     _instance_with_method(4, 6, (5, 5, 5, 5), "3.1-case2.1-P9")
     _instance_with_method(4, 6, (5, 5, 5, 3), "3.1-case2.1-P2")
     _instance_with_method(6, 6, (6, 5, 4, 3, 3, 1), "3.1-case2.1-P10'")
+    _instance_with_method(4, 4, (4, 3, 2, 1), "3.1-case2.1-P10'")
     _instance_with_method(6, 6, (3, 3, 3, 3, 0, 0), "3.1-case2.1-P11")
     _instance_with_method(6, 10, (10, 9, 9, 5, 5, 5), "3.1-case2.2-P12")
     _instance_with_method(6, 8, (8, 8, 8, 4, 4, 3), "3.1-case2.2-P4")
@@ -295,19 +296,24 @@ def test_named_case_paths_are_reachable():
     _instance_with_method(8, 8, (8, 0, 0, 0, 0, 0, 0, 0), "3.2.1-P13")
 
 
-def test_balanced_even_deferral_names_its_recipe():
-    _instance_with_method(
-        4, 4, (4, 3, 2, 1), "portfolio(3.1-case2.1-balanced-even)[P10'+T1]"
-    )
+def test_balanced_even_profiles_certify_with_p10_prime():
+    # every profile with ell = m even and x_ell > ell, up to ell = 16: P10'
+    # alone reaches the ratio against T1 on the canonical realization
+    graphs, slacks = 0, []
+    for ell in range(2, 17, 2):
+        for xl, xm in product(range(ell + 1, 2 * ell + 1), range(ell, 2 * ell + 1)):
+            cert = certify(realize_profile(ell, ell, xl, xm), "guided")
+            assert cert.method == "3.1-case2.1-P10'", (ell, xl, xm, cert.method)
+            graphs += 1
+            slacks.append(2 * cert.p_size - cert.h_size)
+    assert graphs == 888 and min(slacks) == 0, (graphs, min(slacks))
 
 
 def test_small_deferral_is_polished_without_the_oracle_budget(monkeypatch):
-    # the portfolio's P7 + T1 fails the ratio here; the polish settles it,
-    # so a one-node oracle budget stops exact mode only
+    # the largest packing, P7, fails the ratio against T1 here; the polish
+    # settles it, so a one-node oracle budget stops exact mode only
     monkeypatch.setenv("COCHAIN_TUZA_ORACLE_BUDGET", "1")
-    cert = _instance_with_method(
-        4, 4, (4, 2, 1, 1), "portfolio(3.1-case1-small)[P7+T1]+polish"
-    )
+    cert = _instance_with_method(4, 4, (4, 2, 1, 1), "3.1-case1-small[P7]+polish")
     assert (cert.h_size, cert.p_size) == (7, 4)
     g = build_cochain(4, 4, (4, 2, 1, 1))
     assert certify(g, "portfolio").ratio_ok
@@ -354,10 +360,10 @@ def test_route_settles_every_profile_up_to_30_from_the_profile_alone():
                 assert _route(m, ell, xm, xl)[1] != "swap", (ell, m, xl, xm)
                 kinds["swap"] += 1
             else:
-                assert leaf in ("small", "balanced-even", "P7-refined"), leaf
+                assert leaf in ("small", "P7-refined"), leaf
                 kinds[leaf] += 1
     assert sum(kinds.values()) == 461250
-    assert set(kinds) == {"table", "code", "swap", "small", "balanced-even", "P7-refined"}
+    assert set(kinds) == {"table", "code", "swap", "small", "P7-refined"}
 
 
 def test_section_32_certifies_with_the_first_recipe_the_reference_bound_passes():
@@ -446,15 +452,16 @@ def test_guided_exhaustive_small_profiles():
 
 def test_guided_exhaustive_sides_up_to_8(monkeypatch):
     # the theorem's claim at desk scale: every threshold profile with both
-    # sides at most 8 gets a valid ratio certificate, and no exact oracle is
-    # called; every finite deferral profile lies in this range
+    # sides at most 8 gets a valid ratio certificate, and neither an exact
+    # oracle nor the portfolio is called; every finite "small" profile lies
+    # in this range
     certify_module = importlib.import_module("cochain_tuza.certify")
 
-    def oracle_must_not_run(*args, **kwargs):
-        raise AssertionError("guided mode called an exact oracle")
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("guided mode called an exact oracle or the portfolio")
 
-    for name in ("exact_tau", "exact_nu"):
-        monkeypatch.setattr(certify_module, name, oracle_must_not_run)
+    for name in ("exact_tau", "exact_nu", "_portfolio_core"):
+        monkeypatch.setattr(certify_module, name, must_not_run)
     count = polished = 0
     for l_size, m_size in product((2, 4, 6, 8), repeat=2):
         for t in monotone_sequences(l_size, m_size):
@@ -463,7 +470,7 @@ def test_guided_exhaustive_sides_up_to_8(monkeypatch):
             count += 1
             polished += cert.method.endswith("+polish")
     assert count == 21462
-    assert polished == 22
+    assert polished == 23
 
 
 def test_large_cliques_certify_at_the_feder_count():
@@ -628,7 +635,7 @@ def test_certify_verifies_each_witness_once(monkeypatch, tmp_path):
                 assert built == 1, (g, "exact", built)
     assert "empty" in methods and "degenerate-clique" in methods
     assert any(m.endswith("/swapped") for m in methods)
-    assert any(m.startswith("portfolio(") for m in methods)
+    assert any("-small[" in m for m in methods)
     assert any(m.endswith("+polish") for m in methods)
 
     # cochain-tuza certify on a vertex-permuted edge-list file: certify checks
@@ -659,8 +666,9 @@ def test_certify_verifies_each_witness_once(monkeypatch, tmp_path):
 
 
 def test_guided_certify_builds_T1_at_most_once(monkeypatch):
-    # the deferral hands its context, and with it T1, to the portfolio, and
-    # the refined P7 path trims the context's T1 instead of building another
+    # the refined P7 path trims the context's T1 instead of building another,
+    # and guided mode never reaches the portfolio: balanced-even (ell = m
+    # even, x_ell > ell) is the P10' leaf
     certify_module = importlib.import_module("cochain_tuza.certify")
     built = []
 
@@ -668,15 +676,22 @@ def test_guided_certify_builds_T1_at_most_once(monkeypatch):
         built.append(g)
         return build_T1(g)
 
+    def portfolio_must_not_run(*args, **kwargs):
+        raise AssertionError("guided mode called the portfolio")
+
     monkeypatch.setattr(certify_module, "build_T1", counted)
-    deferred = refined = 0
+    monkeypatch.setattr(certify_module, "_portfolio_core", portfolio_must_not_run)
+    balanced_even = refined = 0
     for g in fuzz_instances(1, 2000, 16):
         built.clear()
         cert = certify(g, "guided")
         assert len(built) <= 1, (g, cert.method, len(built))
-        deferred += cert.method.startswith("portfolio(")
+        ell, m, xl, _ = profile(g).as_tuple()
+        if ell == m and ell % 2 == 0 and xl > ell:
+            assert cert.method == "3.1-case2.1-P10'", (g, cert.method)
+            balanced_even += 1
         refined += "P7-refined" in cert.method
-    assert deferred >= 40 and refined >= 1, (deferred, refined)
+    assert balanced_even == 21 and refined >= 1, (balanced_even, refined)
 
 
 def test_portfolio_certify_builds_T1_at_most_once(monkeypatch):
@@ -731,7 +746,7 @@ def test_portfolio_packs_both_sides_of_an_odd_sided_cochain():
     cert = certify(g, "portfolio")
     _assert_valid(g, cert)
     assert cert.p_size == feder_count(131).count + feder_count(4).count
-    core = _portfolio_core(g, g.to_general())
+    core = _portfolio_core(g, g.to_general(), None)
     assert core.method == "portfolio[side-cliques+all-edges]"
     assert core.p_size == cert.p_size
 
@@ -758,5 +773,5 @@ def test_certificates_are_pinned():
             digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
     assert (
         digest.hexdigest()
-        == "851d63590ed649324098f888b375d278eaa4be01df303f5f9a28b7e6ebbb9a32"
+        == "4d538700e1194ad8405d604918b1bf67743de1413d1068e2975300dfd1469de0"
     )
