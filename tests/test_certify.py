@@ -288,12 +288,17 @@ def test_named_case_paths_are_reachable():
     _instance_with_method(4, 6, (5, 5, 5, 5), "3.1-case2.1-P9")
     _instance_with_method(4, 6, (5, 5, 5, 3), "3.1-case2.1-P2")
     _instance_with_method(6, 6, (6, 5, 4, 3, 3, 1), "3.1-case2.1-P10'")
-    _instance_with_method(4, 4, (4, 3, 2, 1), "3.1-case2.1-P10'")
     _instance_with_method(6, 6, (3, 3, 3, 3, 0, 0), "3.1-case2.1-P11")
     _instance_with_method(6, 10, (10, 9, 9, 5, 5, 5), "3.1-case2.2-P12")
     _instance_with_method(6, 8, (8, 8, 8, 4, 4, 3), "3.1-case2.2-P4")
     # x_ell < ell
     _instance_with_method(8, 8, (8, 0, 0, 0, 0, 0, 0, 0), "3.2.1-P13")
+
+
+def test_balanced_even_deferral_names_its_recipe():
+    # balanced-even (ell = m even, x_ell > ell) is no longer deferred to the
+    # portfolio: guided mode names the P10' recipe itself
+    _instance_with_method(4, 4, (4, 3, 2, 1), "3.1-case2.1-P10'")
 
 
 def test_balanced_even_profiles_certify_with_p10_prime():
