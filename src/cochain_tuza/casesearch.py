@@ -619,10 +619,6 @@ class _Chain:
                 raise ValueError(f"step {name!r} must name each parameter it reads")
 
 
-def _c2(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 def _dom_case1(limit: int) -> Iterable[tuple[int, ...]]:
     # x_ell >= ell, 2 <= ell <= m, x_ell <= min(m, 2 ell), m <= x_m <= 2 m
     for ell in range(2, limit + 1):
@@ -755,7 +751,7 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell, m: (
-                2 * _c2(ell + m) - (ell + m) - 2 - 3 * ell * m,
+                2 * comb(ell + m, 2) - (ell + m) - 2 - 3 * ell * m,
                 (m - ell) ** 2 + (m - 2) * (ell - 2) - 6,
             ),
             3,
@@ -773,7 +769,7 @@ def _build_chains() -> list[_Chain]:
             "m-l=1,l>=3: odd-n form >= -2/3",
             lambda ell, m: (
                 (
-                    2 * (_c2(2 * ell + 1) - 4) - 3 * ell * (ell + 1),
+                    2 * (comb(2 * ell + 1, 2) - 4) - 3 * ell * (ell + 1),
                     ell * ell - ell - 8,
                 )
                 if m - ell == 1
@@ -818,10 +814,10 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell, m, xl, xm: (
-                2 * _c2(3 * ell + 1)
+                2 * comb(3 * ell + 1, 2)
                 - (3 * ell + 1)
                 - 2
-                - 3 * (ell * (ell + 1) + 2 * _c2(ell) + (xm - m) * ell),
+                - 3 * (ell * (ell + 1) + 2 * comb(ell, 2) + (xm - m) * ell),
                 3 * (ell * ell - 1 - ell * (xm - m)),
             ),
             3,
@@ -846,7 +842,7 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell: (
-                2 * (_c2(4 * ell + 1) - 4) - 3 * (4 * ell * ell + ell),
+                2 * (comb(4 * ell + 1, 2) - 4) - 3 * (4 * ell * ell + ell),
                 4 * ell * ell + ell - 8,
             ),
             3,
@@ -867,7 +863,7 @@ def _build_chains() -> list[_Chain]:
 
     def p10_expr(ell, xl, xm):
         return (
-            2 * _c2(ell)
+            2 * comb(ell, 2)
             + (ell - 1) * min(xl - ell, ell)
             + 2 * (xm - ell)
             - ell * ell
@@ -917,7 +913,7 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell: (
-                2 * (_c2(2 * ell + 1) - 4)
+                2 * (comb(2 * ell + 1, 2) - 4)
                 + 3 * ((ell - 1) * (ell - 2) - ell * (ell - 1) - ell * ell),
                 ell * ell - 4 * ell - 2,
             ),
@@ -932,7 +928,7 @@ def _build_chains() -> list[_Chain]:
             "l=3 exact-K7 form >= 1",
             lambda ell: (
                 (
-                    2 * _c2(2 * ell + 1)
+                    2 * comb(2 * ell + 1, 2)
                     + 3 * ((ell - 1) * (ell - 2) - ell * (ell - 1) - ell * ell),
                     3,
                 )
@@ -1004,7 +1000,7 @@ def _build_chains() -> list[_Chain]:
         (
             "P1-identity",
             lambda m: (
-                2 * (_c2(2 * m) - m - 1) - 3 * m * m,
+                2 * (comb(2 * m, 2) - m - 1) - 3 * m * m,
                 m * m - 4 * m - 2,
             ),
             3,
@@ -1012,7 +1008,7 @@ def _build_chains() -> list[_Chain]:
         (
             "P2-identity",
             lambda m: (
-                2 * _c2(m + 2) - (m + 2) - 2 + 3 * (m * (m - 1) - m * m - m),
+                2 * comb(m + 2, 2) - (m + 2) - 2 + 3 * (m * (m - 1) - m * m - m),
                 m * m - 4 * m - 2,
             ),
             3,
@@ -1037,7 +1033,7 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda m, xl: (
-                2 * (_c2(2 * m + 2) - m - 2) - 3 * (m * m + m * (xl - 1)),
+                2 * (comb(2 * m + 2, 2) - m - 2) - 3 * (m * m + m * (xl - 1)),
                 m * m - 2 - m * (3 * xl - 7),
             ),
             3,
@@ -1067,10 +1063,10 @@ def _build_chains() -> list[_Chain]:
         (
             "identity",
             lambda ell, xl: (
-                2 * _c2(3 * ell + 2)
+                2 * comb(3 * ell + 2, 2)
                 - (3 * ell + 2)
                 - 2
-                - 3 * (2 * _c2(ell + 1) + ell * (ell + 1) + (ell + 1) * (xl - ell)),
+                - 3 * (2 * comb(ell + 1, 2) + ell * (ell + 1) + (ell + 1) * (xl - ell)),
                 3 * ell * ell - 2 - 3 * (ell + 1) * (xl - ell),
             ),
             3,

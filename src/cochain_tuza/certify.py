@@ -20,8 +20,12 @@ sets.  The analysis defers a few finite corners (sides <= 6) to external
 results; ``_guided`` settles each such "small" leaf with the largest packing
 any recipe builds against the section's hitting set, both polished when
 their ratio fails, never by a silent gap and never through the portfolio.
-Guided and portfolio modes call no exact oracle; only exact mode does, and
-only it raises ``BudgetExhausted``.
+
+Portfolio mode (``_portfolio``), the fallback outside the paper's even
+sides, takes the smallest of a list of candidate hitting sets and the
+largest of a list of candidate packings, guided's among them; the ratio may
+fail.  Guided and portfolio modes call no exact oracle; only exact mode
+does, and only it raises ``BudgetExhausted``.
 
 The recipes that are plain unions of clique and apex packings are declared
 once, in ``casesearch.RECIPES``, and the case search derives its
@@ -412,14 +416,6 @@ class _Ctx:
         return build_T2(self.g)
 
 
-def _recipe_context(g: CoChainGraph, G: GeneralGraph) -> _Ctx | None:
-    """The context of g, or None when g has an odd or an empty side and so
-    no recipe applies; G must be ``g.to_general()``."""
-    if g.l_size % 2 or g.m_size % 2 or not (g.l_size and g.m_size):
-        return None
-    return _Ctx.of(g, G)
-
-
 def _term_packings(rid: str, ctx: _Ctx) -> list[list[Triangle]]:
     """Build the table recipe ``rid``: one packing per term, in table order."""
     recipe = RECIPES[rid]
@@ -804,35 +800,46 @@ def _guided(
     )
 
 
-def _portfolio_core(g: CoChainGraph, G: GeneralGraph, ctx: _Ctx | None) -> Certificate:
-    """Best hitting set and best packing over every applicable construction
+def _portfolio(g: CoChainGraph, G: GeneralGraph) -> Certificate:
+    """The smallest hitting set and the largest packing among the candidates
     on g, whose general form is G; unverified, and the ratio may fail.
 
-    ctx is ``_recipe_context(g, G)``; its T1 and T2 are reused.
+    The hitting sets are T1 and T2 (when x_ell < ell) if both sides are
+    even and nonempty, the empty set if G is triangle-free (else every
+    edge) and guided's; the packings are the largest recipe packing (the
+    two side cliques when a side is odd or empty) and guided's.  The first
+    smallest (largest) in that order wins.
     """
-    hittings: list[tuple[str, HittingSet]] = []
+    hittings: list[HittingSet] = []
+    ctx: _Ctx | None = None
+    if g.l_size and g.m_size and not (g.l_size % 2 or g.m_size % 2):
+        ctx = _Ctx.of(g, G)
+        hittings.append(ctx.t1)
+        if ctx.xl < ctx.ell:
+            hittings.append(ctx.t2)
+        packings = [_largest_packing(ctx)[1]]
+    else:
+        # no recipe applies; the two sides are vertex-disjoint cliques
+        packings = [_clique_triangles(g.side_l()) + _clique_triangles(g.side_m())]
     adj = G.adj
     # an edge (u, v), u < v, with a common neighbour is a triangle
-    if not any(
+    if any(
         adj[u] & adj[v]
         for u, mask in enumerate(adj)
         for v in _bits(mask >> (u + 1) << (u + 1))
     ):
-        hittings.append(("trivial", HittingSet(frozenset())))
+        hittings.append(HittingSet._from_masks(adj))
     else:
-        hittings.append(("all-edges", HittingSet._from_masks(G.adj)))
-    if ctx is not None:
-        hittings.append(("T1", ctx.t1))
-        if ctx.xl < ctx.ell:
-            hittings.append(("T2", ctx.t2))
-        p_tag, best_p = _largest_packing(ctx)
-    else:
-        # no recipe applies; the two sides are vertex-disjoint cliques
-        tris = _clique_triangles(g.side_l()) + _clique_triangles(g.side_m())
-        p_tag, best_p = ("side-cliques", tris) if tris else ("trivial", [])
-    h_tag, best_h = min(hittings, key=lambda th: (len(th[1]), th[0]))
+        hittings.append(HittingSet(frozenset()))
+    try:
+        cert = _guided(g, G, ctx)
+        hittings.append(cert.hitting)
+        packings.append(list(cert.packing.triangles))
+    except (PreconditionError, CertificationFailure):
+        pass
+    best_p = max(packings, key=len)
     return Certificate(
-        best_h, TrianglePacking._trusted(frozenset(best_p)), f"portfolio[{p_tag}+{h_tag}]"
+        min(hittings, key=len), TrianglePacking._trusted(frozenset(best_p)), "portfolio"
     )
 
 
@@ -841,8 +848,9 @@ def certify(g: CoChainGraph, mode: str = "guided") -> Certificate:
 
     guided    -- dispatch the case analysis on the profile; raises
                  CertificationFailure rather than returning ratio_ok=False.
-    portfolio -- try everything applicable, return min-hitting + max-packing
-                 (ratio_ok may be False).
+    portfolio -- the smallest hitting set and the largest packing among the
+                 candidates of ``_portfolio``, guided's certificate among
+                 them whenever guided mode settles g (ratio_ok may be False).
     exact     -- optimal tau and nu witnesses from the oracles.
 
     In every mode both witnesses are checked against g once, here, and a
@@ -852,15 +860,7 @@ def certify(g: CoChainGraph, mode: str = "guided") -> Certificate:
     if mode == "guided":
         cert = _guided(g, G)
     elif mode == "portfolio":
-        ctx = _recipe_context(g, G)
-        candidates = [_portfolio_core(g, G, ctx)]
-        try:
-            candidates.append(_guided(g, G, ctx))
-        except (PreconditionError, CertificationFailure):
-            pass
-        best_h = min((c.hitting for c in candidates), key=len)
-        best_p = max((c.packing for c in candidates), key=len)
-        cert = Certificate(best_h, best_p, "portfolio")
+        cert = _portfolio(g, G)
     elif mode == "exact":
         cert = _exact_certificate(G, "exact")
     else:

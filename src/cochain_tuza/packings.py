@@ -301,13 +301,9 @@ def _delete_leave_point(n: int, tris: Sequence[Triangle]) -> list[Triangle]:
     ]
 
 
-_CLIQUE_PACK_CACHE: dict[int, tuple[Triangle, ...]] = {}
-
-
+@cache
 def _canonical_clique_packing(n: int) -> tuple[Triangle, ...]:
     """Feder-optimal packing of K_n on points 0..n-1, memoized and verified."""
-    if n in _CLIQUE_PACK_CACHE:
-        return _CLIQUE_PACK_CACHE[n]
     if n < 3:
         tris: list[Triangle] = []
     elif n % 6 in (1, 3):
@@ -332,9 +328,7 @@ def _canonical_clique_packing(n: int) -> tuple[Triangle, ...]:
             if p in seen or not (0 <= p[0] < p[1] < n):
                 raise RuntimeError(f"K_{n} packing reuses or exceeds edge {p}")
             seen.add(p)
-    packed = tuple(sorted(tris))
-    _CLIQUE_PACK_CACHE[n] = packed
-    return packed
+    return tuple(sorted(tris))
 
 
 def pack_clique(

@@ -24,7 +24,6 @@ from cochain_tuza.certify import (
     RecipeInapplicable,
     _build,
     _Ctx,
-    _portfolio_core,
     _refined_T1,
     _reversed_hitting,
     _route,
@@ -38,7 +37,11 @@ from cochain_tuza.certify import (
 from cochain_tuza.cli import EXIT_VERIFY
 from cochain_tuza.cli import main as cli_main
 from cochain_tuza.fileio import certificate_document, write_cochain, write_general
-from cochain_tuza.generators import fuzz_instances
+from cochain_tuza.generators import (
+    count_monotone_sequences,
+    fuzz_instances,
+    unrank_monotone_sequence,
+)
 from cochain_tuza.graphs import (
     CaseProfile,
     CoChainGraph,
@@ -465,7 +468,7 @@ def test_guided_exhaustive_sides_up_to_8(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("guided mode called an exact oracle or the portfolio")
 
-    for name in ("exact_tau", "exact_nu", "_portfolio_core"):
+    for name in ("exact_tau", "exact_nu", "_portfolio"):
         monkeypatch.setattr(certify_module, name, must_not_run)
     count = polished = 0
     for l_size, m_size in product((2, 4, 6, 8), repeat=2):
@@ -685,7 +688,7 @@ def test_guided_certify_builds_T1_at_most_once(monkeypatch):
         raise AssertionError("guided mode called the portfolio")
 
     monkeypatch.setattr(certify_module, "build_T1", counted)
-    monkeypatch.setattr(certify_module, "_portfolio_core", portfolio_must_not_run)
+    monkeypatch.setattr(certify_module, "_portfolio", portfolio_must_not_run)
     balanced_even = refined = 0
     for g in fuzz_instances(1, 2000, 16):
         built.clear()
@@ -751,9 +754,6 @@ def test_portfolio_packs_both_sides_of_an_odd_sided_cochain():
     cert = certify(g, "portfolio")
     _assert_valid(g, cert)
     assert cert.p_size == feder_count(131).count + feder_count(4).count
-    core = _portfolio_core(g, g.to_general(), None)
-    assert core.method == "portfolio[side-cliques+all-edges]"
-    assert core.p_size == cert.p_size
 
 
 def test_p18_loses_a_clique_triangle_only_when_the_clique_packing_has_no_leave():
@@ -779,4 +779,27 @@ def test_certificates_are_pinned():
     assert (
         digest.hexdigest()
         == "4d538700e1194ad8405d604918b1bf67743de1413d1068e2975300dfd1469de0"
+    )
+
+
+def test_portfolio_certificates_off_the_even_sides_are_pinned():
+    # SHA-256 of the portfolio certificate document of every co-chain graph
+    # with sides at most 7 and an odd or an empty side, where no recipe
+    # applies and the two fuzz-stream pins do not reach
+    digest = hashlib.sha256()
+    count = ok = 0
+    for l_size, m_size in product(range(8), repeat=2):
+        if l_size and m_size and not (l_size % 2 or m_size % 2):
+            continue
+        for rank in range(count_monotone_sequences(l_size, m_size)):
+            t = unrank_monotone_sequence(rank, l_size, m_size)
+            cert = certify(build_cochain(l_size, m_size, t), "portfolio")
+            doc = certificate_document(cert)
+            digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+            count += 1
+            ok += cert.ratio_ok
+    assert (count, ok) == (11363, 15)
+    assert (
+        digest.hexdigest()
+        == "0f971daa7dbeacc06bab46879a581052b937f8925faf5a3aab29e58380038b11"
     )

@@ -186,10 +186,10 @@ def test_mod5_orders_hit_the_feder_count_with_a_4_cycle_leave():
         packings._delete_leave_point(n, p.sorted_triangles())
 
 
-def test_cold_clique_builds_are_deterministic(monkeypatch):
+def test_cold_clique_builds_are_deterministic():
     builds = []
     for _ in range(2):
-        monkeypatch.setattr(packings, "_CLIQUE_PACK_CACHE", {})
+        packings._canonical_clique_packing.cache_clear()
         builds.append(
             [
                 pack_clique(range(n)).sorted_triangles()
