@@ -45,10 +45,11 @@ builds the host graph once and verifies both witnesses against it once,
 through ``make_certificate``, just before it returns; the constructions
 below it return unverified certificates.  Recipes pass plain lists of
 sorted triangles, and each certificate gets one packing object, built by
-the trusted constructor without a check of its own.  A side swap relabels
-the certificate by the reversal v -> n-1-v, which reverses each hitting-set
-mask and keeps triangles sorted; the swapped host comes from the conjugate
-thresholds.  The check of the hitting set costs O(n + monochromatic edges)
+the trusted constructor without a check of its own.  A side swap builds the
+packing on the mirror graph (the conjugate thresholds) and relabels only
+its triangles by the reversal v -> n-1-v, which keeps them sorted; the
+reversal maps the mirror's T1 and T2 onto g's own, so the hitting set is
+always g's.  The check of the hitting set costs O(n + monochromatic edges)
 mask operations (see ``graphs.verify_hitting``).
 """
 
@@ -263,28 +264,6 @@ def swap_sides(g: CoChainGraph) -> tuple[CoChainGraph, tuple[int, ...]]:
             k -= 1
         new_t.append(k)
     return CoChainGraph(M, L, tuple(new_t)), tuple(range(L + M - 1, -1, -1))
-
-
-def _reversed_hitting(h: HittingSet, n: int) -> HittingSet:
-    """h relabeled by v -> n-1-v on n vertices, mask by mask: mask u moves
-    to n-1-u with its n low bits reversed."""
-    masks = [0] * n
-    for u, mask in enumerate(h.masks):
-        masks[n - 1 - u] = int(f"{mask:0{n}b}"[::-1], 2)
-    return HittingSet._from_masks(masks)
-
-
-def _reversed(cert: Certificate, n: int) -> Certificate:
-    """cert relabeled by the side swap's map v -> n-1-v and tagged; sorted
-    triangles stay sorted, so the packing is carried over unchecked."""
-    r = n - 1
-    return Certificate(
-        _reversed_hitting(cert.hitting, n),
-        TrianglePacking._trusted(
-            frozenset((r - c, r - b, r - a) for a, b, c in cert.packing.triangles)
-        ),
-        cert.method + "/swapped",
-    )
 
 
 def _map_certificate(cert: Certificate, order: Sequence[int]) -> Certificate:
@@ -663,12 +642,12 @@ def _route(ell: int, m: int, xl: int, xm: int) -> tuple[str, Leaf]:
     ell, m >= 1; it reads the profile alone.
 
     A leaf is a tuple of recipe ids, tried in order until one reaches the
-    ratio, "swap" (settle the mirror profile (m, ell, x_m, x_ell) and
-    relabel), "small" (a finite corner the analysis defers) or "P7-refined"
-    (P7 with T1 minus one edge).  Section 3.1 (x_ell >= ell) pairs its
-    recipes with T1; Section 3.2 pairs the T2 recipes ``F_RECIPE_IDS`` with
-    T2, except at the profiles of ``EXCEPTIONAL_ROUTES``, whose entry is the
-    leaf.
+    ratio, "swap" (route the mirror profile (m, ell, x_m, x_ell) and relabel
+    its packings), "small" (a finite corner the analysis defers) or
+    "P7-refined" (P7 with T1 minus one edge).  Section 3.1 (x_ell >= ell)
+    pairs its recipes with T1; Section 3.2 pairs the T2 recipes
+    ``F_RECIPE_IDS`` with T2, except at the profiles of
+    ``EXCEPTIONAL_ROUTES``, whose entry is the leaf.
     """
     if xl >= ell:
         if ell == 1:
@@ -729,9 +708,7 @@ def _case21(ell: int, m: int, xl: int, xm: int) -> Leaf:
     return ("P10'",) if ell % 2 == 0 or xl > ell + 1 or xm > ell else ("P11",)
 
 
-def _guided(
-    g: CoChainGraph, G: GeneralGraph, ctx: _Ctx | None = None, depth: int = 0
-) -> Certificate:
+def _guided(g: CoChainGraph, G: GeneralGraph, ctx: _Ctx | None = None) -> Certificate:
     """The case analysis on g, whose general form is G; unverified.
 
     ``_route`` picks the leaf from the profile.  A recipe leaf is settled
@@ -742,11 +719,12 @@ def _guided(
     leaf pairs ``_largest_packing`` with that hitting set, ``_polish``ed if
     short of the ratio.  The graph decides only which recipe of the leaf
     that is, and whether the refined T1 covers the triangles through its
-    dropped edge.  ctx, if given, is the context of g; its T1 and T2 are
-    reused.
+    dropped edge.  The hitting set is always g's own T1 or T2: a "swap"
+    leaf routes the mirror profile once, builds that leaf's packings on the
+    mirror graph and relabels only their triangles by v -> n-1-v, which
+    maps the mirror's T1 and T2 onto g's.  ctx, if given, is the context of
+    g; its T1 and T2 are reused.
     """
-    if depth > 1:
-        raise RuntimeError("guided dispatch swapped sides twice")
     if g.l_size % 2 or g.m_size % 2:
         raise PreconditionError(
             f"guided mode requires even sides, got ({g.l_size}, {g.m_size})"
@@ -761,42 +739,46 @@ def _guided(
         return _finish(pack_clique(side).triangles, "degenerate-clique", build_T1(g))
 
     ctx = _Ctx.of(g, G) if ctx is None else ctx
+    hitting = ctx.t1 if ctx.xl >= ctx.ell else ctx.t2
+    pctx, suffix, r = ctx, "", g.n - 1
     case, leaf = _route(ctx.ell, ctx.m, ctx.xl, ctx.xm)
     if leaf == "swap":
-        sg = swap_sides(g)[0]
-        sctx = _Ctx.of(sg)
-        # the swap maps each side's top half onto the other side's bottom half
-        # and X_ell onto X_m: relabel the T1 and T2 already built
-        if "t1" in vars(ctx):
-            sctx.t1 = _reversed_hitting(ctx.t1, g.n)
-        if "t2" in vars(ctx) and sctx.xl < sctx.ell:
-            sctx.t2 = _reversed_hitting(ctx.t2, g.n)
-        return _reversed(_guided(sg, sctx.G, sctx, depth + 1), g.n)
-    hitting = ctx.t1 if ctx.xl >= ctx.ell else ctx.t2
+        pctx, suffix = _Ctx.of(swap_sides(g)[0]), "/swapped"
+        case, leaf = _route(pctx.ell, pctx.m, pctx.xl, pctx.xm)
+        if leaf == "swap":
+            raise RuntimeError("guided dispatch swapped sides twice")
+
+    def in_g(tris: list[Triangle]) -> Iterable[Triangle]:
+        """Triangles built on pctx, in g's labels (sorted ones stay sorted)."""
+        return ((r - c, r - b, r - a) for a, b, c in tris) if pctx is not ctx else tris
+
     if leaf == "small":
-        rid, tris = _largest_packing(ctx)
-        tag = f"{case}-small[{rid}]"
+        rid, tris = _largest_packing(pctx)
+        tris, tag = list(in_g(tris)), f"{case}-small[{rid}]"
         if len(hitting) > 2 * len(tris):
             tris, hitting = _polish(ctx.G, hitting, tris)
             tag += "+polish"
-        return _finish(tris, tag, hitting)
+        return _finish(tris, tag + suffix, hitting)
     if leaf == "P7-refined":
+        # reached at (3, 3, 3, 3) only, which never swaps
         hitting, rids, tag = _refined_T1(ctx), ("P7",), f"{case}-{leaf}"
     else:
         rids, tag = leaf, ""
     for rid in rids:
         try:
-            tris = _build(rid, ctx)
+            tris = _build(rid, pctx)
         except RecipeInapplicable:
             continue
         if len(hitting) <= 2 * len(tris):
             return Certificate(
-                hitting, TrianglePacking._trusted(frozenset(tris)), tag or f"{case}-{rid}"
+                hitting,
+                TrianglePacking._trusted(frozenset(in_g(tris))),
+                (tag or f"{case}-{rid}") + suffix,
             )
     raise CertificationFailure(
         case,
         f"no recipe of {rids} reaches |H| <= 2|P| at profile "
-        f"{(ctx.ell, ctx.m, ctx.xl, ctx.xm)}",
+        f"{(pctx.ell, pctx.m, pctx.xl, pctx.xm)}",
     )
 
 

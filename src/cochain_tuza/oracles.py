@@ -40,20 +40,6 @@ class ExactResult:
     proven: bool
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int) -> None:
-        self.left = limit
-
-    def tick(self) -> bool:
-        """Spend one node of the budget; False once it is used up."""
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
-
-
 def _incidence(g: GeneralGraph) -> tuple[list[Triangle], list[Edge], list[int], list[int]]:
     """Both oracles' incidence: the triangles of g in lexicographic order, its
     sorted edges (edge i is bit i), each triangle as the mask of its edges and
@@ -102,15 +88,16 @@ def exact_nu(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
             used |= mask
     best_size = len(best)
 
-    bgt = _Budget(budget)
+    left = budget  # nodes the search may still expand
     aborted = False
     chosen: list[int] = []
 
     def dfs(alive: int) -> None:
-        nonlocal best, best_size, aborted
-        if not bgt.tick():
+        nonlocal best, best_size, aborted, left
+        if left <= 0:
             aborted = True
             return
+        left -= 1
         count = len(chosen)
         if not alive:
             if count > best_size:
@@ -155,21 +142,10 @@ def exact_nu(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
 
     dfs((1 << len(tris)) - 1)
     witness = TrianglePacking.of(tris[ti] for ti in best)
-    return ExactResult(best_size, witness, budget - bgt.left, not aborted)
+    return ExactResult(best_size, witness, budget - left, not aborted)
 
 
 # -- exact tau --------------------------------------------------------------
-
-
-def tau_complete(r: int) -> int:
-    """tau(K_r) = C(r, 2) - floor(r^2 / 4).
-
-    By Mantel's theorem a triangle-free graph on r vertices has at most
-    floor(r^2 / 4) edges, so every hitting set of K_r removes at least the
-    rest; removing the edges inside both halves of a balanced bipartition
-    removes exactly that many.
-    """
-    return r * (r - 1) // 2 - r * r // 4
 
 
 def _max_cut_sides(adj: list[int]) -> int:
@@ -242,15 +218,16 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     best = min(greedy, bipartite, key=len)
     best_size = len(best)
 
-    bgt = _Budget(budget)
+    left = budget  # nodes the search may still expand
     aborted = False
     removed: list[int] = []
 
     def dfs(unc: int, kept_mask: int) -> None:
-        nonlocal best, best_size, aborted
-        if not bgt.tick():
+        nonlocal best, best_size, aborted, left
+        if left <= 0:
             aborted = True
             return
+        left -= 1
         depth = len(removed)
         if not unc:
             if depth < best_size:
@@ -301,4 +278,4 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
 
     dfs(all_tris, 0)
     witness = HittingSet.of(edges[e] for e in best)
-    return ExactResult(best_size, witness, budget - bgt.left, not aborted)
+    return ExactResult(best_size, witness, budget - left, not aborted)

@@ -25,7 +25,6 @@ from cochain_tuza.certify import (
     _build,
     _Ctx,
     _refined_T1,
-    _reversed_hitting,
     _route,
     _term_packings,
     build_T1,
@@ -159,7 +158,8 @@ def test_T1_and_T2_equal_their_block_definitions_exhaustively():
     # the mask builders against the definitions as edge lists, on every
     # co-chain graph with even sides up to 8; T1 is also the cut of g into
     # A = top-ell + bot-m and B = bot-ell + top-m, and the side swap's
-    # relabeling of T1 is the T1 of the swapped graph
+    # reversal v -> n-1-v maps g's T1 and T2 onto the swapped graph's, which
+    # is why guided mode relabels only the packing of a swapped leaf
     t2_count = 0
     for l_size, m_size in product((0, 2, 4, 6, 8), repeat=2):
         for t in monotone_sequences(l_size, m_size):
@@ -170,10 +170,12 @@ def test_T1_and_T2_equal_their_block_definitions_exhaustively():
             a = set(ref["l_top"] + ref["m_bot"])
             inside = {(u, v) for u, v in g.to_general().edges if (u in a) == (v in a)}
             assert t1.edges == inside, g
-            sg = swap_sides(g)[0]
-            assert _reversed_hitting(t1, g.n) == build_T1(sg), g
+            sg, r = swap_sides(g)[0], g.n - 1
+            assert {(r - v, r - u) for u, v in t1.edges} == build_T1(sg).edges, g
             if profile(g).x_ell < profile(g).ell:
-                assert build_T2(g).edges == _t2_blocks(g), g
+                t2 = build_T2(g)
+                assert t2.edges == _t2_blocks(g), g
+                assert {(r - v, r - u) for u, v in t2.edges} == build_T2(sg).edges, g
                 t2_count += 1
     assert t2_count > 5000, t2_count
 
@@ -470,15 +472,25 @@ def test_guided_exhaustive_sides_up_to_8(monkeypatch):
 
     for name in ("exact_tau", "exact_nu", "_portfolio"):
         monkeypatch.setattr(certify_module, name, must_not_run)
-    count = polished = 0
+    count = polished = swapped = 0
+    digest = hashlib.sha256()
     for l_size, m_size in product((2, 4, 6, 8), repeat=2):
         for t in monotone_sequences(l_size, m_size):
             cert = certify(build_cochain(l_size, m_size, t), "guided")
             assert cert.ratio_ok, (l_size, m_size, t, cert.method)
             count += 1
             polished += cert.method.endswith("+polish")
+            swapped += cert.method.endswith("/swapped")
+            doc = json.dumps(certificate_document(cert), sort_keys=True) + "\n"
+            digest.update(doc.encode())
     assert count == 21462
     assert polished == 23
+    assert swapped == 4430
+    # pins every "small" and every swapped certificate, whose packings are
+    # built on the mirror graph and relabeled against g's own T1 or T2
+    assert digest.hexdigest() == (
+        "5412349182d2de243f8975d33ccbc412b7f6d563417adafc5a45803dcf87848b"
+    )
 
 
 def test_large_cliques_certify_at_the_feder_count():
@@ -704,7 +716,7 @@ def test_guided_certify_builds_T1_at_most_once(monkeypatch):
 
 def test_portfolio_certify_builds_T1_at_most_once(monkeypatch):
     # portfolio mode hands one context to the portfolio and to guided
-    # dispatch, and a side swap relabels the T1 already built
+    # dispatch, and a side swap reuses g's own T1
     certify_module = importlib.import_module("cochain_tuza.certify")
     built = []
 
@@ -724,7 +736,7 @@ def test_portfolio_certify_builds_T1_at_most_once(monkeypatch):
 
 def test_portfolio_certify_builds_T2_at_most_once(monkeypatch):
     # the portfolio and guided dispatch share the context's T2, and a side
-    # swap onto a mirror with x_ell < ell relabels the T2 already built
+    # swap at x_ell < ell reuses g's own T2
     certify_module = importlib.import_module("cochain_tuza.certify")
     built = []
 

@@ -16,7 +16,7 @@ from cochain_tuza.graphs import (
     verify_hitting,
     verify_packing,
 )
-from cochain_tuza.oracles import exact_nu, exact_tau, tau_complete
+from cochain_tuza.oracles import exact_nu, exact_tau
 from cochain_tuza.packings import feder_count
 
 from conftest import brute_nu, brute_tau, complete_graph, monotone_sequences
@@ -135,14 +135,14 @@ def test_duality_on_random_graphs(data):
 def test_tau_complete_closed_form_matches_brute_force():
     for r in range(3, 7):
         expected = brute_tau(complete_graph(r), cap=comb(r, 2))
-        assert comb(r, 2) - r * r // 4 == tau_complete(r) == expected
+        assert comb(r, 2) - r * r // 4 == expected
 
 
 def test_complete_graphs_are_proven_at_the_root():
     for r in range(3, 13):
         g = complete_graph(r)
         res = exact_tau(g)
-        assert res.proven and res.value == tau_complete(r)
+        assert res.proven and res.value == comb(r, 2) - r * r // 4
         assert res.explored == 1
         assert verify_hitting(g, res.witness)
 
