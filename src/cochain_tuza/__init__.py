@@ -7,11 +7,11 @@ number tau and the triangle packing number nu with constructive certificates
 (ell, m, x_ell, x_m).
 """
 
+from .audit import audit_inequalities
 from .casesearch import (
     BoundStrategy,
     CaseFunctionReport,
     EXPECTED_EXCEPTIONAL,
-    audit_inequalities,
     evaluate_case_functions,
     recipe_lower_bound,
     search_exceptional,

@@ -15,7 +15,7 @@ it is T1 (the edges inside A = top-ell + bot-m and inside B = bot-ell +
 top-m), paired with P1..P12; for x_ell < ell (Section 3.2) it is T2 (all
 within-half edges plus all X_ell/bot-m and X_m/top-ell edges), paired with
 P13..P19.  Both are built as vertex masks in O(n) from
-``casesearch.group_intervals``, the one statement of the halves and the X
+``recipes.group_intervals``, the one statement of the halves and the X
 sets.  The analysis defers a few finite corners (sides <= 6) to external
 results; ``_guided`` settles each such "small" leaf with the largest packing
 any recipe builds against the section's hitting set, both polished when
@@ -28,7 +28,7 @@ fail.  Guided and portfolio modes call no exact oracle; only exact mode
 does, and only it raises ``BudgetExhausted``.
 
 The recipes that are plain unions of clique and apex packings are declared
-once, in ``casesearch.RECIPES``, and the case search derives its
+once, in ``recipes.RECIPES``, and the case search derives its
 profile-level bounds from the same rows.  P5', P6, P10' (the P10 row plus
 an absorption scan), P18 and P19 need unused edges or a missing edge
 located in the graph, and stay as code in ``_CODE_RECIPES``.  ``_build``
@@ -43,7 +43,9 @@ cross pairs) and fails if it is absent.  Guided mode checks the realized
 sizes directly instead of trusting the symbolic bound chains.  ``certify``
 builds the host graph once and verifies both witnesses against it once,
 through ``make_certificate``, just before it returns; the constructions
-below it return unverified certificates.  Recipes pass plain lists of
+below it return unverified certificates.  On an edge list the one check is
+against the input graph, after the certificate of the recognized co-chain
+graph is relabeled into its vertex ids.  Recipes pass plain lists of
 sorted triangles, and each certificate gets one packing object, built by
 the trusted constructor without a check of its own.  A side swap builds the
 packing on the mirror graph (the conjugate thresholds) and relabels only
@@ -62,14 +64,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .casesearch import (
-    EXCEPTIONAL_ROUTES,
-    F_RECIPE_IDS,
-    RECIPES,
-    Clique,
-    Intervals,
     evaluate_case_functions,  # noqa: F401  (perfbench's trace wraps it on this module)
-    group_intervals,
-    t2_size,
 )
 from .graphs import (
     CoChainGraph,
@@ -95,6 +90,16 @@ from .packings import (
     pack_clique,
     pack_side,  # noqa: F401  (perfbench's trace wraps it on this module)
 )
+from .recipes import (
+    EXCEPTIONAL_ROUTES,
+    F_RECIPE_IDS,
+    RECIPES,
+    Clique,
+    Intervals,
+    group_intervals,
+    t2_size,
+)
+from .recognition import RecognitionFailure, recognize_cochain
 
 #: a clique order bound kept for callers that still pass it as ``max_n`` to
 #: ``pack_clique``; no certifier path reads it, because every order is
@@ -168,8 +173,7 @@ def make_certificate(
 
     Raises ``CertificationFailure`` naming ``method`` if the hitting set
     misses a triangle of the host or the packing uses an edge it lacks.
-    ``certify`` calls this once per certificate; so does the CLI for a
-    certificate relabeled into an input file's vertex ids.
+    ``certify`` calls this once per certificate.
     """
     if not verify_hitting(host, hitting):
         raise CertificationFailure(method, "hitting set does not hit all triangles")
@@ -214,7 +218,7 @@ def build_T2(g: CoChainGraph) -> HittingSet:
     """All within-half edges plus all X_ell/bot-m and X_m/top-ell edges, as
     masks in O(n) from the groups of ``group_intervals``.
 
-    Requires x_ell < ell; the size then equals ``casesearch.t2_size``
+    Requires x_ell < ell; the size then equals ``recipes.t2_size``
     exactly.
     """
     prof = profile(g)
@@ -371,7 +375,7 @@ class _Ctx:
     m: int
     xl: int
     xm: int
-    #: the profile's named vertex groups, as casesearch.group_intervals
+    #: the profile's named vertex groups, as recipes.group_intervals
     groups: dict[str, Intervals]
 
     @classmethod
@@ -825,7 +829,7 @@ def _portfolio(g: CoChainGraph, G: GeneralGraph) -> Certificate:
     )
 
 
-def certify(g: CoChainGraph, mode: str = "guided") -> Certificate:
+def certify(g: CoChainGraph | GeneralGraph, mode: str = "guided") -> Certificate:
     """Produce a (hitting set, packing) certificate for tau <= 2*nu.
 
     guided    -- dispatch the case analysis on the profile; raises
@@ -835,9 +839,21 @@ def certify(g: CoChainGraph, mode: str = "guided") -> Certificate:
                  them whenever guided mode settles g (ratio_ok may be False).
     exact     -- optimal tau and nu witnesses from the oracles.
 
-    In every mode both witnesses are checked against g once, here, and a
-    witness that fails the check raises CertificationFailure.
+    A ``GeneralGraph`` (an edge list) is first recognized as a co-chain
+    graph, else PreconditionError; the certificate of the recognized graph
+    comes back in g's own vertex labels.  In every mode both witnesses are
+    checked against g once, here, and a witness that fails the check raises
+    CertificationFailure.
     """
+    host = order = None
+    if isinstance(g, GeneralGraph):
+        recognized = recognize_cochain(g)
+        if isinstance(recognized, RecognitionFailure):
+            raise PreconditionError(
+                f"input is not a co-chain graph ({recognized.reason}; "
+                f"witness {recognized.witness})"
+            )
+        host, g, order = g, recognized.graph, recognized.vertex_order
     G = g.to_general()
     if mode == "guided":
         cert = _guided(g, G)
@@ -847,4 +863,6 @@ def certify(g: CoChainGraph, mode: str = "guided") -> Certificate:
         cert = _exact_certificate(G, "exact")
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    if order is not None:
+        cert, G = _map_certificate(cert, order), host
     return make_certificate(G, cert.hitting, cert.packing, cert.method)

@@ -20,11 +20,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import fileio
+from .audit import audit_inequalities
 from .casesearch import (
     ALL_STRATEGIES,
     DEFAULT_STRATEGY,
     EXPECTED_EXCEPTIONAL,
-    audit_inequalities,
     evaluate_case_functions,
     search_exceptional,
 )
@@ -32,15 +32,12 @@ from .certify import (
     BudgetExhausted,
     CertificationFailure,
     PreconditionError,
-    _map_certificate,
     certify,
-    make_certificate,
     oracle_budget,
 )
 from .generators import complete_join, disjoint_cliques, fuzz_instances, random_cochain
 from .graphs import CaseProfile, CoChainGraph, build_cochain, profile
 from .oracles import exact_nu, exact_tau
-from .recognition import RecognitionFailure, recognize_cochain
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -90,19 +87,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         print(f"certify: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    order = None
-    host = g
-    if not isinstance(g, CoChainGraph):
-        recognized = recognize_cochain(g)
-        if isinstance(recognized, RecognitionFailure):
-            print(
-                f"certify: input is not a co-chain graph ({recognized.reason}; "
-                f"witness {recognized.witness})",
-                file=sys.stderr,
-            )
-            return EXIT_PRECONDITION
-        g, order = recognized.graph, recognized.vertex_order
-
     try:
         cert = certify(g, args.mode)
     except PreconditionError as exc:
@@ -112,11 +96,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         code = EXIT_BUDGET if isinstance(exc, BudgetExhausted) else EXIT_VERIFY
         print(f"certify: {exc}", file=sys.stderr)
         return code
-
-    if order is not None:
-        # express the certificate in the input file's vertex labels
-        cert = _map_certificate(cert, order)
-        cert = make_certificate(host, cert.hitting, cert.packing, cert.method)
 
     try:
         if args.out:

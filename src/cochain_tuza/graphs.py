@@ -302,7 +302,7 @@ def profile(g: CoChainGraph) -> CaseProfile:
     """Case parameters (ell, m, x_ell, x_m) of an even-sided co-chain graph,
     read off the thresholds: X_ell is the c's with t_i >= m, and X_m the
     t_ell d's that c_ell sees (all of them when the c-side is empty).
-    ``casesearch.group_intervals`` turns the profile into vertex groups."""
+    ``recipes.group_intervals`` turns the profile into vertex groups."""
     if g.l_size % 2 or g.m_size % 2:
         raise ValueError(f"even side sizes required, got ({g.l_size}, {g.m_size})")
     ell, m = g.l_size // 2, g.m_size // 2

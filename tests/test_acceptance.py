@@ -7,9 +7,9 @@ lines.  Criteria 3 and 6 take minutes; everything else runs in seconds.
 from itertools import product
 from math import comb
 
+from cochain_tuza.audit import audit_inequalities
 from cochain_tuza.casesearch import (
     EXPECTED_EXCEPTIONAL,
-    audit_inequalities,
     search_exceptional,
 )
 from cochain_tuza.certify import certify

@@ -1,38 +1,44 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from cochain_tuza import casesearch
-from cochain_tuza.casesearch import (
-    ALL_STRATEGIES,
-    EXPECTED_EXCEPTIONAL,
-    GROUP_NAMES,
-    RECIPES,
-    audit_inequalities,
-    constrained_profiles,
-    evaluate_case_functions,
-    group_intervals,
-    recipe_lower_bound,
-    recipe_term_bounds,
-    search_exceptional,
-    t2_size,
-    F_RECIPE_IDS,
-    _COMPILED,
+from cochain_tuza import audit, casesearch
+from cochain_tuza.audit import (
     _Chain,
-    _clique_bound6,
-    _compile_row,
     _dom_321,
     _dom_case1,
     _dom_case1_min_ell,
     _dom_case1_min_xm,
-    _domain_violation,
+    audit_inequalities,
+)
+from cochain_tuza.casesearch import (
+    ALL_STRATEGIES,
+    EXPECTED_EXCEPTIONAL,
+    constrained_profiles,
+    evaluate_case_functions,
+    recipe_lower_bound,
+    recipe_term_bounds,
+    search_exceptional,
+    _COMPILED,
+    _clique_bound6,
+    _compile_row,
     _group_sizes,
-    _row_domain,
     _row_plan,
     _side_bound6,
     _size_forms,
+)
+from cochain_tuza.recipes import (
+    GROUP_NAMES,
+    RECIPES,
+    group_intervals,
+    t2_size,
+    F_RECIPE_IDS,
+    _domain_violation,
+    _row_domain,
 )
 from cochain_tuza.certify import (
     RecipeInapplicable,
@@ -147,6 +153,47 @@ def test_non_affine_group_trips_the_guard(monkeypatch):
     monkeypatch.setattr(casesearch, "group_intervals", bent)
     with pytest.raises(RuntimeError, match="not affine"):
         search_exceptional(5)
+
+
+def _module_tree(module):
+    return ast.parse((Path(casesearch.__file__).parent / f"{module}.py").read_text())
+
+
+def _sibling_imports(module):
+    """{sibling module: names imported from it} over a package module's
+    ``from . import`` and ``from .x import`` statements."""
+    tree = _module_tree(module)
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                for alias in node.names:
+                    found.setdefault(alias.name, set())
+            else:
+                found.setdefault(node.module, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_modules_import_along_the_layers():
+    # the recipe table stands on the graph types alone, the audit on the
+    # table's domain alone, and certify takes every table name from the
+    # table; it binds the reference scorer only for the benchmark's trace
+    assert set(_sibling_imports("recipes")) == {"graphs"}
+    assert set(_sibling_imports("audit")) == {"recipes"}
+    table = set()
+    for node in _module_tree("recipes").body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            table.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            table.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert {"RECIPES", "group_intervals", "EXCEPTIONAL_ROUTES", "_row_domain"} <= table
+    imports = _sibling_imports("certify")
+    assert imports["casesearch"] == {"evaluate_case_functions"}
+    assert imports["recipes"] <= table
+    for module, names in imports.items():
+        if module != "recipes":
+            assert not names & table, (module, names & table)
 
 
 def test_row_domain_is_the_closed_form_of_the_domain_filter():
@@ -401,7 +448,7 @@ def test_audit_values_are_exact_rationals():
 
 def test_step_denominator_scales_a_recorded_violation(monkeypatch):
     chain = _Chain("scaled", lambda limit: [(1,)], (("half", lambda x: (x, 3), 2),))
-    monkeypatch.setattr(casesearch, "_CHAINS", [chain])
+    monkeypatch.setattr(audit, "_CHAINS", [chain])
     (v,) = audit_inequalities(1).violations
     assert (v.chain, v.step, v.params) == ("scaled", "half", (1,))
     assert (v.lhs, v.rhs) == (Fraction(1, 2), Fraction(3, 2))
@@ -424,7 +471,7 @@ def test_a_prefix_step_runs_once_per_prefix_and_reports_every_tuple(monkeypatch)
             ("last", lambda a, b, c: (a, 2), 1),  # fails where a < 2
         ),
     )
-    monkeypatch.setattr(casesearch, "_CHAINS", [chain])
+    monkeypatch.setattr(audit, "_CHAINS", [chain])
     (report,) = audit_inequalities(1).chains
     assert calls == list(dict.fromkeys(t[:2] for t in domain))
     assert report.checked == len(domain)

@@ -8,14 +8,7 @@ from math import comb
 
 import pytest
 
-from cochain_tuza.casesearch import (
-    EXCEPTIONAL_ROUTES,
-    F_RECIPE_IDS,
-    RECIPES,
-    Clique,
-    recipe_lower_bound,
-    t2_size,
-)
+from cochain_tuza.casesearch import recipe_lower_bound
 from cochain_tuza.certify import (
     _CODE_RECIPES,
     BudgetExhausted,
@@ -39,6 +32,7 @@ from cochain_tuza.fileio import certificate_document, write_cochain, write_gener
 from cochain_tuza.generators import (
     count_monotone_sequences,
     fuzz_instances,
+    random_cochain,
     unrank_monotone_sequence,
 )
 from cochain_tuza.graphs import (
@@ -53,6 +47,13 @@ from cochain_tuza.graphs import (
 )
 from cochain_tuza.oracles import DEFAULT_BUDGET, exact_nu, exact_tau
 from cochain_tuza.packings import feder_count
+from cochain_tuza.recipes import (
+    EXCEPTIONAL_ROUTES,
+    F_RECIPE_IDS,
+    RECIPES,
+    Clique,
+    t2_size,
+)
 from cochain_tuza.recognition import recognize_cochain
 
 from conftest import (
@@ -658,10 +659,10 @@ def test_certify_verifies_each_witness_once(monkeypatch, tmp_path):
     assert any("-small[" in m for m in methods)
     assert any(m.endswith("+polish") for m in methods)
 
-    # cochain-tuza certify on a vertex-permuted edge-list file: certify checks
-    # the recognized graph's certificate, and the certificate relabeled into
-    # the file's ids is checked once more, on the input host; the relabeling
-    # builds no packing through the checking constructor
+    # cochain-tuza certify on a vertex-permuted edge-list file: certify
+    # relabels the recognized graph's certificate into the file's ids and
+    # checks it once, on the input host; the relabeling builds no packing
+    # through the checking constructor
     rng = random.Random(3)
     for g in (FIGURE_GRAPH, build_cochain(6, 4, (4, 3, 3, 1, 0, 0))):
         perm = list(range(g.n))
@@ -677,12 +678,51 @@ def test_certify_verifies_each_witness_once(monkeypatch, tmp_path):
         checked_hosts.clear()
         assert cli_main(["certify", str(path), "--out", str(tmp_path / "c.json")]) == 0
         assert calls["packing_checks"] == 0, calls
-        assert checked_hosts == [
-            ("verify_hitting", canonical),
-            ("verify_packing", canonical),
-            ("verify_hitting", host),
-            ("verify_packing", host),
-        ]
+        assert checked_hosts == [("verify_hitting", host), ("verify_packing", host)]
+
+
+def test_certify_takes_an_edge_list_in_its_own_labels(monkeypatch):
+    # certify recognizes an edge list, relabels the recognized graph's
+    # certificate into the input's ids and checks each witness once, there
+    certify_module = importlib.import_module("cochain_tuza.certify")
+    checks = []
+
+    def counted(name, fn):
+        def wrapper(host, witness):
+            checks.append((name, host))
+            return fn(host, witness)
+
+        return wrapper
+
+    for name in ("verify_hitting", "verify_packing"):
+        monkeypatch.setattr(certify_module, name, counted(name, getattr(certify_module, name)))
+    rng = random.Random(5)
+    for l_size, m_size in ((2, 4), (4, 4), (6, 2), (8, 12)):
+        g = random_cochain(rng, l_size, m_size)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        host = GeneralGraph.from_edges(
+            g.n, ((perm[u], perm[v]) for u, v in g.to_general().edges)
+        )
+        rec = recognize_cochain(host)
+        order = rec.vertex_order
+        for mode in ("guided", "portfolio"):
+            inner = certify(rec.graph, mode)
+            checks.clear()
+            cert = certify(host, mode)
+            assert checks == [("verify_hitting", host), ("verify_packing", host)]
+            assert verify_hitting(host, cert.hitting) and verify_packing(host, cert.packing)
+            assert cert.method == inner.method
+            assert cert.hitting.edges == {
+                tuple(sorted((order[u], order[v]))) for u, v in inner.hitting.edges
+            }
+            assert cert.packing.triangles == {
+                tuple(sorted((order[a], order[b], order[c])))
+                for a, b, c in inner.packing.triangles
+            }
+    c4 = GeneralGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(PreconditionError, match="^input is not a co-chain graph"):
+        certify(c4)
 
 
 def test_guided_certify_builds_T1_at_most_once(monkeypatch):

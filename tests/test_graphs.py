@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cochain_tuza.casesearch import group_intervals
+from cochain_tuza.recipes import group_intervals
 from cochain_tuza.generators import random_cochain
 from cochain_tuza.graphs import (
     CaseProfile,
