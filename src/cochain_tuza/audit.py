@@ -5,13 +5,18 @@ step over its case-condition range, in exact arithmetic, and reports each
 violated step.  Every step returns its two sides as ``int``s: where the
 displayed chain divides, the step declares the common denominator d and
 returns both sides times d.  A step under a guard returns None where the
-guard fails.  A step's signature names the leading parameters it reads; one
-that reads fewer than its domain's tuples hold is evaluated once per
-distinct prefix, and its value stands for every tuple under that prefix.  A
-recorded violation stores the full parameter tuple and both sides as
-``Fraction`` (divided by d).  Violations indicate slack in a written chain,
-never in a certificate: the certifier checks realized sizes directly.  The
-3.2.2 chain runs over ``recipes._search_domain``, the search's own domain.
+guard fails.
+
+A chain's domain lists its parameter tuples as rows (prefix, xs): the
+tuples (*prefix, x) for x in the ascending ``range`` xs.  The audit replays
+one row at a time and skips an empty one.  A step that reads a prefix of
+the tuples is evaluated once per distinct prefix, and its value stands for
+every tuple under it; a step that reads them all is bound to the row's
+prefix and evaluated at each x.  A recorded violation stores the full
+parameter tuple and both sides as ``Fraction`` (divided by d), in (tuple,
+step) order.  Violations indicate slack in a written chain, never in a
+certificate: the certifier checks realized sizes directly.  The 3.2.2 chain
+runs over ``recipes._search_domain``, the rows the search walks.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .recipes import _search_domain
 
@@ -52,6 +58,8 @@ class AuditReport:
 
 
 _Step = Callable[..., tuple[int, int] | None]
+#: a domain row (prefix, xs): the parameter tuples (*prefix, x), x in xs
+_Row = tuple[tuple[int, ...], range]
 
 
 @dataclass(frozen=True)
@@ -60,16 +68,17 @@ class _Chain:
 
     Each step is (name, fn, d): fn maps the leading parameters it names to
     d*lhs and d*rhs as ``int``s, and the audit records a violation whenever
-    lhs < rhs.  A step that names fewer parameters than the domain's tuples
-    hold reads their prefix; the audit evaluates it once per run of tuples
-    with that prefix, and a domain lists its tuples grouped by prefix (each
-    is a nest of loops), so once per distinct prefix.  A step that holds
-    only under a guard returns None where the guard fails, and the audit
-    skips it there.
+    lhs < rhs.  The domain maps the audit limit to rows (prefix, xs).  A
+    step that names fewer parameters than the tuples hold reads a prefix of
+    the row's prefix; a domain lists its rows grouped by prefix (each is a
+    nest of loops), so such a step is evaluated once per distinct prefix.
+    A step that names more raises ValueError on the first row.  A step that
+    holds only under a guard returns None where the guard fails, and the
+    audit skips it there.
     """
 
     anchor: str
-    domain: Callable[[int], Iterable[tuple[int, ...]]]
+    domain: Callable[[int], Iterable[_Row]]
     steps: tuple[tuple[str, _Step, int], ...]
 
     def __post_init__(self) -> None:
@@ -79,58 +88,54 @@ class _Chain:
                 raise ValueError(f"step {name!r} must name each parameter it reads")
 
 
-def _dom_case1(limit: int) -> Iterable[tuple[int, ...]]:
+def _dom_case1(limit: int) -> Iterator[_Row]:
     # x_ell >= ell, 2 <= ell <= m, x_ell <= min(m, 2 ell), m <= x_m <= 2 m
     for ell in range(2, limit + 1):
         for m in range(ell, limit + 1):
             for xl in range(ell, min(m, 2 * ell) + 1):
-                for xm in range(m, 2 * m + 1):
-                    yield ell, m, xl, xm
+                yield (ell, m, xl), range(m, 2 * m + 1)
 
 
-def _dom_case1_min_ell(limit: int) -> Iterable[tuple[int, ...]]:
+def _dom_case1_min_ell(limit: int) -> Iterator[_Row]:
     # case 1 with x_m - m >= ell
     for ell in range(2, limit + 1):
         for m in range(ell, limit + 1):
             for xl in range(ell, min(m, 2 * ell) + 1):
-                for xm in range(m + ell, 2 * m + 1):
-                    yield ell, m, xl, xm
+                yield (ell, m, xl), range(m + ell, 2 * m + 1)
 
 
-def _dom_case1_min_xm(limit: int) -> Iterable[tuple[int, ...]]:
+def _dom_case1_min_xm(limit: int) -> Iterator[_Row]:
     # case 1 with x_m - m < ell and x_ell > ell
     for ell in range(2, limit + 1):
         for m in range(ell, limit + 1):
             for xl in range(ell + 1, min(m, 2 * ell) + 1):
-                for xm in range(m, min(m + ell, 2 * m + 1)):
-                    yield ell, m, xl, xm
+                yield (ell, m, xl), range(m, min(m + ell, 2 * m + 1))
 
 
-def _dom_case21(limit: int) -> Iterable[tuple[int, ...]]:
+def _dom_case21(limit: int) -> Iterator[_Row]:
     # case 2.1: x_ell > m, x_m <= m + ell, 2 <= ell <= m
     for ell in range(2, limit + 1):
         for m in range(ell, limit + 1):
             for xl in range(m + 1, 2 * ell + 1):
-                for xm in range(m, min(m + ell, 2 * m) + 1):
-                    yield ell, m, xl, xm
+                yield (ell, m, xl), range(m, min(m + ell, 2 * m) + 1)
 
 
-def _dom_case22(limit: int) -> Iterable[tuple[int, ...]]:
+def _dom_case22(limit: int) -> Iterator[_Row]:
     # case 2.2: x_ell > m, x_m > m + ell, 2 <= ell < m
     for ell in range(2, limit + 1):
         for m in range(ell + 1, limit + 1):
             for xl in range(m + 1, 2 * ell + 1):
-                for xm in range(m + ell + 1, 2 * m + 1):
-                    yield ell, m, xl, xm
+                yield (ell, m, xl), range(m + ell + 1, 2 * m + 1)
 
 
-def _dom_321(limit: int) -> Iterable[tuple[int, ...]]:
-    # x_ell < ell, x_m < m, ell + x_m <= m + x_ell, x_m + x_ell < ell - x_ell
+def _dom_321(limit: int) -> Iterator[_Row]:
+    # x_ell < ell, x_m < m, ell + x_m <= m + x_ell, x_m + x_ell < ell - x_ell;
+    # x_m = 0 is in the row exactly when ell - m <= x_ell <= (ell - 1) / 2
     for ell in range(1, limit + 1):
         for m in range(1, limit + 1):
-            for xl in range(ell):
-                for xm in range(min(m - 1, m - ell + xl, ell - 2 * xl - 1) + 1):
-                    yield ell, m, xl, xm
+            for xl in range(max(0, ell - m), (ell + 1) // 2):
+                top = min(m - 1, m - ell + xl, ell - 2 * xl - 1)
+                yield (ell, m, xl), range(top + 1)
 
 
 def _build_chains() -> list[_Chain]:
@@ -200,10 +205,10 @@ def _build_chains() -> list[_Chain]:
 
     # P7 chain
     def dom_p7(limit):
+        # 2 <= ell <= m, ell + m != 5: the m on either side of 5 - ell
         for ell in range(2, limit + 1):
-            for m in range(ell, limit + 1):
-                if ell + m != 5:
-                    yield (ell, m)
+            yield (ell,), range(ell, min(5 - ell, limit + 1))
+            yield (ell,), range(max(ell, 6 - ell), limit + 1)
 
     chain(
         "(m-l)^2+(m-2)(l-2)-6",
@@ -264,8 +269,7 @@ def _build_chains() -> list[_Chain]:
     def dom_p2_21(limit):
         for ell in range(2, limit):
             m = ell + 1
-            for xm in range(m, min(m + ell, 2 * m) + 1):
-                yield (ell, m, 2 * ell, xm)
+            yield (ell, m, 2 * ell), range(m, min(m + ell, 2 * m) + 1)
 
     chain(
         "l^2-1-l*(x_m-m)",
@@ -291,8 +295,7 @@ def _build_chains() -> list[_Chain]:
 
     # P9 chain (m = l + 1, x_l = 2l, x_m = 2m - 1)
     def dom_p9(limit):
-        for ell in range(2, limit):
-            yield (ell,)
+        yield (), range(2, limit)
 
     chain(
         "P9: (4l^2+l-8)/3 >= 10/3",
@@ -316,8 +319,7 @@ def _build_chains() -> list[_Chain]:
     def dom_p10(limit):
         for ell in range(3, limit + 1, 2):
             for xl in range(ell + 1, 2 * ell + 1):
-                for xm in range(ell, 2 * ell + 1):
-                    yield (ell, xl, xm)
+                yield (ell, xl), range(ell, 2 * ell + 1)
 
     def p10_expr(ell, xl, xm):
         return (
@@ -362,8 +364,7 @@ def _build_chains() -> list[_Chain]:
 
     # P11 chain (l = m = x_m, x_l = l + 1, l odd >= 3)
     def dom_p11(limit):
-        for ell in range(3, limit + 1, 2):
-            yield (ell,)
+        yield (), range(3, limit + 1, 2)
 
     chain(
         "1/3(l^2-4l-2)",
@@ -450,7 +451,7 @@ def _build_chains() -> list[_Chain]:
 
     # ell = 1 chains (P1 and P2)
     def dom_l1(limit):
-        return ((m,) for m in range(4, limit + 1))
+        yield (), range(4, limit + 1)
 
     chain(
         "l=1: (m^2-4m-2)/3",
@@ -481,9 +482,7 @@ def _build_chains() -> list[_Chain]:
     # case 1 P4 chain
     def dom_p4(limit):
         for m in range(3, limit + 1):
-            for xl in (3, 4):
-                if xl <= m:
-                    yield (m, xl)
+            yield (m,), range(3, min(4, m) + 1)
 
     chain(
         "case1-P4: (m^2-2-m(3x_l-7))/3",
@@ -511,8 +510,7 @@ def _build_chains() -> list[_Chain]:
     # subcase 2.2 P4 chain (m = l + 1, x_m = 2m, x_l <= 2l - 1)
     def dom_p4_22(limit):
         for ell in range(2, limit):
-            for xl in range(ell + 2, 2 * ell):
-                yield (ell, xl)
+            yield (ell,), range(ell + 2, 2 * ell)
 
     chain(
         "case2.2-P4: (3l^2-2)/3-(l+1)(x_l-l)",
@@ -537,7 +535,7 @@ def _build_chains() -> list[_Chain]:
 
     # subcase 2.2, x_l = 2l even-form chain value = l
     def dom_even22(limit):
-        return ((ell,) for ell in range(2, limit))
+        yield (), range(2, limit)
 
     chain(
         "case2.2 even-form value = l",
@@ -665,44 +663,53 @@ def _build_chains() -> list[_Chain]:
 _CHAINS = _build_chains()
 
 
-def _on_prefix(fn: _Step, arity: int) -> _Step:
-    """fn for tuples of ``arity`` parameters: fn itself if it reads them all,
-    else fn on the prefix it reads, evaluated again only when that changes."""
-    k = fn.__code__.co_argcount
-    if k >= arity:
-        return fn
-    key = sides = None
-
-    def step(*params):
-        nonlocal key, sides
-        if params[:k] != key:
-            key = params[:k]
-            sides = fn(*key)
-        return sides
-
-    return step
+def _replay(chain: _Chain, max_half: int) -> ChainReport:
+    """Replay one chain over its domain, one row at a time."""
+    violations: list[StepViolation] = []
+    checked = 0
+    steps: list[tuple[int, int, _Step]] | None = None  # (index, reads, fn)
+    last: dict[int, tuple] = {}  # prefix step index -> (prefix read, sides)
+    for prefix, xs in chain.domain(max_half):
+        if steps is None:  # the tuple length is known from the first row
+            steps = []
+            for i, (name, fn, _) in enumerate(chain.steps):
+                k = fn.__code__.co_argcount
+                if k > len(prefix) + 1:
+                    raise ValueError(
+                        f"chain {chain.anchor!r}: step {name!r} reads {k} "
+                        f"parameters, but its domain's tuples hold {len(prefix) + 1}"
+                    )
+                steps.append((i, k, fn))
+        if not xs:
+            continue
+        checked += len(xs)
+        failed = []  # (x, step index, sides)
+        for i, k, fn in steps:
+            if k <= len(prefix):  # reads a prefix: once per distinct prefix
+                key = prefix[:k]
+                if i not in last or last[i][0] != key:
+                    last[i] = key, fn(*key)
+                sides = last[i][1]
+                if sides is not None and sides[0] < sides[1]:
+                    failed += [(x, i, sides) for x in xs]
+                continue
+            bound = partial(fn, *prefix)
+            for x in xs:
+                sides = bound(x)  # None: a guarded step that does not apply
+                if sides is not None and sides[0] < sides[1]:
+                    failed.append((x, i, sides))
+        if failed:
+            failed.sort()  # (tuple, step) order: no two entries share (x, i)
+            for x, i, (lhs, rhs) in failed:
+                name, _, d = chain.steps[i]
+                params = (*prefix, x)
+                lhs, rhs = Fraction(lhs, d), Fraction(rhs, d)
+                violations.append(StepViolation(chain.anchor, name, params, lhs, rhs))
+    return ChainReport(chain.anchor, checked, tuple(violations))
 
 
 def audit_inequalities(max_half: int = 25) -> AuditReport:
     """Evaluate every displayed chain over its case-condition range."""
     if max_half < 1:
         raise ValueError("max_half must be at least 1")
-    reports = []
-    for chain in _CHAINS:
-        violations: list[StepViolation] = []
-        checked = 0
-        steps = None
-        for params in chain.domain(max_half):
-            if steps is None:  # the domain's tuple length is known from here
-                arity = len(params)
-                steps = [(name, _on_prefix(fn, arity), d) for name, fn, d in chain.steps]
-            checked += 1
-            for name, fn, d in steps:
-                sides = fn(*params)  # None: a guarded step that does not apply
-                if sides is not None and sides[0] < sides[1]:
-                    lhs, rhs = Fraction(sides[0], d), Fraction(sides[1], d)
-                    violations.append(
-                        StepViolation(chain.anchor, name, tuple(params), lhs, rhs)
-                    )
-        reports.append(ChainReport(chain.anchor, checked, tuple(violations)))
-    return AuditReport(max_half, tuple(reports))
+    return AuditReport(max_half, tuple(_replay(chain, max_half) for chain in _CHAINS))

@@ -33,10 +33,11 @@ x_ell <= ell, x_m <= m, fixed by five reads of the group table per call, so
 which f-recipe terms vary with (x_ell, x_m) is decided once per call.  A
 row evaluates the forms at (ell, m), checks them by one more read, scores
 its constant terms and keeps the others as (base, per x_ell, per x_m)
-planes; each profile then walks the recipes in order, scoring only the
-varying terms of the recipe at hand, and stops at the first that passes
-(almost always P13, whose two half-packings are row constants).  Nothing is
-kept between calls.
+planes.  The row lists each x_ell with the ``range`` of its x_m, and
+3|T2| is taken once per x_ell, as base + 3*(ell - x_ell)*x_m.  Each profile
+then walks the recipes in order, scoring only the varying terms of the
+recipe at hand, and stops at the first that passes (almost always P13,
+whose two half-packings are row constants).  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -281,7 +282,11 @@ def evaluate_case_functions(
 
 def constrained_profiles(limit: int) -> Iterator[CaseProfile]:
     """All search-domain profiles with ell, m <= limit."""
-    return (CaseProfile(*t) for t in _search_domain(limit))
+    return (
+        CaseProfile(ell, m, xl, xm)
+        for (ell, m, xl), xms in _search_domain(limit)
+        for xm in xms
+    )
 
 
 def search_exceptional(
@@ -291,10 +296,11 @@ def search_exceptional(
 
     The strategy's term bounds (up to 2*limit, the largest group size) and
     ``_row_plan`` are made once per call, each (ell, m) row is compiled
-    once, and 3|T2| is taken at x_ell = x_m = 0, so a profile adds only
-    3*(m*x_ell + ell*x_m - x_ell*x_m).  Each profile walks the recipes in
-    order, scoring only the varying terms of the recipe at hand, and stops
-    at the first recipe that passes.
+    once, and 3|T2| is taken at x_ell = x_m = 0; each x_ell of
+    ``_row_domain`` adds 3*m*x_ell, so a profile adds only
+    3*(ell - x_ell)*x_m.  Each profile walks the recipes in order, scoring
+    only the varying terms of the recipe at hand, and stops at the first
+    recipe that passes.
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
@@ -306,17 +312,19 @@ def search_exceptional(
     for ell, m in product(range(1, limit + 1), repeat=2):
         row = _compile_row(ell, m, plan, clique6, side6)
         row_t2_3 = 3 * _t2_size(ell, m, 0, 0)
-        for xl, xm in _row_domain(ell, m):
-            t2_3 = row_t2_3 + 3 * (m * xl + ell * xm - xl * xm)
-            # f_1..f_8 in order: 6 times the recipe's bound minus 3|T2|
-            for const, cliques, sides in row:
-                f = const - t2_3
-                for b, a, c in cliques:
-                    f += clique6[b + a * xl + c * xm]
-                for (sb, sa, sc), (kb, ka, kc) in sides:
-                    f += side6[sb + sa * xl + sc * xm][kb + ka * xl + kc * xm]
-                if f > -3:
-                    break
-            else:
-                found.add(CaseProfile(ell, m, xl, xm))
+        for xl, xms in _row_domain(ell, m):
+            base, per_xm = row_t2_3 + 3 * m * xl, 3 * (ell - xl)
+            for xm in xms:
+                t2_3 = base + per_xm * xm
+                # f_1..f_8 in order: 6 times the recipe's bound minus 3|T2|
+                for const, cliques, sides in row:
+                    f = const - t2_3
+                    for b, a, c in cliques:
+                        f += clique6[b + a * xl + c * xm]
+                    for (sb, sa, sc), (kb, ka, kc) in sides:
+                        f += side6[sb + sa * xl + sc * xm][kb + ka * xl + kc * xm]
+                    if f > -3:
+                        break
+                else:
+                    found.add(CaseProfile(ell, m, xl, xm))
     return found

@@ -58,7 +58,7 @@ mask operations (see ``graphs.verify_hitting``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -377,6 +377,11 @@ class _Ctx:
     xm: int
     #: the profile's named vertex groups, as recipes.group_intervals
     groups: dict[str, Intervals]
+    #: each recipe ``_build`` has built here: its packing, or the
+    #: RecipeInapplicable it raised
+    built: dict[str, list[Triangle] | RecipeInapplicable] = field(
+        default_factory=dict, repr=False
+    )
 
     @classmethod
     def of(cls, g: CoChainGraph, G: GeneralGraph | None = None) -> "_Ctx":
@@ -420,10 +425,24 @@ def _term_packings(rid: str, ctx: _Ctx) -> list[list[Triangle]]:
 
 
 def _build(rid: str, ctx: _Ctx) -> list[Triangle]:
-    """Build recipe ``rid``: a ``_CODE_RECIPES`` entry, or a ``RECIPES`` row."""
-    if rid in _CODE_RECIPES:
-        return _CODE_RECIPES[rid](ctx)
-    return [t for part in _term_packings(rid, ctx) for t in part]
+    """Build recipe ``rid``: a ``_CODE_RECIPES`` entry, or a ``RECIPES`` row.
+
+    A recipe is built at most once per context: the packing (a copy of it is
+    returned) or the RecipeInapplicable is kept in ``ctx.built``.
+    """
+    built = ctx.built.get(rid)
+    if built is None:
+        try:
+            if rid in _CODE_RECIPES:
+                built = _CODE_RECIPES[rid](ctx)
+            else:
+                built = [t for part in _term_packings(rid, ctx) for t in part]
+        except RecipeInapplicable as exc:
+            built = exc
+        ctx.built[rid] = built
+    if isinstance(built, RecipeInapplicable):
+        raise built.with_traceback(None)
+    return list(built)
 
 
 def _extend(

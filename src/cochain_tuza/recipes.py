@@ -17,10 +17,12 @@ certifier's leaf for it (the recipe P18 or P19, the "small" deferral or the
 
 ``_domain_violation`` defines the 3.2.2 search domain and guards the input
 of ``casesearch.evaluate_case_functions``.  ``_row_domain`` is its closed
-form: on each (ell, m) row it lists x_ell < ell and, for each, the interval
-of x_m the three conditions leave, in the filter's order, so the search and
-the audit's 3.2.2 chain visit only domain profiles; the tests check the two
-against each other on every row up to 40.
+form: on each (ell, m) row it lists each x_ell < ell with the nonempty
+``range`` of x_m the three conditions leave, in the filter's order.  The
+search, the audit's 3.2.2 chain (through ``_search_domain``) and
+``casesearch.constrained_profiles`` all walk these rows, so they visit only
+domain profiles; the tests check the rows against the filter on every
+(ell, m) up to 40.
 """
 
 from __future__ import annotations
@@ -229,21 +231,25 @@ def _domain_violation(ell: int, m: int, xl: int, xm: int) -> str | None:
     return None
 
 
-def _row_domain(ell: int, m: int) -> Iterator[tuple[int, int]]:
-    """(x_ell, x_m) of every search-domain profile at (ell, m), in the order
-    of ``product(range(ell), range(m))``.
+def _row_domain(ell: int, m: int) -> Iterator[tuple[int, range]]:
+    """(x_ell, x_ms) for each x_ell with a search-domain profile at (ell, m):
+    those profiles are the (x_ell, x_m) with x_m in the nonempty ``x_ms``, in
+    the order of ``product(range(ell), range(m))``.
 
-    The closed form of ``_domain_violation`` on the row: x_ell < ell, and
-    x_m runs from ell - 2*x_ell (ell - x_ell <= x_m + x_ell) to the smaller
-    of m - 1 (x_m < m) and m - ell + x_ell (ell + x_m <= m + x_ell).
+    The closed form of ``_domain_violation`` on the row.  With x_ell < ell,
+    ell + x_m <= m + x_ell already gives x_m < m, so x_m runs from
+    max(0, ell - 2*x_ell) (ell - x_ell <= x_m + x_ell) to m - ell + x_ell.
+    That interval is nonempty exactly when x_ell >= ell - m and
+    3*x_ell >= 2*ell - m, so x_ell starts at the larger of 0, ell - m and
+    the ceiling of (2*ell - m)/3.
     """
-    for xl in range(ell):
-        for xm in range(max(0, ell - 2 * xl), min(m - 1, m - ell + xl) + 1):
-            yield xl, xm
+    for xl in range(max(0, ell - m, -((m - 2 * ell) // 3)), ell):
+        yield xl, range(max(0, ell - 2 * xl), m - ell + xl + 1)
 
 
-def _search_domain(limit: int) -> Iterator[tuple[int, int, int, int]]:
-    """(ell, m, x_ell, x_m) of every search-domain profile with ell, m <= limit."""
+def _search_domain(limit: int) -> Iterator[tuple[tuple[int, int, int], range]]:
+    """The search domain with ell, m <= limit as rows ((ell, m, x_ell), x_ms):
+    its profiles are (ell, m, x_ell, x_m) with x_m in ``x_ms``."""
     for ell, m in product(range(1, limit + 1), repeat=2):
-        for xl, xm in _row_domain(ell, m):
-            yield ell, m, xl, xm
+        for xl, xms in _row_domain(ell, m):
+            yield (ell, m, xl), xms

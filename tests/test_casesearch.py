@@ -7,14 +7,7 @@ from pathlib import Path
 import pytest
 
 from cochain_tuza import audit, casesearch
-from cochain_tuza.audit import (
-    _Chain,
-    _dom_321,
-    _dom_case1,
-    _dom_case1_min_ell,
-    _dom_case1_min_xm,
-    audit_inequalities,
-)
+from cochain_tuza.audit import _Chain, audit_inequalities
 from cochain_tuza.casesearch import (
     ALL_STRATEGIES,
     EXPECTED_EXCEPTIONAL,
@@ -203,24 +196,101 @@ def test_row_domain_is_the_closed_form_of_the_domain_filter():
             for xl, xm in product(range(ell), range(m))
             if _domain_violation(ell, m, xl, xm) is None
         ]
-        assert list(_row_domain(ell, m)) == filtered, (ell, m)
+        rows = list(_row_domain(ell, m))
+        assert all(xms for _, xms in rows), (ell, m)
+        assert [(xl, xm) for xl, xms in rows for xm in xms] == filtered, (ell, m)
+
+
+AUDIT_LIMIT = 30
+_HALVES = range(1, AUDIT_LIMIT + 1)
+# the parameter boxes of the audit chains, as plain nested products:
+# profiles (ell, m, x_ell, x_m) with x_ell <= 2 ell and x_m <= 2 m, and the
+# boxes of the shorter tuples
+_AUDIT_BOXES = {
+    "profile": lambda: (
+        (ell, m, xl, xm)
+        for ell, m in product(_HALVES, repeat=2)
+        for xl, xm in product(range(2 * ell + 1), range(2 * m + 1))
+    ),
+    "(ell, x_ell, x_m)": lambda: (
+        (ell, xl, xm)
+        for ell in _HALVES
+        for xl, xm in product(range(2 * ell + 1), repeat=2)
+    ),
+    "(ell, m)": lambda: product(_HALVES, repeat=2),
+    "(m, x_ell), ell = 2": lambda: product(_HALVES, range(5)),
+    "(ell, x_ell)": lambda: ((ell, xl) for ell in _HALVES for xl in range(2 * ell + 1)),
+    "(ell,)": lambda: ((ell,) for ell in _HALVES),
+}
+
+
+def _case1(ell, m, xl, xm):
+    return 2 <= ell <= m and ell <= xl <= m and m <= xm
+
+
+# every audit chain's domain as written: its box and its case conditions
+AUDIT_FILTERS = {
+    "(m-1)*min{x_l,m}": ("profile", _case1),
+    "(x_l-l)*(2m-x_m)": (
+        "profile",
+        lambda ell, m, xl, xm: _case1(ell, m, xl, xm) and xm - m >= ell,
+    ),
+    "case1 x_l>l slack": (
+        "profile",
+        lambda ell, m, xl, xm: _case1(ell, m, xl, xm) and xm - m < ell and xl > ell,
+    ),
+    "(m-l)^2+(m-2)(l-2)-6": ("(ell, m)", lambda ell, m: 2 <= ell <= m and ell + m != 5),
+    "m*(m-l-1)": (
+        "profile",
+        lambda ell, m, xl, xm: 2 <= ell <= m < xl and m <= xm <= m + ell,
+    ),
+    "l^2-1-l*(x_m-m)": (
+        "profile",
+        lambda ell, m, xl, xm: (
+            2 <= ell and m == ell + 1 and xl == 2 * ell and m <= xm <= m + ell
+        ),
+    ),
+    "P9: (4l^2+l-8)/3 >= 10/3": ("(ell,)", lambda ell: 2 <= ell < AUDIT_LIMIT),
+    "(x_l-l-1)*(2l-1-x_m)": (
+        "(ell, x_ell, x_m)",
+        lambda ell, xl, xm: ell % 2 == 1 and 3 <= ell < xl and ell <= xm,
+    ),
+    "1/3(l^2-4l-2)": ("(ell,)", lambda ell: ell % 2 == 1 and ell >= 3),
+    "(m-l)^2-(m-l)-1": (
+        "profile",
+        lambda ell, m, xl, xm: 2 <= ell < m < xl and xm > m + ell,
+    ),
+    "l=1: (m^2-4m-2)/3": ("(ell,)", lambda m: m >= 4),
+    "case1-P4: (m^2-2-m(3x_l-7))/3": (
+        "(m, x_ell), ell = 2",
+        lambda m, xl: 3 <= xl <= m,
+    ),
+    "case2.2-P4: (3l^2-2)/3-(l+1)(x_l-l)": (
+        "(ell, x_ell)",
+        lambda ell, xl: ell < AUDIT_LIMIT and ell + 2 <= xl <= 2 * ell - 1,
+    ),
+    "case2.2 even-form value = l": ("(ell,)", lambda ell: 2 <= ell < AUDIT_LIMIT),
+    "3.2.1: derived bounds": (
+        "profile",
+        lambda ell, m, xl, xm: (
+            xl < ell and xm < m and ell + xm <= m + xl and xm + xl < ell - xl
+        ),
+    ),
+    "24l^2+24m^2-60m-60l-36lm-85": (
+        "profile",
+        lambda ell, m, xl, xm: _domain_violation(ell, m, xl, xm) is None,
+    ),
+}
 
 
 def test_audit_subdomains_are_the_closed_forms_of_their_filters():
-    limit = 30
-    case1 = list(_dom_case1(limit))
-    assert list(_dom_case1_min_ell(limit)) == [
-        (ell, m, xl, xm) for ell, m, xl, xm in case1 if xm - m >= ell
-    ]
-    assert list(_dom_case1_min_xm(limit)) == [
-        (ell, m, xl, xm) for ell, m, xl, xm in case1 if xm - m < ell and xl > ell
-    ]
-    assert list(_dom_321(limit)) == [
-        (ell, m, xl, xm)
-        for ell, m in product(range(1, limit + 1), repeat=2)
-        for xl, xm in product(range(ell), range(m))
-        if ell + xm <= m + xl and xm + xl < ell - xl
-    ]
+    # every chain's rows, flattened, are its written filter over its box
+    assert set(AUDIT_FILTERS) == {chain.anchor for chain in audit._CHAINS}
+    for chain in audit._CHAINS:
+        box, keep = AUDIT_FILTERS[chain.anchor]
+        rows = list(chain.domain(AUDIT_LIMIT))
+        flat = [(*prefix, x) for prefix, xs in rows for x in xs]
+        assert flat == [t for t in _AUDIT_BOXES[box]() if keep(*t)], chain.anchor
 
 
 def test_search_limit_one_is_empty():
@@ -447,7 +517,9 @@ def test_audit_values_are_exact_rationals():
 
 
 def test_step_denominator_scales_a_recorded_violation(monkeypatch):
-    chain = _Chain("scaled", lambda limit: [(1,)], (("half", lambda x: (x, 3), 2),))
+    chain = _Chain(
+        "scaled", lambda limit: [((), range(1, 2))], (("half", lambda x: (x, 3), 2),)
+    )
     monkeypatch.setattr(audit, "_CHAINS", [chain])
     (v,) = audit_inequalities(1).violations
     assert (v.chain, v.step, v.params) == ("scaled", "half", (1,))
@@ -455,7 +527,10 @@ def test_step_denominator_scales_a_recorded_violation(monkeypatch):
 
 
 def test_a_prefix_step_runs_once_per_prefix_and_reports_every_tuple(monkeypatch):
-    domain = list(product(range(3), range(3), range(2)))
+    rows = [((a, b), range(2)) for a, b in product(range(3), range(3))]
+    rows.insert(4, ((1, 9), range(0)))  # an empty row: its prefix is never read
+    domain = [(*prefix, x) for prefix, xs in rows for x in xs]
+    assert domain == list(product(range(3), range(3), range(2)))
     calls = []
 
     def prefix(a, b):
@@ -464,7 +539,7 @@ def test_a_prefix_step_runs_once_per_prefix_and_reports_every_tuple(monkeypatch)
 
     chain = _Chain(
         "prefix",
-        lambda limit: iter(domain),
+        lambda limit: iter(rows),
         (
             ("first", lambda a, b, c: (c, 1), 1),  # fails where c = 0
             ("prefix", prefix, 1),
@@ -474,6 +549,7 @@ def test_a_prefix_step_runs_once_per_prefix_and_reports_every_tuple(monkeypatch)
     monkeypatch.setattr(audit, "_CHAINS", [chain])
     (report,) = audit_inequalities(1).chains
     assert calls == list(dict.fromkeys(t[:2] for t in domain))
+    assert (1, 9) not in calls
     assert report.checked == len(domain)
     expected = [
         (name, t)
@@ -494,4 +570,27 @@ def test_a_prefix_step_runs_once_per_prefix_and_reports_every_tuple(monkeypatch)
 @pytest.mark.parametrize("fn", [lambda *params: (0, 0), lambda: (0, 0)])
 def test_a_step_must_name_the_parameters_it_reads(fn):
     with pytest.raises(ValueError, match="must name each parameter"):
-        _Chain("bad", lambda limit: [(1,)], (("step", fn, 1),))
+        _Chain("bad", lambda limit: [((), range(1, 2))], (("step", fn, 1),))
+
+
+def test_a_step_wider_than_its_domain_fails_on_the_first_row(monkeypatch):
+    drawn, calls = [], []
+
+    def domain(limit):
+        for row in (((0,), range(0)), ((1,), range(2))):
+            drawn.append(row)
+            yield row
+
+    def narrow(a):
+        calls.append(a)
+        return a, 0
+
+    chain = _Chain(
+        "wide",
+        domain,
+        (("narrow", narrow, 1), ("too wide", lambda a, b, c: (a, b), 1)),
+    )
+    monkeypatch.setattr(audit, "_CHAINS", [chain])
+    with pytest.raises(ValueError, match="chain 'wide': step 'too wide' reads 3 "):
+        audit_inequalities(1)
+    assert len(drawn) == 1 and calls == []

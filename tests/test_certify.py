@@ -796,6 +796,42 @@ def test_portfolio_certify_builds_T2_at_most_once(monkeypatch):
     assert with_t2 >= 50 and swapped >= 10, (with_t2, swapped)
 
 
+def test_portfolio_builds_each_recipe_at_most_once_per_context(monkeypatch):
+    # _largest_packing builds every recipe on g's context and guided dispatch
+    # takes its leaf from the same context; a swapped leaf builds on the
+    # mirror's own context
+    certify_module = importlib.import_module("cochain_tuza.certify")
+    builds = Counter()
+    contexts = []  # held, so that no two contexts share an id
+
+    def count(ctx, rid):
+        contexts.append(ctx)
+        builds[id(ctx), rid] += 1
+
+    term_packings = certify_module._term_packings
+
+    def table_recipe(rid, ctx):
+        count(ctx, rid)
+        return term_packings(rid, ctx)
+
+    def code_recipe(rid, build):
+        def counted(ctx):
+            count(ctx, rid)
+            return build(ctx)
+
+        return counted
+
+    monkeypatch.setattr(certify_module, "_term_packings", table_recipe)
+    for rid, build in _CODE_RECIPES.items():
+        monkeypatch.setitem(_CODE_RECIPES, rid, code_recipe(rid, build))
+    swapped = 0
+    for g in fuzz_instances(1, 200, 8):
+        certify(g, "portfolio")
+        swapped += "/swapped" in certify(g, "guided").method
+    assert builds and max(builds.values()) == 1, builds.most_common(3)
+    assert swapped >= 30, swapped
+
+
 def test_portfolio_packs_both_sides_of_an_odd_sided_cochain():
     g = build_cochain(3, 4, (4, 2, 0))
     cert = certify(g, "portfolio")

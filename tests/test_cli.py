@@ -275,6 +275,17 @@ def test_search_and_audit_output_is_pinned(args, capsys):
     assert digest == PINNED_STDOUT[args]
 
 
+def test_audit_output_at_small_limits_is_pinned(capsys):
+    # limits 1..12 reach empty and partial domain rows, which the pins at
+    # 25 and 40 do not isolate; the digest is of the concatenated stdout
+    out = []
+    for k in range(1, 13):
+        assert run(["audit", "--max-half", str(k)]) == EXIT_OK
+        out.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "e84220a0162a7066eaa0aa692b30e1cf6e7e67d3fabff2b99ddb1e173181e3b7"
+
+
 def test_read_certificate_rejects_non_documents(tmp_path):
     not_json = tmp_path / "oops.json"
     not_json.write_text("{oops")
