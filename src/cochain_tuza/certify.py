@@ -670,7 +670,10 @@ def _route(ell: int, m: int, xl: int, xm: int) -> tuple[str, Leaf]:
     "P7-refined" (P7 with T1 minus one edge).  Section 3.1 (x_ell >= ell)
     pairs its recipes with T1; Section 3.2 pairs the T2 recipes
     ``F_RECIPE_IDS`` with T2, except at the profiles of
-    ``EXCEPTIONAL_ROUTES``, whose entry is the leaf.
+    ``EXCEPTIONAL_ROUTES``, whose entry is the leaf.  That some T2 recipe's
+    profile-level bound reaches the ratio at every other 3.2.2 profile is
+    checked exhaustively for ell, m <= 80 (the pinned ``search --limit
+    80``); above that, the recipe loop's runtime check stands alone.
     """
     if xl >= ell:
         if ell == 1:

@@ -60,10 +60,12 @@ def test_search_to_thirty_finds_only_the_published_tuples():
 
 def test_table_search_agrees_with_the_report_path():
     # the per-call tables and the first-pass exit decide exactly as the
-    # full f_1..f_8 report does, under every strategy
-    profiles = list(constrained_profiles(12))
+    # full f_1..f_8 report does, under every strategy, on all 19,519
+    # profiles up to 20
+    profiles = list(constrained_profiles(20))
+    assert len(profiles) == 19519
     for strategy in ALL_STRATEGIES:
-        found = search_exceptional(12, strategy)
+        found = search_exceptional(20, strategy)
         for p in profiles:
             assert (p in found) == evaluate_case_functions(p, strategy).exceptional, (
                 p,

@@ -401,20 +401,6 @@ def test_section_32_certifies_with_the_first_recipe_the_reference_bound_passes()
     assert graphs == 6710
 
 
-def test_certify_calls_no_case_scorer(monkeypatch):
-    # guided dispatch builds and checks recipes; it never scores a profile
-    def scorer_must_not_run(*args, **kwargs):
-        raise AssertionError("certify called evaluate_case_functions")
-
-    for name in ("cochain_tuza.certify", "cochain_tuza.casesearch"):
-        monkeypatch.setattr(
-            importlib.import_module(name), "evaluate_case_functions", scorer_must_not_run
-        )
-    for g in fuzz_instances(1, 1000, 16):
-        assert certify(g, "guided").ratio_ok
-        assert certify(g, "portfolio").ratio_ok
-
-
 @pytest.mark.parametrize(
     "g",
     [
@@ -513,6 +499,23 @@ def test_large_cliques_certify_at_the_feder_count():
             if isinstance(term, Clique)
         ]
         assert [len(part) for part in cliques] == [feder_count(order).count]
+
+
+@pytest.mark.parametrize(
+    "thresholds, tup, method",
+    [
+        # ell = m = 256 even and x_ell > ell: balanced-even settles with P10'
+        ([512] * 255 + [257] * 4 + [0] * 253, (256, 256, 259, 257), "3.1-case2.1-P10'"),
+        # ell + x_m > m + x_ell: the mirror's packing, relabeled against g's T2
+        ([512] * 10 + [200] * 246 + [0] * 256, (256, 256, 10, 200), "3.2.2-P13/swapped"),
+    ],
+    ids=["balanced-even", "swapped-P13"],
+)
+def test_guided_leaf_at_n_1024(thresholds, tup, method):
+    g = build_cochain(512, 512, thresholds)
+    assert profile(g).as_tuple() == tup
+    cert = certify(g, "guided")
+    assert cert.method == method and cert.ratio_ok
 
 
 # -- portfolio and exact ----------------------------------------------------
@@ -856,18 +859,40 @@ def test_p18_loses_a_clique_triangle_only_when_the_clique_packing_has_no_leave()
         assert inside == full.count - (full.k == 0), (ell, m)
 
 
-def test_certificates_are_pinned():
+@pytest.mark.parametrize(
+    "count, max_half, expected",
+    [
+        pytest.param(
+            1000, 8, "4d538700e1194ad8405d604918b1bf67743de1413d1068e2975300dfd1469de0",
+            id="1000x8",
+        ),
+        # guided recipe loops with max(ell, m) above 10
+        pytest.param(
+            3000, 16, "20b7b747c3ddd7cbe21234c4e9f2e0b3ebba69559bf913c6ed6a09606846b3e0",
+            id="3000x16",
+        ),
+    ],
+)
+def test_certificates_are_pinned(monkeypatch, count, max_half, expected):
     # SHA-256 of every guided, then portfolio, certificate document over a
-    # fixed fuzz stream; a refactor of the certifier must leave it unchanged
+    # fixed fuzz stream; a refactor of the certifier must leave it unchanged.
+    # Both modes meet the ratio, and neither scores a profile: guided
+    # dispatch builds and checks recipes
+    def scorer_must_not_run(*args, **kwargs):
+        raise AssertionError("certify called evaluate_case_functions")
+
+    for name in ("cochain_tuza.certify", "cochain_tuza.casesearch"):
+        monkeypatch.setattr(
+            importlib.import_module(name), "evaluate_case_functions", scorer_must_not_run
+        )
     digest = hashlib.sha256()
-    for g in fuzz_instances(1, 1000, 8):
+    for g in fuzz_instances(1, count, max_half):
         for mode in ("guided", "portfolio"):
-            doc = certificate_document(certify(g, mode))
+            cert = certify(g, mode)
+            assert cert.ratio_ok, (g, mode, cert.method)
+            doc = certificate_document(cert)
             digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
-    assert (
-        digest.hexdigest()
-        == "4d538700e1194ad8405d604918b1bf67743de1413d1068e2975300dfd1469de0"
-    )
+    assert digest.hexdigest() == expected
 
 
 def test_portfolio_certificates_off_the_even_sides_are_pinned():

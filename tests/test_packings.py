@@ -187,13 +187,15 @@ def test_mod5_orders_hit_the_feder_count_with_a_4_cycle_leave():
 
 
 def test_cold_clique_builds_are_deterministic():
+    # every order up to 300 builds from a cold cache, its Feder count and
+    # disjointness checked by explicit raises, twice to the same triangles
     builds = []
     for _ in range(2):
         packings._canonical_clique_packing.cache_clear()
         builds.append(
             [
                 pack_clique(range(n)).sorted_triangles()
-                for n in range(1, 66)
+                for n in range(1, 301)
             ]
         )
     assert builds[0] == builds[1]
