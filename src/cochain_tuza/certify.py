@@ -96,6 +96,8 @@ from .recipes import (
     RECIPES,
     Clique,
     Intervals,
+    Side,
+    Term,
     group_intervals,
     t2_size,
 )
@@ -320,18 +322,18 @@ def _side_packing(
 
 
 def _clique_packing_unused_at(
-    ctx: "_Ctx", verts: Sequence[int], target: Edge
+    ctx: "_Ctx", group: str, target: Edge
 ) -> list[Triangle]:
-    """Pack the clique on verts, relabeled so the target pair stays unused.
+    """Pack the clique on a group, relabeled so the target pair stays unused.
 
     Any permutation of the clique's vertices maps packings to packings, so an
     unused edge found by scanning can be moved onto the requested pair.
     """
-    vs = sorted(set(verts))
+    vs = sorted(set(ctx.vertices(group)))
     target = edge(*target)
     if target[0] not in vs or target[1] not in vs:
         raise ValueError(f"target pair {target} not inside the clique")
-    return _free_pair(vs, _clique_packing(ctx, vs), target)
+    return _free_pair(vs, _term_packing(Clique(group), ctx), target)
 
 
 def _transposition(a: int, b: int) -> Callable[[int], int]:
@@ -382,6 +384,13 @@ class _Ctx:
     built: dict[str, list[Triangle] | RecipeInapplicable] = field(
         default_factory=dict, repr=False
     )
+    #: each group ``vertices`` has listed here
+    members: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    #: each table term ``_term_packing`` has built here, by its vertex tuples
+    #: (the clique's, or the apexes' and the clique's), as ``built``
+    terms: dict[
+        tuple[tuple[int, ...], ...], list[Triangle] | RecipeInapplicable
+    ] = field(default_factory=dict, repr=False)
 
     @classmethod
     def of(cls, g: CoChainGraph, G: GeneralGraph | None = None) -> "_Ctx":
@@ -391,7 +400,13 @@ class _Ctx:
         return cls(g, G, *prof, group_intervals(*prof))
 
     def vertices(self, group: str) -> tuple[int, ...]:
-        return tuple(v for lo, hi in self.groups[group] for v in range(lo, hi))
+        """The group's vertices, listed once per context."""
+        vs = self.members.get(group)
+        if vs is None:
+            vs = self.members[group] = tuple(
+                v for lo, hi in self.groups[group] for v in range(lo, hi)
+            )
+        return vs
 
     @cached_property
     def t1(self) -> HittingSet:
@@ -404,6 +419,31 @@ class _Ctx:
         return build_T2(self.g)
 
 
+def _term_packing(term: Term, ctx: _Ctx) -> list[Triangle]:
+    """The packing of one table term, built at most once per context for its
+    vertices: recipes share terms, distinct groups can hold the same
+    vertices, and portfolio mode builds every recipe."""
+    is_clique = isinstance(term, Clique)
+    key = (
+        (ctx.vertices(term.group),)
+        if is_clique
+        else (ctx.vertices(term.apexes), ctx.vertices(term.clique))
+    )
+    built = ctx.terms.get(key)
+    if built is None:
+        try:
+            if is_clique:
+                built = _clique_packing(ctx, *key)
+            else:
+                built = _side_packing(ctx.G, *key)
+        except RecipeInapplicable as exc:
+            built = exc
+        ctx.terms[key] = built
+    if isinstance(built, RecipeInapplicable):
+        raise built.with_traceback(None)
+    return built
+
+
 def _term_packings(rid: str, ctx: _Ctx) -> list[list[Triangle]]:
     """Build the table recipe ``rid``: one packing per term, in table order."""
     recipe = RECIPES[rid]
@@ -411,17 +451,7 @@ def _term_packings(rid: str, ctx: _Ctx) -> list[list[Triangle]]:
         ctx.ell, ctx.m, ctx.xl, ctx.xm
     ):
         raise RecipeInapplicable(f"{rid} needs {recipe.needs}")
-    parts = []
-    for term in recipe.terms:
-        if isinstance(term, Clique):
-            parts.append(_clique_packing(ctx, ctx.vertices(term.group)))
-        else:
-            parts.append(
-                _side_packing(
-                    ctx.G, ctx.vertices(term.apexes), ctx.vertices(term.clique)
-                )
-            )
-    return parts
+    return [_term_packing(term, ctx) for term in recipe.terms]
 
 
 def _build(rid: str, ctx: _Ctx) -> list[Triangle]:
@@ -465,7 +495,7 @@ def _p5_prime(ctx: _Ctx) -> list[Triangle]:
     g = ctx.g
     c1, c2, c3, c4 = g.c(1), g.c(2), g.c(3), g.c(4)
     d_last = g.d(g.m_size)
-    base = _clique_packing_unused_at(ctx, ctx.vertices("l_top+X_m"), (c1, c2))
+    base = _clique_packing_unused_at(ctx, "l_top+X_m", (c1, c2))
     return _extend(
         ctx, base, [triangle(c1, c2, c3), triangle(c3, c4, d_last)], "P5'"
     )
@@ -481,9 +511,8 @@ def _two_cliques_plus_two(
     g = ctx.g
     c1, c2 = g.c(1), g.c(2)
     pair_d = (g.d(pair_j[0]), g.d(pair_j[1]))
-    base = _clique_packing_unused_at(
-        ctx, ctx.vertices("side_l"), (c1, c2)
-    ) + _clique_packing_unused_at(ctx, ctx.vertices("side_m"), pair_d)
+    base = _clique_packing_unused_at(ctx, "side_l", (c1, c2))
+    base += _clique_packing_unused_at(ctx, "side_m", pair_d)
     extra = [triangle(c1, c2, g.d(bridge_j)), triangle(c1, *pair_d)]
     return _extend(ctx, base, extra, tag)
 
@@ -553,8 +582,8 @@ def _p18(ctx: _Ctx) -> list[Triangle]:
     near = [t for t in full if not (missing[0] in t and missing[1] in t)]
     return (
         near
-        + _side_packing(ctx.G, m_bot, ctx.vertices("m_top"))
-        + _side_packing(ctx.G, l_top, ctx.vertices("l_bot"))
+        + _term_packing(Side("m_bot", "m_top"), ctx)
+        + _term_packing(Side("l_top", "l_bot"), ctx)
     )
 
 

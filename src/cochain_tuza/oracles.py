@@ -7,17 +7,23 @@ fail-first.  The packing search branches on the live edge in the fewest
 alive triangles (pack one of them, or exclude the edge) and bounds what is
 left by the live edges and live degrees.  The hitting search branches on an
 uncovered triangle with the fewest free edges, prunes with a greedy packing
-that is disjoint on free edges and with Mantel's bound, and starts from the
-better of a greedy hitting set and the triangle edges inside the sides of a
-local-search maximum cut, which is optimal on complete and near-complete
-graphs.  A node budget caps the total work; on exhaustion the best feasible
-witness found so far is returned with proven=False, never a false optimum,
-and ``explored`` counts the nodes expanded.
+that is disjoint on free edges, with Mantel's bound on the edges still in an
+uncovered triangle and with Mantel's bound on each clique of an
+edge-disjoint clique cover, and starts from the better of a greedy hitting
+set and the triangle edges inside the sides of a local-search maximum cut,
+which is optimal on complete and near-complete graphs.  It skips a branch
+that a swap of two true twins (equal closed neighbourhoods) maps onto an
+earlier sibling; it finds the twins in its input graph itself, so it works
+on any graph, co-chain or not.  A node budget caps the total work; on
+exhaustion the best feasible witness found so far is returned with
+proven=False, never a false optimum, and ``explored`` counts the nodes
+expanded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import (
     Edge,
@@ -26,6 +32,7 @@ from .graphs import (
     Triangle,
     TrianglePacking,
     _bits,
+    edge,
     enumerate_triangles,
 )
 
@@ -40,10 +47,17 @@ class ExactResult:
     proven: bool
 
 
-def _incidence(g: GeneralGraph) -> tuple[list[Triangle], list[Edge], list[int], list[int]]:
+@lru_cache(maxsize=1)
+def _incidence(
+    g: GeneralGraph,
+) -> tuple[tuple[Triangle, ...], tuple[Edge, ...], tuple[int, ...], tuple[int, ...]]:
     """Both oracles' incidence: the triangles of g in lexicographic order, its
     sorted edges (edge i is bit i), each triangle as the mask of its edges and
-    each edge as the mask of the triangles through it."""
+    each edge as the mask of the triangles through it.
+
+    Callers run the two oracles back to back on one graph, so the last
+    graph's incidence is kept; it is all tuples, so no caller can change it.
+    """
     tris = enumerate_triangles(g)
     edges = g.edge_list()
     eidx = {e: i for i, e in enumerate(edges)}
@@ -54,7 +68,7 @@ def _incidence(g: GeneralGraph) -> tuple[list[Triangle], list[Edge], list[int], 
         tri_masks.append(mask)
         for e in _bits(mask):
             edge_tris[e] |= 1 << ti
-    return tris, edges, tri_masks, edge_tris
+    return tuple(tris), tuple(edges), tuple(tri_masks), tuple(edge_tris)
 
 
 def exact_nu(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
@@ -163,11 +177,63 @@ def _max_cut_sides(adj: list[int]) -> int:
     return side
 
 
+def _twin_classes(adj: tuple[int, ...]) -> list[int]:
+    """Each vertex's true-twin class, named by its least vertex: true twins
+    have equal closed neighbourhoods, so they are adjacent, and exchanging
+    two of them is an automorphism of the graph."""
+    first: dict[int, int] = {}
+    return [first.setdefault(nbrs | 1 << v, v) for v, nbrs in enumerate(adj)]
+
+
+def _clique_cover(adj: list[int], edge_bit: dict[Edge, int]) -> list[tuple[int, int]]:
+    """Edge-disjoint cliques of the graph adj, as (edge mask, floor(q^2 / 4))
+    for a clique on q vertices: greedily, a maximal clique grown from the
+    vertex of highest degree that still lies on a triangle of the edges not
+    yet taken, each step adding the candidate with the most candidate
+    neighbours, until the edges left hold no triangle."""
+    rest = list(adj)
+    cover = []
+    while True:
+        start, most = -1, 0
+        for v, nbrs in enumerate(rest):
+            if nbrs.bit_count() > most and any(rest[w] & nbrs for w in _bits(nbrs)):
+                start, most = v, nbrs.bit_count()
+        if start < 0:
+            return cover
+        clique, cand = [start], rest[start]
+        while cand:
+            w = max(_bits(cand), key=lambda u: (rest[u] & cand).bit_count())
+            clique.append(w)
+            cand &= rest[w]
+        mask = 0
+        for i, u in enumerate(clique):
+            for v in clique[i + 1 :]:
+                mask |= edge_bit[edge(u, v)]
+                rest[u] &= ~(1 << v)
+                rest[v] &= ~(1 << u)
+        cover.append((mask, len(clique) ** 2 // 4))
+
+
 def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     """Minimum triangle hitting size, with an optimal hitting set as witness.
 
     Branch and bound over edge removals; a node's uncovered triangles are
-    exactly the triangles of the graph with its removed edges deleted.
+    exactly the triangles of the graph with its removed edges deleted.  A
+    node is its removed edge set R and its kept edge set K, the edges that
+    an earlier sibling branch of it or of an ancestor removed, which are
+    never removed below it.  So the subtree of a node holds the hitting sets
+    H with R in H and K disjoint from H.
+
+    Twin rule: let x and y be true twins (equal closed neighbourhoods) and
+    corners of the branch triangle xyz, such that for every other vertex w,
+    R holds xw exactly when it holds yw, and so does K.  The swap (x y) is
+    then an automorphism that fixes R and K and maps yz to xz.  If xz comes first among the
+    branches, the swap maps every H of the branch "remove yz" (which keeps
+    xz and every earlier branch edge) to a hitting set of the same size in
+    the branch "remove xz": xy, the only other earlier branch edge, is fixed.
+    So the later branch is skipped, and its edge is still kept by the
+    siblings that follow it.  Among the fail-first ties the branch triangle
+    is one with two twin corners, where there is one.
 
     Packing bound: kept edges are never removed below a node, so each
     uncovered triangle needs one of its free edges removed.  Triangles whose
@@ -179,6 +245,11 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     so a hitting set H leaves E_L minus H triangle-free on |V_L| vertices,
     which by Mantel's theorem has at most floor(|V_L|^2 / 4) edges: at least
     |E_L| - floor(|V_L|^2 / 4) more edges must go.
+
+    Clique bound: the root splits the triangle edges greedily into
+    edge-disjoint cliques.  H leaves at most floor(|Q|^2 / 4) edges of a
+    clique Q, so it removes at least |E(Q) minus R| - floor(|Q|^2 / 4) more
+    of them, and the cliques share no edge, so these counts add up.
 
     Bipartite incumbent: no triangle has all three edges across a cut, so the
     triangle edges inside the two sides hit every triangle.
@@ -218,28 +289,52 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     best = min(greedy, bipartite, key=len)
     best_size = len(best)
 
+    cliques = _clique_cover(tri_adj, {e: 1 << i for i, e in enumerate(edges)})
+    twin = _twin_classes(g.adj)
+    # the triangles with two twin corners, which fail-first ties prefer
+    twin_tris = 0
+    for ti, (a, b, c) in enumerate(tris):
+        if twin[a] == twin[b] or twin[a] == twin[c] or twin[b] == twin[c]:
+            twin_tris |= 1 << ti
+    # per branch triangle, built when the search first branches on it: its
+    # corner pairs (x, y) of true twins, each with the later of its edges xz
+    # and yz.  Where the twin rule applies, the swap fixes the uncovered
+    # triangles, so the two edges tie in the sort key of the branch order,
+    # and the stable sort keeps them in edge order
+    twin_pairs: dict[int, list[tuple[int, int, int]]] = {}
+    # bit w of removed_at[v] (kept_at[v]): the edge vw is removed (kept) at
+    # the node the search is in; set on the way down, cleared on the way up
+    removed_at = [0] * g.n
+    kept_at = [0] * g.n
+
     left = budget  # nodes the search may still expand
     aborted = False
-    removed: list[int] = []
 
-    def dfs(unc: int, kept_mask: int) -> None:
+    def dfs(unc: int, kept_mask: int, removed_mask: int) -> None:
         nonlocal best, best_size, aborted, left
         if left <= 0:
             aborted = True
             return
         left -= 1
-        depth = len(removed)
+        depth = removed_mask.bit_count()
         if not unc:
             if depth < best_size:
-                best = list(removed)
+                best = list(_bits(removed_mask))
                 best_size = depth
             return
         room = best_size - depth  # a bound >= room prunes this node
         if room <= 1:
             return  # an uncovered triangle needs one more edge
+        need = 0
+        for mask, keep in cliques:
+            over = (mask & ~removed_mask).bit_count() - keep
+            if over > 0:
+                need += over
+        if need >= room:
+            return
         # one pass over the uncovered triangles: a greedy packing disjoint on
         # free edges, the live edges and vertices, and the branch triangle
-        # (fail-first: fewest free edges)
+        # (fail-first: fewest free edges, then one with two twin corners)
         used = packed = live_e = live_v = 0
         pick, pick_free = -1, 4
         free_mask = ~kept_mask
@@ -265,17 +360,53 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
         r = live_v.bit_count()
         if live_e.bit_count() - r * r // 4 >= room:
             return
+        if not twin_tris >> pick & 1:  # a tie with two twin corners wins
+            m = unc & twin_tris
+            while m:
+                low = m & -m
+                ti = low.bit_length() - 1
+                m ^= low
+                if (tri_masks[ti] & free_mask).bit_count() == pick_free:
+                    pick = ti
+                    break
+        pairs = twin_pairs.get(pick)
+        if pairs is None:
+            a, b, c = tris[pick]
+            ab, ac, bc = _bits(tri_masks[pick])
+            pairs = twin_pairs[pick] = [
+                (x, y, max(e1, e2))
+                for x, y, e1, e2 in ((a, b, ac, bc), (a, c, ab, bc), (b, c, ab, ac))
+                if twin[x] == twin[y]
+            ]
+        skip = 0  # the branch edges the twin rule skips
+        for x, y, later in pairs:
+            bx, by = 1 << x, 1 << y
+            if (
+                removed_at[x] & ~by == removed_at[y] & ~bx
+                and kept_at[x] & ~by == kept_at[y] & ~bx
+            ):
+                skip |= 1 << later
         branch_edges = list(_bits(tri_masks[pick] & free_mask))
         branch_edges.sort(key=lambda e: -(edge_tris[e] & unc).bit_count())
         kept_here = 0
         for e in branch_edges:
-            removed.append(e)
-            dfs(unc & ~edge_tris[e], kept_mask | kept_here)
-            removed.pop()
-            if aborted:
-                return
+            u, v = edges[e]
+            if not skip >> e & 1:
+                removed_at[u] ^= 1 << v
+                removed_at[v] ^= 1 << u
+                dfs(unc & ~edge_tris[e], kept_mask | kept_here, removed_mask | 1 << e)
+                removed_at[u] ^= 1 << v
+                removed_at[v] ^= 1 << u
+                if aborted:
+                    break
             kept_here |= 1 << e
+            kept_at[u] ^= 1 << v
+            kept_at[v] ^= 1 << u
+        for e in _bits(kept_here):
+            u, v = edges[e]
+            kept_at[u] ^= 1 << v
+            kept_at[v] ^= 1 << u
 
-    dfs(all_tris, 0)
+    dfs(all_tris, 0, 0)
     witness = HittingSet.of(edges[e] for e in best)
     return ExactResult(best_size, witness, budget - left, not aborted)

@@ -802,14 +802,32 @@ def test_portfolio_certify_builds_T2_at_most_once(monkeypatch):
 def test_portfolio_builds_each_recipe_at_most_once_per_context(monkeypatch):
     # _largest_packing builds every recipe on g's context and guided dispatch
     # takes its leaf from the same context; a swapped leaf builds on the
-    # mirror's own context
+    # mirror's own context.  Recipes share terms, and each term too is built
+    # at most once per context (a context's host graph is its own)
     certify_module = importlib.import_module("cochain_tuza.certify")
     builds = Counter()
+    terms = Counter()
     contexts = []  # held, so that no two contexts share an id
 
     def count(ctx, rid):
         contexts.append(ctx)
         builds[id(ctx), rid] += 1
+
+    clique_packing = certify_module._clique_packing
+    side_packing = certify_module._side_packing
+
+    def clique_term(ctx, verts):
+        contexts.append(ctx.G)
+        terms[id(ctx.G), tuple(verts)] += 1
+        return clique_packing(ctx, verts)
+
+    def side_term(host, S, K):
+        contexts.append(host)
+        terms[id(host), tuple(S), tuple(K)] += 1
+        return side_packing(host, S, K)
+
+    monkeypatch.setattr(certify_module, "_clique_packing", clique_term)
+    monkeypatch.setattr(certify_module, "_side_packing", side_term)
 
     term_packings = certify_module._term_packings
 
@@ -832,6 +850,7 @@ def test_portfolio_builds_each_recipe_at_most_once_per_context(monkeypatch):
         certify(g, "portfolio")
         swapped += "/swapped" in certify(g, "guided").method
     assert builds and max(builds.values()) == 1, builds.most_common(3)
+    assert terms and max(terms.values()) == 1, terms.most_common(3)
     assert swapped >= 30, swapped
 
 

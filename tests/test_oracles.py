@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 from math import comb
@@ -6,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cochain_tuza.certify import certify
-from cochain_tuza.generators import random_cochain
+from cochain_tuza.generators import (
+    count_monotone_sequences,
+    random_cochain,
+    unrank_monotone_sequence,
+)
 from cochain_tuza.graphs import (
     GeneralGraph,
     HittingSet,
@@ -161,6 +166,47 @@ def test_tau_matches_brute_force_on_random_graphs(data):
     assert r_tau.value == brute_tau(g, cap=len(edges))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tau_matches_brute_force_on_twin_blow_ups(data):
+    # each vertex of a random base graph becomes a clique of 1-3 true twins,
+    # joined to every twin of its base neighbours, under shuffled labels: the
+    # graphs on which exact_tau's twin rule skips branches
+    k = data.draw(st.integers(2, 4))
+    base = [e for e in combinations(range(k), 2) if data.draw(st.booleans())]
+    blocks, n = [], 0
+    for i in range(k):
+        size = data.draw(st.integers(1, min(3, 6 - n - (k - 1 - i))))
+        blocks.append(range(n, n + size))
+        n += size
+    perm = data.draw(st.permutations(range(n)))
+    pairs = [(i, i) for i in range(k)] + base
+    edges = {
+        (min(perm[u], perm[v]), max(perm[u], perm[v]))
+        for i, j in pairs
+        for u in blocks[i]
+        for v in blocks[j]
+        if u != v
+    }
+    g = GeneralGraph.from_edges(n, edges)
+    r_tau = exact_tau(g)
+    assert r_tau.proven
+    assert verify_hitting(g, r_tau.witness) and len(r_tau.witness) == r_tau.value
+    assert r_tau.value == brute_tau(g, cap=len(edges))
+
+
+def test_tau_on_k6_minus_an_edge():
+    # K_6 minus an edge has twin pairs whose removed edges differ inside the
+    # search; a twin rule that skipped without comparing them fails here
+    for missing in combinations(range(6), 2):
+        g = GeneralGraph.from_edges(
+            6, [e for e in combinations(range(6), 2) if e != missing]
+        )
+        r_tau = exact_tau(g)
+        assert r_tau.proven and verify_hitting(g, r_tau.witness)
+        assert r_tau.value == len(r_tau.witness) == brute_tau(g, cap=14)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_oracles_ignore_vertex_labels(data):
@@ -177,18 +223,49 @@ def test_oracles_ignore_vertex_labels(data):
         assert r_g.value == r_h.value
 
 
-def test_oracle_work_on_the_even_sided_census_is_pinned():
-    # nodes explored, summed over every even-sided co-chain graph with sides
-    # in {2, 4, 6} and n <= 10: a refactor of the search must not move them
+def _values_digest(instances) -> tuple[int, int, int, str]:
+    """(graphs, tau nodes, nu nodes, SHA-256 of one "L M thresholds tau nu"
+    line per graph) over the given (L, M, thresholds), both oracles proven."""
     graphs = tau_nodes = nu_nodes = 0
-    for l_size, m_size in product((2, 4, 6), repeat=2):
-        if l_size + m_size > 10:
-            continue
-        for t in monotone_sequences(l_size, m_size):
-            G = build_cochain(l_size, m_size, t).to_general()
-            tau, nu = exact_tau(G), exact_nu(G)
-            assert tau.proven and nu.proven
-            graphs += 1
-            tau_nodes += tau.explored
-            nu_nodes += nu.explored
-    assert (graphs, tau_nodes, nu_nodes) == (582, 40638, 12643)
+    h = hashlib.sha256()
+    for l_size, m_size, t in instances:
+        G = build_cochain(l_size, m_size, t).to_general()
+        tau, nu = exact_tau(G), exact_nu(G)
+        assert tau.proven and nu.proven
+        graphs += 1
+        tau_nodes += tau.explored
+        nu_nodes += nu.explored
+        h.update(f"{l_size} {m_size} {list(t)} {tau.value} {nu.value}\n".encode())
+    return graphs, tau_nodes, nu_nodes, h.hexdigest()
+
+
+def test_oracle_work_on_the_even_sided_census_is_pinned():
+    # tau and nu on every even-sided co-chain graph with sides in {2, 4, 6}
+    # and n <= 10, and the nodes explored: a refactor of the search must not
+    # move them, and a new pruning rule must move only the node counts
+    instances = [
+        (l_size, m_size, t)
+        for l_size, m_size in product((2, 4, 6), repeat=2)
+        if l_size + m_size <= 10
+        for t in monotone_sequences(l_size, m_size)
+    ]
+    assert _values_digest(instances) == (
+        582,
+        20603,
+        12643,
+        "508a388a3248170c2520018db6c36d6485639537c5572f8b744301efcabe619a",
+    )
+
+
+def test_oracle_values_on_every_8th_6_6_graph_are_pinned():
+    # the (6, 6) census by rank, every 8th graph: n = 12, where the tau
+    # search branches deepest; values only, so that pruning may move nodes
+    instances = [
+        (6, 6, unrank_monotone_sequence(r, 6, 6))
+        for r in range(0, count_monotone_sequences(6, 6), 8)
+    ]
+    graphs, _, _, digest = _values_digest(instances)
+    assert (graphs, digest) == (
+        116,
+        "70b7391a37b961988d03bd26e3ba5df9e00177ff4bd3dffee71c388a006e2874",
+    )
