@@ -67,6 +67,7 @@ from .casesearch import (
     evaluate_case_functions,  # noqa: F401  (perfbench's trace wraps it on this module)
 )
 from .graphs import (
+    CaseProfile,
     CoChainGraph,
     Edge,
     GeneralGraph,
@@ -74,6 +75,7 @@ from .graphs import (
     Triangle,
     TrianglePacking,
     _bits,
+    _packing_masks,
     edge,
     enumerate_triangles,
     profile,
@@ -98,8 +100,8 @@ from .recipes import (
     Intervals,
     Side,
     Term,
+    _t2_size,
     group_intervals,
-    t2_size,
 )
 from .recognition import RecognitionFailure, recognize_cochain
 
@@ -201,18 +203,27 @@ def build_T1(g: CoChainGraph) -> HittingSet:
     graph, as masks in O(n) from the adjacency masks and the halves of
     ``group_intervals``; with one side empty it splits the other side's
     clique into its halves."""
-    prof = profile(g)
-    ell, m, xl, xm = prof.as_tuple()
-    groups = group_intervals(ell, m, xl, xm)
+    prof = profile(g).as_tuple()
+    return _t1(g.adjacency_masks(), group_intervals(*prof), prof)
+
+
+def _t1(
+    adj: Sequence[int], groups: dict[str, Intervals], prof: tuple[int, int, int, int]
+) -> HittingSet:
+    """``build_T1`` of the graph with adjacency masks adj, profile prof and
+    the groups of ``group_intervals(*prof)``."""
+    ell, m, xl, xm = prof
     a = _group_mask(groups, "l_top") | _group_mask(groups, "m_bot")
-    b = ((1 << g.n) - 1) ^ a
+    b = ((1 << len(adj)) - 1) ^ a
     h = HittingSet._from_masks(
-        [mask & (a if a >> u & 1 else b) for u, mask in enumerate(g.adjacency_masks())]
+        [mask & (a if a >> u & 1 else b) for u, mask in enumerate(adj)]
     )
     if xl >= ell:
         bound = ell * m + (xl - ell) * (xm - m) + m * (m - 1) + ell * (ell - 1)
         if len(h) > bound:
-            raise RuntimeError(f"T1 has {len(h)} edges, above {bound} at {prof}")
+            raise RuntimeError(
+                f"T1 has {len(h)} edges, above {bound} at {CaseProfile(*prof)}"
+            )
     return h
 
 
@@ -223,16 +234,24 @@ def build_T2(g: CoChainGraph) -> HittingSet:
     Requires x_ell < ell; the size then equals ``recipes.t2_size``
     exactly.
     """
-    prof = profile(g)
-    if prof.x_ell >= prof.ell:
-        raise PreconditionError(f"T2 requires x_ell < ell, got profile {prof}")
-    groups = group_intervals(*prof.as_tuple())
+    prof = profile(g).as_tuple()
+    return _t2(g.n, group_intervals(*prof), prof)
+
+
+def _t2(
+    n: int, groups: dict[str, Intervals], prof: tuple[int, int, int, int]
+) -> HittingSet:
+    """``build_T2`` of a graph on n vertices with profile prof and the
+    groups of ``group_intervals(*prof)``."""
+    ell, m, xl, xm = prof
+    if xl >= ell:
+        raise PreconditionError(f"T2 requires x_ell < ell, got profile {CaseProfile(*prof)}")
     l_top, l_bot, m_top, m_bot, x_l, x_m = (
         _group_mask(groups, name)
         for name in ("l_top", "l_bot", "m_top", "m_bot", "X_ell", "X_m")
     )
     masks = []
-    for u in range(g.n):
+    for u in range(n):
         bit = 1 << u
         if bit & l_top:
             mask = l_top | x_m | (m_bot if bit & x_l else 0)
@@ -244,9 +263,9 @@ def build_T2(g: CoChainGraph) -> HittingSet:
             mask = m_bot | x_l | (l_top if bit & x_m else 0)
         masks.append(mask ^ bit)
     h = HittingSet._from_masks(masks)
-    expected = t2_size(prof)
+    expected = _t2_size(*prof)
     if len(h) != expected:
-        raise RuntimeError(f"T2 has {len(h)} edges, not {expected} at {prof}")
+        raise RuntimeError(f"T2 has {len(h)} edges, not {expected} at {CaseProfile(*prof)}")
     return h
 
 
@@ -303,6 +322,16 @@ def _used_edges(tris: Iterable[Triangle]) -> set[Edge]:
     for a, b, c in tris:
         out.update(((a, b), (a, c), (b, c)))
     return out
+
+
+def _used_masks(ctx: "_Ctx", tris: list[Triangle]) -> list[int]:
+    """The edges of tris, a packing built sorted and edge-disjoint on the
+    context's graph, as ``graphs._packing_masks``: bit v of ``used[u]`` for
+    the edge (u, v), u < v."""
+    used = _packing_masks(tris, ctx.G.n)
+    if used is None:
+        raise RuntimeError("a recipe's triangles are unsorted or share an edge")
+    return used
 
 
 def _clique_packing(ctx: "_Ctx", verts: Sequence[int]) -> list[Triangle]:
@@ -410,13 +439,15 @@ class _Ctx:
 
     @cached_property
     def t1(self) -> HittingSet:
-        """``build_T1(g)``, built at most once per context."""
-        return build_T1(self.g)
+        """``build_T1(g)``, built at most once per context, from G's masks
+        and the context's groups."""
+        return _t1(self.G.adj, self.groups, (self.ell, self.m, self.xl, self.xm))
 
     @cached_property
     def t2(self) -> HittingSet:
-        """``build_T2(g)``, built at most once per context."""
-        return build_T2(self.g)
+        """``build_T2(g)``, built at most once per context, from the
+        context's groups."""
+        return _t2(self.G.n, self.groups, (self.ell, self.m, self.xl, self.xm))
 
 
 def _term_packing(term: Term, ctx: _Ctx) -> list[Triangle]:
@@ -478,13 +509,13 @@ def _build(rid: str, ctx: _Ctx) -> list[Triangle]:
 def _extend(
     ctx: _Ctx, base: list[Triangle], extra: list[Triangle], tag: str
 ) -> list[Triangle]:
-    """base plus extra triangles whose edges are in the host and unused."""
-    used = _used_edges(base)
+    """base plus extra sorted triangles whose edges are in the host and unused."""
+    used = _used_masks(ctx, base)
     for t in extra:
-        for e_ in triangle_edges(t):
-            if not ctx.G.has_edge(*e_) or e_ in used:
-                raise RecipeInapplicable(f"{tag}: edge {e_} unavailable")
-            used.add(e_)
+        for u, v in triangle_edges(t):
+            if not ctx.G.has_edge(u, v) or used[u] >> v & 1:
+                raise RecipeInapplicable(f"{tag}: edge {(u, v)} unavailable")
+            used[u] |= 1 << v
     return base + extra
 
 
@@ -535,23 +566,21 @@ def _p10_prime(ctx: _Ctx) -> list[Triangle]:
     xm_high = ctx.vertices("X_m-m_bot")
     if not xm_high:
         return tris
-    used = _used_edges(tris)
+    used = _used_masks(ctx, tris)
+    adj = ctx.G.adj
     m_bot, l_top = ctx.vertices("m_bot"), ctx.vertices("l_top")
+    # c < dd < d_bot: l_top comes first, and X_m - m_bot lies in m_top
     for dd in xm_high:
         placed = False
         for d_bot in reversed(m_bot):
-            if (edge(d_bot, dd) in used) or not ctx.G.has_edge(d_bot, dd):
+            if used[dd] >> d_bot & 1 or not adj[dd] >> d_bot & 1:
                 continue
+            pair = 1 << dd | 1 << d_bot
             for c in l_top:
-                e1, e2, e3 = edge(c, d_bot), edge(d_bot, dd), edge(c, dd)
-                if (
-                    ctx.G.has_edge(*e1)
-                    and ctx.G.has_edge(*e3)
-                    and e1 not in used
-                    and e3 not in used
-                ):
-                    used.update((e1, e2, e3))
-                    tris.append(triangle(c, d_bot, dd))
+                if adj[c] & pair == pair and not used[c] & pair:
+                    used[c] |= pair
+                    used[dd] |= 1 << d_bot
+                    tris.append((c, dd, d_bot))
                     placed = True
                     break
             if placed:

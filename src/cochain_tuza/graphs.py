@@ -33,13 +33,23 @@ certifier's recipes) through trusted constructors that skip those checks;
 ``certify.make_certificate`` then checks each returned witness once, with
 ``verify_hitting`` (O(n + monochromatic edges) mask operations) and
 ``verify_packing``.
+
+Every packing check runs one kernel, ``_packing_masks``: the edges of
+sorted triangles become per-vertex masks (``used[a] |= 1 << b | 1 << c``,
+then ``used[b] |= 1 << c``), and two triangles share an edge exactly when
+the masks hold fewer than 3 bits per triangle.  ``verify_packing`` adds one
+mask test per vertex against the host's adjacency, and the
+``TrianglePacking`` constructor and the clique cache of ``packings`` run the
+same kernel.  Unsorted, out-of-range and repeated-vertex triangles take a
+slow path that sorts and range-checks each one, which only the callers'
+errors need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -54,10 +64,15 @@ def edge(u: int, v: int) -> Edge:
 
 def triangle(a: int, b: int, c: int) -> Triangle:
     """Canonical sorted form of a triangle."""
-    t = tuple(sorted((a, b, c)))
-    if len(set(t)) != 3:
-        raise ValueError(f"triangle vertices not distinct: {t}")
-    return t  # type: ignore[return-value]
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    if a == b or b == c:
+        raise ValueError(f"triangle vertices not distinct: {(a, b, c)}")
+    return (a, b, c)
 
 
 def triangle_edges(t: Triangle) -> tuple[Edge, Edge, Edge]:
@@ -316,33 +331,64 @@ def profile(g: CoChainGraph) -> CaseProfile:
 # ---------------------------------------------------------------------------
 
 
+def _packing_masks(tris: Collection[Triangle], n: int) -> list[int] | None:
+    """The edges of triangles sorted a < b < c with ids in [0, n), as
+    per-vertex masks (bit b of ``used[a]`` is the edge (a, b), a < b), or
+    None if a triangle is out of order or out of range, or two share an edge.
+
+    ``tris`` is a collection, iterated once.  Each triangle sets its three
+    edges' bits, which differ for distinct edges, so the triangles are
+    edge-disjoint exactly when the masks hold 3 bits per triangle.  This is
+    the one packing check: ``verify_packing``, ``TrianglePacking`` and the
+    clique cache all run it.
+    """
+    used = [0] * n
+    for a, b, c in tris:
+        if not 0 <= a < b < c < n:
+            return None
+        used[a] |= 1 << b | 1 << c
+        used[b] |= 1 << c
+    return used if sum(map(int.bit_count, used)) == 3 * len(tris) else None
+
+
+def _is_packing(tris: Collection[Triangle]) -> bool:
+    """Whether ``_packing_masks`` accepts tris over ids 0..max id, checked
+    on the ranks of the ids when they are sparse (a negative id fails)."""
+    n = 1 + max((c for _a, _b, c in tris), default=-1)
+    if n > 3 * len(tris):
+        ids = sorted({v for t in tris for v in t})
+        if ids[0] < 0:
+            return False
+        rank = {v: i for i, v in enumerate(ids)}
+        tris, n = [(rank[a], rank[b], rank[c]) for a, b, c in tris], len(ids)
+    return _packing_masks(tris, n) is not None
+
+
 @dataclass(frozen=True)
 class TrianglePacking:
-    """Pairwise edge-disjoint triangles, given in any vertex order, stored sorted."""
+    """Pairwise edge-disjoint triangles, given in any vertex order, stored sorted.
+
+    The constructor runs ``_packing_masks`` once on the triangles as given,
+    over ids 0..max id, or over the ranks of the ids when that range is
+    longer than the triangles' 3|P| corners (an increasing relabeling keeps
+    every order and every edge, and memory stays O(|P|) whatever the ids).
+    Only when that fails, on a triangle out of order or a shared edge, does
+    it sort every triangle, reject a negative id and run the check again,
+    to store the sorted form or name the first shared edge.
+    """
 
     triangles: frozenset[Triangle]
 
     def __post_init__(self) -> None:
-        # used[a]: the partners b > a of the edges (a, b) already packed
-        used: dict[int, int] = {}
-        canonical = True
-        for t in self.triangles:
-            a, b, c = t
-            if not a < b < c:
-                a, b, c = triangle(a, b, c)
-                canonical = False
-            if a < 0:
+        if _is_packing(self.triangles):
+            return
+        canonical = [triangle(*t) for t in self.triangles]
+        for t in canonical:
+            if t[0] < 0:
                 raise ValueError(f"negative vertex id in triangle {t}")
-            bc, cbit = 1 << b | 1 << c, 1 << c
-            ua, ub = used.get(a, 0), used.get(b, 0)
-            if ua & bc or ub & cbit:
-                raise ValueError(f"triangles share edge {self._first_shared_edge()}")
-            used[a] = ua | bc
-            used[b] = ub | cbit
-        if not canonical:
-            object.__setattr__(
-                self, "triangles", frozenset(triangle(*t) for t in self.triangles)
-            )
+        if not _is_packing(canonical):
+            raise ValueError(f"triangles share edge {self._first_shared_edge()}")
+        object.__setattr__(self, "triangles", frozenset(canonical))
 
     def _first_shared_edge(self) -> Edge | None:
         """The first edge two triangles share, in sorted order, to name it."""
@@ -356,7 +402,7 @@ class TrianglePacking:
 
     @classmethod
     def of(cls, triangles: Iterable[tuple[int, int, int]]) -> "TrianglePacking":
-        return cls(frozenset(triangle(*t) for t in triangles))
+        return cls(frozenset([triangle(a, b, c) for a, b, c in triangles]))
 
     @classmethod
     def _trusted(cls, triangles: frozenset[Triangle]) -> "TrianglePacking":
@@ -412,7 +458,7 @@ class HittingSet:
 
     @classmethod
     def of(cls, edges: Iterable[tuple[int, int]]) -> "HittingSet":
-        return cls(frozenset(edge(u, v) for u, v in edges))
+        return cls(edges)
 
     @classmethod
     def _from_masks(cls, masks: Sequence[int]) -> "HittingSet":
@@ -459,33 +505,27 @@ def verify_packing(
 ) -> bool:
     """True iff all triangles exist in g and are pairwise edge-disjoint.
 
-    Accepts a TrianglePacking or a raw collection of triangles and checks
-    both the same way, in one pass over g's adjacency masks: every triangle
-    is put in sorted form (a repeated vertex raises ValueError), its edges
-    must be in g and not in an earlier triangle.  A vertex id outside g
-    raises ValueError, wherever it occurs.
+    Accepts a TrianglePacking or a raw iterable of triangles (read once) and
+    checks both the same way: ``_packing_masks`` over g's ids gives the
+    packed edges as per-vertex masks, and every mask must lie inside g's
+    adjacency mask.  When the kernel fails, every triangle is put in sorted
+    form (a repeated vertex raises ValueError) and range-checked (a vertex
+    id outside g raises ValueError, wherever it occurs), and the kernel runs
+    again: a shared edge, or a duplicate triangle, gives False.
     """
-    tris = p.triangles if isinstance(p, TrianglePacking) else p
-    adj, n = g.adj, g.n
-    # used[a]: the partners b > a of the edges (a, b) already packed
-    used = [0] * n
-    ok = True
-    for t in tris:
-        a, b, c = t
-        if not a < b < c:
-            a, b, c = sorted(t)
-            if a == b or b == c:
-                raise ValueError(f"triangle vertices not distinct: {(a, b, c)}")
-        if a < 0 or c >= n:
-            raise _out_of_range(g, a if a < 0 else c)
-        if ok:
-            bc, cbit = 1 << b | 1 << c, 1 << c
-            if adj[a] & bc != bc or not adj[b] & cbit or (used[a] & bc or used[b] & cbit):
-                ok = False
-            else:
-                used[a] |= bc
-                used[b] |= cbit
-    return ok
+    tris = p.triangles if isinstance(p, TrianglePacking) else list(p)
+    used = _packing_masks(tris, g.n)
+    if used is None:
+        canonical = []
+        for t in tris:
+            t = triangle(*t)
+            if t[0] < 0 or t[2] >= g.n:
+                raise _out_of_range(g, t[0] if t[0] < 0 else t[2])
+            canonical.append(t)
+        used = _packing_masks(canonical, g.n)
+        if used is None:
+            return False
+    return not any(u & ~a for u, a in zip(used, g.adj))
 
 
 def verify_hitting(

@@ -28,7 +28,8 @@ size 5, whose block is split into two triangles (a 4-cycle leave); n = 4
 mod 6 deletes one point of the 4-cycle leave of K_{n+1} (n + 1 = 5 mod 6),
 which leaves n/2 + 1 edges.  Every construction is deterministic and every
 order is supported.  Every constructed packing is checked against the Feder
-count and for edge-disjoint coverage before it is cached.
+count, and for edge-disjoint coverage by ``graphs._packing_masks``, before it
+is cached.
 """
 
 from __future__ import annotations
@@ -38,7 +39,15 @@ from functools import cache
 from math import comb
 from typing import Iterable, Sequence
 
-from .graphs import Edge, GeneralGraph, Triangle, TrianglePacking, edge, triangle
+from .graphs import (
+    Edge,
+    GeneralGraph,
+    Triangle,
+    TrianglePacking,
+    _packing_masks,
+    edge,
+    triangle,
+)
 
 
 class UnsupportedCliqueSize(ValueError):
@@ -152,12 +161,21 @@ def _side_triangles(
     if len(k_sorted) < 2 or not s_sorted:
         return []
     # distinct apexes over the distinct matchings of a (near-)1-factorization
-    # share no edge; each matching edge a < b is placed around its apex
-    return [
-        (apex, a, b) if apex < a else (a, apex, b) if apex < b else (a, b, apex)
-        for apex, m in zip(s_sorted, _side_rounds(len(k_sorted)))
-        for a, b in ((k_sorted[i], k_sorted[j]) for i, j in m)
-    ]
+    # share no edge; each matching edge a < b is placed around its apex, in
+    # one fixed layout for an apex below or above the whole clique
+    ks, lo, hi = k_sorted, k_sorted[0], k_sorted[-1]
+    out: list[Triangle] = []
+    for apex, m in zip(s_sorted, _side_rounds(len(ks))):
+        if apex < lo:
+            out += [(apex, ks[i], ks[j]) for i, j in m]
+        elif apex > hi:
+            out += [(ks[i], ks[j], apex) for i, j in m]
+        else:
+            out += [
+                (apex, a, b) if apex < a else (a, apex, b) if apex < b else (a, b, apex)
+                for a, b in ((ks[i], ks[j]) for i, j in m)
+            ]
+    return out
 
 
 @cache
@@ -322,12 +340,13 @@ def _canonical_clique_packing(n: int) -> tuple[Triangle, ...]:
         raise RuntimeError(
             f"K_{n} packing has size {len(tris)}, expected {expected}"
         )
-    seen: set[Edge] = set()
-    for t in tris:
-        for p in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            if p in seen or not (0 <= p[0] < p[1] < n):
-                raise RuntimeError(f"K_{n} packing reuses or exceeds edge {p}")
-            seen.add(p)
+    if _packing_masks(tris, n) is None:
+        seen: set[Edge] = set()
+        for t in tris:
+            for p in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
+                if p in seen or not (0 <= p[0] < p[1] < n):
+                    raise RuntimeError(f"K_{n} packing reuses or exceeds edge {p}")
+                seen.add(p)
     return tuple(sorted(tris))
 
 

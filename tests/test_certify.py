@@ -734,15 +734,17 @@ def test_guided_certify_builds_T1_at_most_once(monkeypatch):
     # even, x_ell > ell) is the P10' leaf
     certify_module = importlib.import_module("cochain_tuza.certify")
     built = []
+    t1 = certify_module._t1
 
-    def counted(g):
-        built.append(g)
-        return build_T1(g)
+    def counted(*args):
+        # the context builds T1 through _t1, and so does build_T1
+        built.append(args)
+        return t1(*args)
 
     def portfolio_must_not_run(*args, **kwargs):
         raise AssertionError("guided mode called the portfolio")
 
-    monkeypatch.setattr(certify_module, "build_T1", counted)
+    monkeypatch.setattr(certify_module, "_t1", counted)
     monkeypatch.setattr(certify_module, "_portfolio", portfolio_must_not_run)
     balanced_even = refined = 0
     for g in fuzz_instances(1, 2000, 16):
@@ -762,12 +764,14 @@ def test_portfolio_certify_builds_T1_at_most_once(monkeypatch):
     # dispatch, and a side swap reuses g's own T1
     certify_module = importlib.import_module("cochain_tuza.certify")
     built = []
+    t1 = certify_module._t1
 
-    def counted(g):
-        built.append(g)
-        return build_T1(g)
+    def counted(*args):
+        # the context builds T1 through _t1, and so does build_T1
+        built.append(args)
+        return t1(*args)
 
-    monkeypatch.setattr(certify_module, "build_T1", counted)
+    monkeypatch.setattr(certify_module, "_t1", counted)
     swapped = 0
     for g in fuzz_instances(1, 300, 8):
         built.clear()
@@ -782,12 +786,14 @@ def test_portfolio_certify_builds_T2_at_most_once(monkeypatch):
     # swap at x_ell < ell reuses g's own T2
     certify_module = importlib.import_module("cochain_tuza.certify")
     built = []
+    t2 = certify_module._t2
 
-    def counted(g):
-        built.append(g)
-        return build_T2(g)
+    def counted(*args):
+        # the context builds T2 through _t2, and so does build_T2
+        built.append(args)
+        return t2(*args)
 
-    monkeypatch.setattr(certify_module, "build_T2", counted)
+    monkeypatch.setattr(certify_module, "_t2", counted)
     with_t2 = swapped = 0
     for g in fuzz_instances(1, 300, 8):
         built.clear()

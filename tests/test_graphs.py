@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -15,6 +16,7 @@ from cochain_tuza.graphs import (
     build_cochain,
     enumerate_triangles,
     profile,
+    triangle,
     verify_hitting,
     verify_packing,
 )
@@ -146,6 +148,103 @@ def test_verify_packing_examples():
     unsorted = TrianglePacking._trusted(frozenset({(1, 0, 2), (0, 1, 3)}))
     assert not verify_packing(k4, unsorted)
     assert not verify_packing(k4, [(1, 0, 2), (0, 1, 3)])
+
+
+def _pairs_disjoint(tris):
+    """Whether the triangles, as sets of sorted pairs, are pairwise
+    edge-disjoint; a triangle listed twice shares its edges with itself."""
+    seen = set()
+    for t in tris:
+        pairs = {tuple(sorted(p)) for p in combinations(t, 2)}
+        if pairs & seen:
+            return False
+        seen |= pairs
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packing_checks_match_a_brute_force_reference(data):
+    # every packing check runs one kernel; on triangles over ids -1..n
+    # (unsorted, repeated-vertex, duplicate and overlapping ones) each must
+    # give the reference's bool, or ValueError exactly where it raises
+    n = data.draw(st.integers(1, 7))
+    pairs = list(combinations(range(n), 2))
+    if data.draw(st.booleans()):
+        edges = pairs
+    else:
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    g = GeneralGraph(n, edges)
+    ids = st.integers(-1, n)
+    raw = data.draw(st.lists(st.tuples(ids, ids, ids), max_size=12))
+    repeated = any(len(set(t)) < 3 for t in raw)
+
+    for t in raw:
+        if len(set(t)) < 3:
+            with pytest.raises(ValueError):
+                triangle(*t)
+        else:
+            assert triangle(*t) == tuple(sorted(t))
+
+    if repeated or any(v < 0 or v >= n for t in raw for v in t):
+        with pytest.raises(ValueError):
+            verify_packing(g, raw)
+        with pytest.raises(ValueError):
+            verify_packing(g, iter(raw))
+    else:
+        expected = _pairs_disjoint(raw) and all(
+            g.has_edge(u, v) for t in raw for u, v in combinations(t, 2)
+        )
+        assert verify_packing(g, raw) is expected
+        assert verify_packing(g, iter(raw)) is expected
+
+    # the constructor keeps each distinct triangle as given, then sorts it
+    given_once = set(raw)
+    if any(len(set(t)) < 3 or min(t) < 0 for t in given_once):
+        with pytest.raises(ValueError):
+            TrianglePacking(frozenset(given_once))
+    elif not _pairs_disjoint(given_once):
+        with pytest.raises(ValueError, match="share edge"):
+            TrianglePacking(frozenset(given_once))
+    else:
+        sorted_once = {tuple(sorted(t)) for t in given_once}
+        assert TrianglePacking(frozenset(given_once)).triangles == sorted_once
+        if max(map(max, raw), default=0) < n:
+            assert verify_packing(g, TrianglePacking(frozenset(given_once))) is all(
+                g.has_edge(u, v) for t in given_once for u, v in combinations(t, 2)
+            )
+
+    # of() sorts first, so a triangle written twice is one triangle
+    if repeated or any(min(t) < 0 for t in raw):
+        with pytest.raises(ValueError):
+            TrianglePacking.of(raw)
+    else:
+        sorted_once = {tuple(sorted(t)) for t in raw}
+        if _pairs_disjoint(sorted_once):
+            assert TrianglePacking.of(raw).triangles == sorted_once
+        else:
+            with pytest.raises(ValueError, match="share edge"):
+                TrianglePacking.of(raw)
+
+
+def test_a_packing_with_a_sparse_id_is_checked_quickly():
+    start = time.perf_counter()
+    p = TrianglePacking.of([(0, 1, 100_000)])
+    assert p.triangles == {(0, 1, 100_000)}
+    assert TrianglePacking.of([(100_000, 0, 1), (3, 2, 100_000)]).triangles == {
+        (0, 1, 100_000), (2, 3, 100_000)
+    }
+    with pytest.raises(ValueError, match=r"share edge \(0, 100000\)"):
+        TrianglePacking.of([(0, 1, 100_000), (100_000, 2, 0)])
+    with pytest.raises(ValueError, match="negative"):
+        TrianglePacking.of([(-1, 1, 100_000)])
+    # an id far beyond any list or int the process could hold: the check
+    # runs on the ranks of the ids, so memory stays in the triangles' size
+    huge = 2**62
+    assert TrianglePacking.of([(huge, 0, 1), (2, 3, huge)]).triangles == {
+        (0, 1, huge), (2, 3, huge)
+    }
+    assert time.perf_counter() - start < 0.5
 
 
 def test_verify_hitting_examples():
