@@ -11,10 +11,15 @@ that is disjoint on free edges, with Mantel's bound on the edges still in an
 uncovered triangle and with Mantel's bound on each clique of an
 edge-disjoint clique cover, and starts from the better of a greedy hitting
 set and the triangle edges inside the sides of a local-search maximum cut,
-which is optimal on complete and near-complete graphs.  It skips a branch
-that a swap of two true twins (equal closed neighbourhoods) maps onto an
-earlier sibling; it finds the twins in its input graph itself, so it works
-on any graph, co-chain or not.  A node budget caps the total work; on
+which is optimal on complete and near-complete graphs.  Its greedy packing
+takes the triangles through a kept edge first: they have fewer free edges,
+so they block fewer of the others.  The order moves only that bound, never
+the branch triangle or the branch order, so the witnesses are those of an
+index-order packing; greedy is not monotone in its order, so at a single
+node the bound can come out one weaker, though in total it prunes more.
+It skips a branch that a swap of two true twins (equal closed
+neighbourhoods) maps onto an earlier sibling; it finds the twins in its
+input graph itself, so it works on any graph, co-chain or not.  A node budget caps the total work; on
 exhaustion the best feasible witness found so far is returned with
 proven=False, never a false optimum, and ``explored`` counts the nodes
 expanded.
@@ -50,10 +55,17 @@ class ExactResult:
 @lru_cache(maxsize=1)
 def _incidence(
     g: GeneralGraph,
-) -> tuple[tuple[Triangle, ...], tuple[Edge, ...], tuple[int, ...], tuple[int, ...]]:
+) -> tuple[
+    tuple[Triangle, ...],
+    tuple[Edge, ...],
+    tuple[tuple[int, int, int], ...],
+    tuple[int, ...],
+    tuple[int, ...],
+]:
     """Both oracles' incidence: the triangles of g in lexicographic order, its
-    sorted edges (edge i is bit i), each triangle as the mask of its edges and
-    each edge as the mask of the triangles through it.
+    sorted edges (edge i is bit i), each triangle abc as its edge indices
+    (ab, ac, bc), which ascend, and as the mask of those edges, and each edge
+    as the mask of the triangles through it.
 
     Callers run the two oracles back to back on one graph, so the last
     graph's incidence is kept; it is all tuples, so no caller can change it.
@@ -61,14 +73,24 @@ def _incidence(
     tris = enumerate_triangles(g)
     edges = g.edge_list()
     eidx = {e: i for i, e in enumerate(edges)}
+    tri_edges = []
     tri_masks = []
     edge_tris = [0] * len(edges)
     for ti, (a, b, c) in enumerate(tris):
-        mask = 1 << eidx[(a, b)] | 1 << eidx[(a, c)] | 1 << eidx[(b, c)]
-        tri_masks.append(mask)
-        for e in _bits(mask):
-            edge_tris[e] |= 1 << ti
-    return tuple(tris), tuple(edges), tuple(tri_masks), tuple(edge_tris)
+        ab, ac, bc = eidx[(a, b)], eidx[(a, c)], eidx[(b, c)]
+        tri_edges.append((ab, ac, bc))
+        tri_masks.append(1 << ab | 1 << ac | 1 << bc)
+        bit = 1 << ti
+        edge_tris[ab] |= bit
+        edge_tris[ac] |= bit
+        edge_tris[bc] |= bit
+    return (
+        tuple(tris),
+        tuple(edges),
+        tuple(tri_edges),
+        tuple(tri_masks),
+        tuple(edge_tris),
+    )
 
 
 def exact_nu(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
@@ -80,14 +102,11 @@ def exact_nu(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     add uses three live edges, two of them at each of its vertices, so it
     adds at most min(|live edges| // 3, sum_v floor(live_deg(v) / 2) // 3).
     """
-    tris, edges, tri_masks, edge_tris = _incidence(g)
+    tris, edges, tri_edges, tri_masks, edge_tris = _incidence(g)
     if not tris:
         return ExactResult(0, TrianglePacking(frozenset()), 0, True)
     # conflict[t]: the triangles sharing an edge with t, t included
-    conflict = [
-        edge_tris[a] | edge_tris[b] | edge_tris[c]
-        for a, b, c in map(_bits, tri_masks)
-    ]
+    conflict = [edge_tris[a] | edge_tris[b] | edge_tris[c] for a, b, c in tri_edges]
     vmask = [0] * g.n
     for i, (u, v) in enumerate(edges):
         vmask[u] |= 1 << i
@@ -238,7 +257,19 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     Packing bound: kept edges are never removed below a node, so each
     uncovered triangle needs one of its free edges removed.  Triangles whose
     free edges are pairwise disjoint need distinct removed edges, so a
-    greedy set of them is a lower bound on the edges still to remove.
+    greedy set of them is a lower bound on the edges still to remove.  The
+    greedy pass takes the triangles through a kept edge first (a node
+    carries their mask beside K), then the rest, each group in index order:
+    a triangle with one or two free edges blocks fewer others.  A triangle
+    has fewer than three free edges exactly when it holds a kept edge, so
+    the fail-first pick, the first triangle with the fewest free edges in
+    index order, is the same in both orders, and the twin rule and the
+    branch order read only the pick, R, K and the uncovered triangles.  The
+    tree is therefore the index-order one, and a valid bound prunes only
+    subtrees without a better hitting set, so the incumbents, the value and
+    the witness are those of any other valid bound.  Greedy is not monotone
+    in its order, so at a single node this packing can come out one smaller
+    than the index-order one; over a search it prunes more.
 
     Mantel bound: let E_L be the edges that lie in an uncovered triangle and
     V_L their endpoints.  Every triangle of the graph (V_L, E_L) is uncovered,
@@ -254,7 +285,7 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     Bipartite incumbent: no triangle has all three edges across a cut, so the
     triangle edges inside the two sides hit every triangle.
     """
-    tris, edges, tri_masks, edge_tris = _incidence(g)
+    tris, edges, tri_edges, tri_masks, edge_tris = _incidence(g)
     if not tris:
         return ExactResult(0, HittingSet(frozenset()), 0, True)
     n_edges = len(edges)
@@ -265,11 +296,8 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     alive = all_tris
     greedy: list[int] = []
     while alive:
-        e_best, most = -1, 0
-        for e in range(n_edges):
-            hits = (edge_tris[e] & alive).bit_count()
-            if hits > most:
-                e_best, most = e, hits
+        hits = [(et & alive).bit_count() for et in edge_tris]
+        e_best = hits.index(max(hits))
         greedy.append(e_best)
         alive &= ~edge_tris[e_best]
 
@@ -310,7 +338,7 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     left = budget  # nodes the search may still expand
     aborted = False
 
-    def dfs(unc: int, kept_mask: int, removed_mask: int) -> None:
+    def dfs(unc: int, kept_mask: int, kept_tris: int, removed_mask: int) -> None:
         nonlocal best, best_size, aborted, left
         if left <= 0:
             aborted = True
@@ -332,13 +360,14 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
                 need += over
         if need >= room:
             return
-        # one pass over the uncovered triangles: a greedy packing disjoint on
-        # free edges, the live edges and vertices, and the branch triangle
-        # (fail-first: fewest free edges, then one with two twin corners)
+        # one pass over the uncovered triangles, those through a kept edge
+        # first: a greedy packing disjoint on free edges, the live edges and
+        # vertices, and the branch triangle (fail-first: fewest free edges,
+        # then one with two twin corners)
         used = packed = live_e = live_v = 0
-        pick, pick_free = -1, 4
+        pick, pick_free = -1, 3
         free_mask = ~kept_mask
-        m = unc
+        m = unc & kept_tris
         while m:
             low = m & -m
             ti = low.bit_length() - 1
@@ -355,24 +384,44 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
                 if free == 0:
                     return  # all its edges are kept: infeasible branch
                 pick, pick_free = ti, free
+        fresh = unc & ~kept_tris  # all three edges free
+        if pick < 0:
+            pick = (fresh & -fresh).bit_length() - 1
+        m = fresh
+        while m:
+            low = m & -m
+            ti = low.bit_length() - 1
+            m ^= low
+            tm = tri_masks[ti]
+            live_e |= tm
+            live_v |= tri_verts[ti]
+            if not tm & used:
+                used |= tm
+                packed += 1
         if packed >= room:
             return
         r = live_v.bit_count()
         if live_e.bit_count() - r * r // 4 >= room:
             return
         if not twin_tris >> pick & 1:  # a tie with two twin corners wins
-            m = unc & twin_tris
-            while m:
-                low = m & -m
-                ti = low.bit_length() - 1
-                m ^= low
-                if (tri_masks[ti] & free_mask).bit_count() == pick_free:
-                    pick = ti
-                    break
+            # only fresh triangles have three free edges
+            if pick_free == 3:
+                m = fresh & twin_tris
+                if m:
+                    pick = (m & -m).bit_length() - 1
+            else:
+                m = unc & kept_tris & twin_tris
+                while m:
+                    low = m & -m
+                    ti = low.bit_length() - 1
+                    m ^= low
+                    if (tri_masks[ti] & free_mask).bit_count() == pick_free:
+                        pick = ti
+                        break
         pairs = twin_pairs.get(pick)
         if pairs is None:
             a, b, c = tris[pick]
-            ab, ac, bc = _bits(tri_masks[pick])
+            ab, ac, bc = tri_edges[pick]
             pairs = twin_pairs[pick] = [
                 (x, y, max(e1, e2))
                 for x, y, e1, e2 in ((a, b, ac, bc), (a, c, ab, bc), (b, c, ab, ac))
@@ -388,18 +437,24 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
                 skip |= 1 << later
         branch_edges = list(_bits(tri_masks[pick] & free_mask))
         branch_edges.sort(key=lambda e: -(edge_tris[e] & unc).bit_count())
-        kept_here = 0
+        kept_here = kt = 0  # kt: the triangles through an edge of kept_here
         for e in branch_edges:
             u, v = edges[e]
             if not skip >> e & 1:
                 removed_at[u] ^= 1 << v
                 removed_at[v] ^= 1 << u
-                dfs(unc & ~edge_tris[e], kept_mask | kept_here, removed_mask | 1 << e)
+                dfs(
+                    unc & ~edge_tris[e],
+                    kept_mask | kept_here,
+                    kept_tris | kt,
+                    removed_mask | 1 << e,
+                )
                 removed_at[u] ^= 1 << v
                 removed_at[v] ^= 1 << u
                 if aborted:
                     break
             kept_here |= 1 << e
+            kt |= edge_tris[e]
             kept_at[u] ^= 1 << v
             kept_at[v] ^= 1 << u
         for e in _bits(kept_here):
@@ -407,6 +462,6 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
             kept_at[u] ^= 1 << v
             kept_at[v] ^= 1 << u
 
-    dfs(all_tris, 0, 0)
+    dfs(all_tris, 0, 0, 0)
     witness = HittingSet.of(edges[e] for e in best)
     return ExactResult(best_size, witness, budget - left, not aborted)

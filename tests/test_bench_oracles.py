@@ -25,7 +25,13 @@ def test_harness_reports_the_2_2_class(tmp_path):
     assert row["graphs"] == count_monotone_sequences(2, 2) == 6
     assert row["tau_nodes"] >= 1 and row["nu_nodes"] >= 1
     assert len(row["values_sha256"]) == 64
-    for key in ("tau_s", "nu_s", "tau_s_per_graph_median", "nu_s_per_graph_max"):
+    for key in (
+        "incidence_s",
+        "tau_s",
+        "nu_s",
+        "tau_s_per_graph_median",
+        "nu_s_per_graph_max",
+    ):
         assert row[key] >= 0
 
 
@@ -35,4 +41,5 @@ def test_harness_sets_are_the_named_populations():
         "census-n10": 582,
         "census-6x6": 924,
         "random-8x8": 3,
+        "random-8x8-30": 30,
     }

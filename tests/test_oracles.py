@@ -21,10 +21,51 @@ from cochain_tuza.graphs import (
     verify_hitting,
     verify_packing,
 )
-from cochain_tuza.oracles import exact_nu, exact_tau
+from cochain_tuza.oracles import _incidence, exact_nu, exact_tau
 from cochain_tuza.packings import feder_count
 
-from conftest import brute_nu, brute_tau, complete_graph, monotone_sequences
+from conftest import (
+    brute_nu,
+    brute_tau,
+    brute_triangles,
+    complete_graph,
+    monotone_sequences,
+)
+
+
+def _check_incidence(g: GeneralGraph) -> None:
+    tris, edges, tri_edges, tri_masks, edge_tris = _incidence(g)
+    assert list(tris) == brute_triangles(g)
+    assert list(edges) == sorted(g.edges)
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    for (a, b, c), idx, mask in zip(tris, tri_edges, tri_masks):
+        assert [edges[i] for i in idx] == [(a, b), (a, c), (b, c)]
+        assert mask == bit[(a, b)] | bit[(a, c)] | bit[(b, c)]
+    for i, e in enumerate(edges):
+        through = sum(1 << ti for ti, t in enumerate(tris) if set(e) <= set(t))
+        assert edge_tris[i] == through
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_incidence_matches_brute_force_triangles(data):
+    n = data.draw(st.integers(0, 8))
+    edges = [
+        e for e in combinations(range(n), 2) if data.draw(st.booleans())
+    ]
+    _check_incidence(GeneralGraph.from_edges(n, edges))
+
+
+def test_incidence_of_empty_and_triangle_free_graphs():
+    # the empty graph, and the triangle-free 5-cycle, whose edges lie in no
+    # triangle
+    for g in (
+        GeneralGraph.from_edges(0, []),
+        GeneralGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    ):
+        _check_incidence(g)
+        tris, _, _, _, edge_tris = _incidence(g)
+        assert tris == () and not any(edge_tris)
 
 
 def test_small_clique_values():
@@ -223,11 +264,12 @@ def test_oracles_ignore_vertex_labels(data):
         assert r_g.value == r_h.value
 
 
-def _values_digest(instances) -> tuple[int, int, int, str]:
+def _values_digest(instances) -> tuple[int, int, int, str, str]:
     """(graphs, tau nodes, nu nodes, SHA-256 of one "L M thresholds tau nu"
-    line per graph) over the given (L, M, thresholds), both oracles proven."""
+    line per graph, SHA-256 of one line of tau's sorted witness edges per
+    graph) over the given (L, M, thresholds), both oracles proven."""
     graphs = tau_nodes = nu_nodes = 0
-    h = hashlib.sha256()
+    h, w = hashlib.sha256(), hashlib.sha256()
     for l_size, m_size, t in instances:
         G = build_cochain(l_size, m_size, t).to_general()
         tau, nu = exact_tau(G), exact_nu(G)
@@ -236,7 +278,8 @@ def _values_digest(instances) -> tuple[int, int, int, str]:
         tau_nodes += tau.explored
         nu_nodes += nu.explored
         h.update(f"{l_size} {m_size} {list(t)} {tau.value} {nu.value}\n".encode())
-    return graphs, tau_nodes, nu_nodes, h.hexdigest()
+        w.update(f"{tau.witness.sorted_edges()}\n".encode())
+    return graphs, tau_nodes, nu_nodes, h.hexdigest(), w.hexdigest()
 
 
 def test_oracle_work_on_the_even_sided_census_is_pinned():
@@ -249,11 +292,14 @@ def test_oracle_work_on_the_even_sided_census_is_pinned():
         if l_size + m_size <= 10
         for t in monotone_sequences(l_size, m_size)
     ]
+    # the witness digest holds while only pruning changes, and breaks when
+    # the search order does
     assert _values_digest(instances) == (
         582,
-        20603,
+        15978,
         12643,
         "508a388a3248170c2520018db6c36d6485639537c5572f8b744301efcabe619a",
+        "024581c7c16cbeb08f7989a598155e461edc654f5f707fcbb4a6ad1e08ac5311",
     )
 
 
@@ -264,7 +310,7 @@ def test_oracle_values_on_every_8th_6_6_graph_are_pinned():
         (6, 6, unrank_monotone_sequence(r, 6, 6))
         for r in range(0, count_monotone_sequences(6, 6), 8)
     ]
-    graphs, _, _, digest = _values_digest(instances)
+    graphs, _, _, digest, _ = _values_digest(instances)
     assert (graphs, digest) == (
         116,
         "70b7391a37b961988d03bd26e3ba5df9e00177ff4bd3dffee71c388a006e2874",

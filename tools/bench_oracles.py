@@ -1,15 +1,21 @@
 """Oracle harness: node counts and process time of ``exact_tau`` and
-``exact_nu`` on three fixed sets of co-chain graphs.
+``exact_nu`` on four fixed sets of co-chain graphs.
 
 The sets are:
 
 * ``census-n10``: every even-sided co-chain graph with sides in {2, 4, 6}
   and at most 10 vertices (582 graphs, the ``oracle-sandwich`` population);
 * ``census-6x6``: every co-chain graph with sides (6, 6) (924 graphs);
-* ``random-8x8``: the three graphs ``random_cochain(Random(0), 8, 8)`` draws.
+* ``random-8x8``: the three graphs ``random_cochain(Random(0), 8, 8)`` draws;
+* ``random-8x8-30``: the thirty graphs ``random_cochain(Random(1), 8, 8)``
+  draws (n = 16).
 
 Each repeat runs both oracles once on every graph of a set, with the
-default budget, and times each call with ``time.process_time``.  Node counts
+default budget, and times each call with ``time.process_time``.  The two
+oracles share one incidence build (``oracles._incidence``, which caches the
+last graph's), so before each graph the harness clears that cache and times
+the build on its own as ``incidence``; ``tau`` and ``nu`` then time the
+searches and their own set-up, without the build.  Node counts
 repeat exactly, so they are reported once; times are medians over the
 repeats.  A set's ``values_sha256`` hashes one ``"L M thresholds tau nu"``
 line per graph, so two runs compare their values by one string.  Every
@@ -39,7 +45,7 @@ from cochain_tuza.generators import (
     unrank_monotone_sequence,
 )
 from cochain_tuza.graphs import CoChainGraph, build_cochain
-from cochain_tuza.oracles import exact_nu, exact_tau
+from cochain_tuza.oracles import _incidence, exact_nu, exact_tau
 
 
 def census(classes: list[tuple[int, int]]) -> list[CoChainGraph]:
@@ -53,23 +59,28 @@ def census(classes: list[tuple[int, int]]) -> list[CoChainGraph]:
 
 def default_sets() -> dict[str, list[CoChainGraph]]:
     sides = (2, 4, 6)
-    rng = random.Random(0)
+    seed0, seed1 = random.Random(0), random.Random(1)
     return {
         "census-n10": census([(L, M) for L in sides for M in sides if L + M <= 10]),
         "census-6x6": census([(6, 6)]),
-        "random-8x8": [random_cochain(rng, 8, 8) for _ in range(3)],
+        "random-8x8": [random_cochain(seed0, 8, 8) for _ in range(3)],
+        "random-8x8-30": [random_cochain(seed1, 8, 8) for _ in range(30)],
     }
 
 
 def measure(graphs: list[CoChainGraph], repeats: int) -> dict:
     """Node counts, median process times and the values digest of one set."""
     hosts = [g.to_general() for g in graphs]
-    times = {oracle: [[] for _ in graphs] for oracle in ("tau", "nu")}
+    times = {layer: [[] for _ in graphs] for layer in ("incidence", "tau", "nu")}
     nodes = {}
     values = []
     for _ in range(repeats):
         run_nodes, run_values = {"tau": 0, "nu": 0}, []
         for i, host in enumerate(hosts):
+            _incidence.cache_clear()
+            start = time.process_time()
+            _incidence(host)
+            times["incidence"][i].append(time.process_time() - start)
             row = []
             for name, oracle in (("tau", exact_tau), ("nu", exact_nu)):
                 start = time.process_time()
@@ -88,10 +99,11 @@ def measure(graphs: list[CoChainGraph], repeats: int) -> dict:
         line = f"{g.l_size} {g.m_size} {list(g.thresholds)} {tau} {nu}\n"
         digest.update(line.encode())
     out = {"graphs": len(graphs), "values_sha256": digest.hexdigest()}
-    for name in ("tau", "nu"):
+    for name in ("incidence", "tau", "nu"):
         per_graph = [statistics.median(ts) for ts in times[name]]
         totals = [sum(ts[k] for ts in times[name]) for k in range(repeats)]
-        out[f"{name}_nodes"] = nodes[name]
+        if name in nodes:
+            out[f"{name}_nodes"] = nodes[name]
         out[f"{name}_s"] = round(statistics.median(totals), 4)
         out[f"{name}_s_per_graph_median"] = round(statistics.median(per_graph), 4)
         out[f"{name}_s_per_graph_max"] = round(max(per_graph), 4)
