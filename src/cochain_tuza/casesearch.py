@@ -16,8 +16,9 @@ outcome under every variant instead of silently picking one:
   value); "universal" uses the all-n bound (binom(n,2) - n/2 - 3/2)/3;
   "observation" uses the best of the three always-valid relaxations.
 * apex terms: with the even-|K| form enabled, p(S, K) is scored as
-  max((|K|-1)/2 * min(|S|, |K|), [|K| even] |K|/2 * min(|S|, |K|-1)),
-  exactly what the matching-assignment construction realizes.
+  ``packings.side_count(|S|, |K|)``, exactly what the matching-assignment
+  construction realizes; without it, as (|K|-1)/2 * min(|S|, |K|) for
+  every |K|.
 
 The default strategy (exact cliques, even form on) reproduces the published
 list of 12 exceptional tuples; ``EXPECTED_EXCEPTIONAL`` is the key set of
@@ -49,7 +50,7 @@ from typing import Iterator
 
 from .audit import audit_inequalities  # noqa: F401  (perfbench calls and wraps it here)
 from .graphs import CaseProfile
-from .packings import feder_count
+from .packings import feder_count, side_count
 from .recipes import (
     EXCEPTIONAL_ROUTES,
     F_RECIPE_IDS,
@@ -125,12 +126,11 @@ def _clique_bound6(strategy: BoundStrategy, n: int) -> int:
 
 def _side_bound6(strategy: BoundStrategy, s: int, k: int) -> int:
     """6 times a lower bound on p(S, K) with |S| = s apexes over a k-clique."""
+    if strategy.even_form:
+        return 6 * side_count(s, k)
     if k < 2 or s < 1:
         return 0
-    bound = 3 * (k - 1) * min(s, k)
-    if strategy.even_form and k % 2 == 0:
-        bound = max(bound, 3 * k * min(s, k - 1))
-    return bound
+    return 3 * (k - 1) * min(s, k)
 
 
 def _group_sizes(ell: int, m: int, xl: int, xm: int) -> list[int]:

@@ -24,8 +24,11 @@ their ratio fails, never by a silent gap and never through the portfolio.
 Portfolio mode (``_portfolio``), the fallback outside the paper's even
 sides, takes the smallest of a list of candidate hitting sets and the
 largest of a list of candidate packings, guided's among them; the ratio may
-fail.  Guided and portfolio modes call no exact oracle; only exact mode
-does, and only it raises ``BudgetExhausted``.
+fail.  Its largest recipe packing (``_largest_packing``, which a "small"
+leaf uses too) builds every code recipe but not every table row: the rows'
+sizes are read off the group sizes before any is built, and the rows are
+built largest first until one applies.  Guided and portfolio modes call no
+exact oracle; only exact mode does, and only it raises ``BudgetExhausted``.
 
 The recipes that are plain unions of clique and apex packings are declared
 once, in ``recipes.RECIPES``, and the case search derives its
@@ -34,7 +37,10 @@ an absorption scan), P18 and P19 need unused edges or a missing edge
 located in the graph, and stay as code in ``_CODE_RECIPES``.  ``_build``
 builds either kind by id, a table row from the profile's vertex groups with
 ``_clique_triangles``/``_side_triangles``.  A recipe whose preconditions
-fail raises ``RecipeInapplicable``.
+fail raises ``RecipeInapplicable``.  A table row that builds packs exactly
+its table size, ``_table_size``: ``feder_count`` per clique term and
+``side_count`` per apex term, the counts the case search scores; ``_build``
+checks that on every row it builds.
 
 Every packing is realized, not assumed: wherever the analysis asserts that
 some edge or perfect matching was left unused, the construction locates one
@@ -91,6 +97,7 @@ from .packings import (
     feder_count,
     pack_clique,
     pack_side,  # noqa: F401  (perfbench's trace wraps it on this module)
+    side_count,
 )
 from .recipes import (
     EXCEPTIONAL_ROUTES,
@@ -438,6 +445,17 @@ class _Ctx:
         return vs
 
     @cached_property
+    def sizes(self) -> dict[str, int]:
+        """Each group's size, the total length of its disjoint intervals."""
+        sizes = {}
+        for name, intervals in self.groups.items():
+            size = 0
+            for lo, hi in intervals:
+                size += hi - lo
+            sizes[name] = size
+        return sizes
+
+    @cached_property
     def t1(self) -> HittingSet:
         """``build_T1(g)``, built at most once per context, from G's masks
         and the context's groups."""
@@ -450,10 +468,28 @@ class _Ctx:
         return _t2(self.G.n, self.groups, (self.ell, self.m, self.xl, self.xm))
 
 
+def _term_size(term: Term, sizes: dict[str, int]) -> int:
+    """The size of ``_term_packing(term, ...)`` wherever it builds, from the
+    sizes of the term's groups: a clique on q vertices packs
+    ``feder_count(q).count`` triangles (none when q = 0), s apexes over a
+    k-clique pack ``side_count(s, k)``."""
+    if isinstance(term, Clique):
+        q = sizes[term.group]
+        return feder_count(q).count if q else 0
+    return side_count(sizes[term.apexes], sizes[term.clique])
+
+
+def _table_size(rid: str, ctx: _Ctx) -> int:
+    """The size of the table recipe ``rid`` on the context wherever it
+    builds: the sum of its terms' sizes."""
+    sizes = ctx.sizes
+    return sum([_term_size(term, sizes) for term in RECIPES[rid].terms])
+
+
 def _term_packing(term: Term, ctx: _Ctx) -> list[Triangle]:
     """The packing of one table term, built at most once per context for its
-    vertices: recipes share terms, distinct groups can hold the same
-    vertices, and portfolio mode builds every recipe."""
+    vertices: recipes share terms (P18 reuses the half packings) and
+    distinct groups can hold the same vertices."""
     is_clique = isinstance(term, Clique)
     key = (
         (ctx.vertices(term.group),)
@@ -489,7 +525,9 @@ def _build(rid: str, ctx: _Ctx) -> list[Triangle]:
     """Build recipe ``rid``: a ``_CODE_RECIPES`` entry, or a ``RECIPES`` row.
 
     A recipe is built at most once per context: the packing (a copy of it is
-    returned) or the RecipeInapplicable is kept in ``ctx.built``.
+    returned) or the RecipeInapplicable is kept in ``ctx.built``.  A table
+    row that builds must have its ``_table_size``, else RuntimeError: the
+    count model the case search scores is checked on every row built.
     """
     built = ctx.built.get(rid)
     if built is None:
@@ -498,6 +536,12 @@ def _build(rid: str, ctx: _Ctx) -> list[Triangle]:
                 built = _CODE_RECIPES[rid](ctx)
             else:
                 built = [t for part in _term_packings(rid, ctx) for t in part]
+                size = _table_size(rid, ctx)
+                if len(built) != size:
+                    raise RuntimeError(
+                        f"{rid} packs {len(built)} triangles, not its table size "
+                        f"{size}, at {CaseProfile(ctx.ell, ctx.m, ctx.xl, ctx.xm)}"
+                    )
         except RecipeInapplicable as exc:
             built = exc
         ctx.built[rid] = built
@@ -687,9 +731,31 @@ def _polish(
 
 def _largest_packing(ctx: _Ctx) -> tuple[str, list[Triangle]]:
     """The largest packing over "trivial" and every applicable recipe, as
-    (id, triangles); a tie goes to the greater id."""
+    (id, triangles); a tie goes to the greater id.
+
+    The code recipes are built.  A table row's size is known before it is
+    built (``_table_size``, which ``_build`` checks), so the rows whose
+    profile precondition holds are built in descending (size, id) order
+    until one builds: that row is the largest of the table, and the rows
+    after it are not built.
+    """
+    prof = (ctx.ell, ctx.m, ctx.xl, ctx.xm)
+    rows = sorted(
+        [
+            (_table_size(rid, ctx), rid)
+            for rid, recipe in RECIPES.items()
+            if recipe.applies is None or recipe.applies(*prof)
+        ],
+        reverse=True,
+    )
     packings: list[tuple[str, list[Triangle]]] = [("trivial", [])]
-    for rid in (*RECIPES, *_CODE_RECIPES):
+    for _size, rid in rows:
+        try:
+            packings.append((rid, _build(rid, ctx)))
+        except RecipeInapplicable:
+            continue
+        break
+    for rid in _CODE_RECIPES:
         try:
             packings.append((rid, _build(rid, ctx)))
         except RecipeInapplicable:

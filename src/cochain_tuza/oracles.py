@@ -269,7 +269,11 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     subtrees without a better hitting set, so the incumbents, the value and
     the witness are those of any other valid bound.  Greedy is not monotone
     in its order, so at a single node this packing can come out one smaller
-    than the index-order one; over a search it prunes more.
+    than the index-order one; over a search it prunes more.  The pass
+    returns as soon as its count reaches the room under the incumbent:
+    after the kept-edge triangles, or at any fresh triangle it packs (the
+    pick is fixed before the fresh ones).  The count only grows along the
+    pass, so a node is pruned exactly when the whole pass would prune it.
 
     Mantel bound: let E_L be the edges that lie in an uncovered triangle and
     V_L their endpoints.  Every triangle of the graph (V_L, E_L) is uncovered,
@@ -384,6 +388,8 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
                 if free == 0:
                     return  # all its edges are kept: infeasible branch
                 pick, pick_free = ti, free
+        if packed >= room:
+            return
         fresh = unc & ~kept_tris  # all three edges free
         if pick < 0:
             pick = (fresh & -fresh).bit_length() - 1
@@ -398,8 +404,8 @@ def exact_tau(g: GeneralGraph, budget: int = DEFAULT_BUDGET) -> ExactResult:
             if not tm & used:
                 used |= tm
                 packed += 1
-        if packed >= room:
-            return
+                if packed >= room:
+                    return
         r = live_v.bit_count()
         if live_e.bit_count() - r * r // 4 >= room:
             return

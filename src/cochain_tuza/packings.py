@@ -9,9 +9,9 @@ Three building blocks recur in every certificate:
 
 * ``pack_side`` - packings of the join of a clique K with an apex set S in
   which every triangle takes one K-edge and one S-apex: whole matchings of a
-  (near-)1-factorization of K are assigned to distinct apexes, which realizes
-  the bounds |P| >= (|K|-1)/2 * min(|S|, |K|) and, for even |K|,
-  |P| >= |K|/2 * min(|S|, |K|-1);
+  (near-)1-factorization of K are assigned to distinct apexes, which packs
+  min(|S|, |K|) * (|K|-1)/2 triangles for odd |K| and
+  min(|S|, |K|-1) * |K|/2 for even |K|, the count ``side_count`` states;
 
 * ``pack_clique`` - maximum packings of complete graphs whose sizes hit the
   exact Feder-Subi counts (binom(n,2) - k)/3 with the deficiency k dictated
@@ -63,6 +63,7 @@ class CliquePackingCount:
     count: int
 
 
+@cache
 def feder_count(n: int) -> CliquePackingCount:
     """Deficiency k and maximum triangle-packing size of K_n (n mod 6 cases)."""
     if n < 1:
@@ -80,6 +81,18 @@ def feder_count(n: int) -> CliquePackingCount:
     if (pairs - k) % 3:
         raise RuntimeError(f"deficiency {k} leaves a non-multiple of 3 at n = {n}")
     return CliquePackingCount(n, k, (pairs - k) // 3)
+
+
+def side_count(s: int, k: int) -> int:
+    """The size of ``pack_side`` with s apexes over a k-clique: distinct
+    apexes take whole matchings of the (near-)1-factorization of K, which
+    has k - 1 matchings of k/2 edges for even k and k matchings of
+    (k - 1)/2 edges for odd k; 0 without an apex or a K-edge."""
+    if k < 2 or s < 1:
+        return 0
+    if k % 2 == 0:
+        return min(s, k - 1) * (k // 2)
+    return min(s, k) * ((k - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

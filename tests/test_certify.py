@@ -17,9 +17,12 @@ from cochain_tuza.certify import (
     RecipeInapplicable,
     _build,
     _Ctx,
+    _largest_packing,
     _refined_T1,
     _route,
+    _table_size,
     _term_packings,
+    _term_size,
     build_T1,
     build_T2,
     certify,
@@ -601,6 +604,57 @@ def test_portfolio_recipes_build_or_report_inapplicable():
                 assert verify_packing(ctx.G, tris), (rid, l_size, m_size, t)
 
 
+def _census_contexts():
+    """The context of every even-sided co-chain graph with sides in {2, 4, 6},
+    and the context of its mirror, on which a swapped leaf builds."""
+    for l_size, m_size in product((2, 4, 6), repeat=2):
+        for t in monotone_sequences(l_size, m_size):
+            g = build_cochain(l_size, m_size, t)
+            yield _Ctx.of(g)
+            yield _Ctx.of(swap_sides(g)[0])
+
+
+def test_table_sizes_are_the_sizes_the_rows_realize():
+    # the count model the case search scores and _largest_packing sorts by:
+    # every term of every table row that builds packs its _term_size, so the
+    # row packs its _table_size
+    rows = 0
+    for ctx in _census_contexts():
+        for rid, recipe in RECIPES.items():
+            try:
+                parts = _term_packings(rid, ctx)
+            except RecipeInapplicable:
+                continue
+            rows += 1
+            sizes = [_term_size(term, ctx.sizes) for term in recipe.terms]
+            assert [len(part) for part in parts] == sizes, (rid, ctx)
+            assert sum(sizes) == _table_size(rid, ctx), (rid, ctx)
+    assert rows == 46098, rows
+
+
+def test_largest_packing_equals_building_every_recipe():
+    # _largest_packing builds table rows largest first until one builds; the
+    # reference builds every recipe and keeps the largest packing, a tie
+    # going to the greater id
+    for ctx in _census_contexts():
+        fresh = _Ctx.of(ctx.g)
+        packings = [("trivial", [])]
+        for rid in (*RECIPES, *_CODE_RECIPES):
+            try:
+                packings.append((rid, _build(rid, fresh)))
+            except RecipeInapplicable:
+                continue
+        reference = max(packings, key=lambda tp: (len(tp[1]), tp[0]))
+        assert _largest_packing(ctx) == reference, (ctx.g, reference[0])
+
+
+def test_a_table_row_off_its_table_size_is_refused(monkeypatch):
+    certify_module = importlib.import_module("cochain_tuza.certify")
+    monkeypatch.setattr(certify_module, "_table_size", lambda rid, ctx: 0)
+    with pytest.raises(RuntimeError, match="P3 packs 14 triangles, not its table size 0"):
+        _build("P3", _Ctx.of(FIGURE_GRAPH))
+
+
 def test_certify_verifies_each_witness_once(monkeypatch, tmp_path):
     # certify is the one check point: per call, each witness is verified once
     # against a host graph built once, plus once for a side-swapped instance
@@ -806,7 +860,7 @@ def test_portfolio_certify_builds_T2_at_most_once(monkeypatch):
 
 
 def test_portfolio_builds_each_recipe_at_most_once_per_context(monkeypatch):
-    # _largest_packing builds every recipe on g's context and guided dispatch
+    # _largest_packing builds recipes on g's context and guided dispatch
     # takes its leaf from the same context; a swapped leaf builds on the
     # mirror's own context.  Recipes share terms, and each term too is built
     # at most once per context (a context's host graph is its own)

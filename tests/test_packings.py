@@ -119,6 +119,26 @@ def test_pack_side_unused_matching_guarantee():
             )
 
 
+def test_side_count_is_the_size_the_side_packing_realizes():
+    # the one statement of p(S, K)'s size, which the certifier's table sizes
+    # and the case search's apex bounds read, against the construction on a
+    # complete host: apexes below the clique, and apexes interleaved with it
+    host = GeneralGraph.from_edges(32, combinations(range(32), 2))
+    for s in range(1, 11):
+        for k in range(13):
+            below = (range(s), range(s, s + k))
+            # apexes 0, 2, ..., 2s - 2; the clique's first ids are the odd
+            # ones between them
+            woven = (
+                range(0, 2 * s, 2),
+                [v for v in range(2 * s + k) if v % 2 or v >= 2 * s][:k],
+            )
+            for S, K in (below, woven):
+                built = packings._side_triangles(S, K, host)
+                assert packings.side_count(s, k) == len(built), (s, k, list(S))
+    assert packings.side_count(0, 12) == 0
+
+
 def test_pack_side_rejects_bad_inputs():
     host, S, K = _side_host(2, 3)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Scale harness: guided ``certify`` at n = 512, 1,024 and 2,048, and the
-cost of ``verify_packing`` per triangle.
+"""Scale harness: guided ``certify`` at n = 512, 1,024 and 2,048, the cost
+of ``verify_packing`` per triangle, and guided and portfolio ``certify`` over
+the small census.
 
 Guided certify runs on one fixed instance per main guided path.  Every
 instance has sides L = M = 2h with h = n/4, so ell = m = h:
@@ -24,6 +25,14 @@ medians over the repeats.
 K_n (``pack_clique``) against K_n, at n = 64, 1,024 and 2,048: nanoseconds
 per triangle, the median over the repeats.
 
+The census is every even-sided co-chain graph with sides in {2, 4, 6} and
+n <= 10, the 582 graphs of the ``oracle-sandwich`` benchmark.  Each repeat
+certifies them all in this process, in guided and then in portfolio mode,
+timed apart with ``time.process_time``; the times are medians over the
+repeats.  One more untimed portfolio pass counts the table recipes
+(``RECIPES`` rows) that ``certify._build`` builds, rather than reads from a
+context's cache, per portfolio call.
+
 Run from the root of a source checkout::
 
     PYTHONPATH=src python tools/bench_certify.py            # writes BENCH_certify.json
@@ -45,6 +54,7 @@ import time
 from pathlib import Path
 
 import cochain_tuza
+from cochain_tuza.generators import count_monotone_sequences, unrank_monotone_sequence
 from cochain_tuza.graphs import CoChainGraph, GeneralGraph, build_cochain, verify_packing
 from cochain_tuza.packings import pack_clique
 
@@ -60,6 +70,8 @@ PATHS = {
 }
 CERTIFY_SIZES = (512, 1024, 2048)
 VERIFY_SIZES = (64, 1024, 2048)
+CENSUS_SIDES = (2, 4, 6)
+CENSUS_MAX_N = 10
 
 
 def instance(path: str, n: int) -> CoChainGraph:
@@ -137,18 +149,64 @@ def measure_verify(n: int, repeats: int) -> dict:
     }
 
 
+def census_graphs() -> list[CoChainGraph]:
+    """Every co-chain graph with both sides in ``CENSUS_SIDES`` and at most
+    ``CENSUS_MAX_N`` vertices, class by class in rank order."""
+    return [
+        build_cochain(L, M, unrank_monotone_sequence(r, L, M))
+        for L in CENSUS_SIDES
+        for M in CENSUS_SIDES
+        if L + M <= CENSUS_MAX_N
+        for r in range(count_monotone_sequences(L, M))
+    ]
+
+
+def measure_census(repeats: int) -> dict:
+    """Process time of guided and of portfolio certify over the census
+    (medians over the repeats), and table builds per portfolio call."""
+    graphs = census_graphs()
+    seconds: dict[str, list[float]] = {"guided": [], "portfolio": []}
+    for _ in range(repeats):
+        for mode, times in seconds.items():
+            start = time.process_time()
+            for g in graphs:
+                certify_mod.certify(g, mode)
+            times.append(time.process_time() - start)
+    build = certify_mod._build
+    builds = 0
+
+    def counted(rid, ctx):
+        nonlocal builds
+        builds += rid in certify_mod.RECIPES and rid not in ctx.built
+        return build(rid, ctx)
+
+    certify_mod._build = counted
+    try:
+        for g in graphs:
+            certify_mod.certify(g, "portfolio")
+    finally:
+        certify_mod._build = build
+    return {
+        "graphs": len(graphs),
+        **{f"{mode}_s": round(statistics.median(t), 4) for mode, t in seconds.items()},
+        "table_builds_per_portfolio_call": round(builds / len(graphs), 2),
+    }
+
+
 def run(certify_sizes, verify_sizes, repeats: int) -> dict:
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": repeats,
         "timer": "certify: time.process_time in a fresh interpreter per repeat; "
-        "verify: time.perf_counter; medians over repeats",
+        "verify: time.perf_counter; census: time.process_time in this process; "
+        "medians over repeats",
         "certify": {
             str(n): {path: measure_certify(path, n, repeats) for path in PATHS}
             for n in certify_sizes
         },
         "verify_packing": {str(n): measure_verify(n, repeats) for n in verify_sizes},
+        "census": measure_census(repeats),
     }
 
 
@@ -165,7 +223,7 @@ def main(argv: list[str] | None = None) -> None:
         parser.error("--repeats must be at least 1")
     doc = run(CERTIFY_SIZES, VERIFY_SIZES, args.repeats)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps({k: doc[k] for k in ("certify", "verify_packing")}, indent=2))
+    print(json.dumps({k: doc[k] for k in ("certify", "verify_packing", "census")}, indent=2))
 
 
 if __name__ == "__main__":
