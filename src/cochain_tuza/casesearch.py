@@ -25,8 +25,9 @@ list of 12 exceptional tuples; ``EXPECTED_EXCEPTIONAL`` is the key set of
 ``recipes.EXCEPTIONAL_ROUTES``.
 
 Two scorers turn group sizes into f-values.  The reference,
-``evaluate_case_functions``, reads the group table at its one profile and
-sums each recipe's term bounds, every distinct term scored once.
+``evaluate_case_functions``, reads the group sizes at its one profile and
+scores each f-recipe's terms with ``_term_bounds6``, the walker of
+``recipe_term_bounds``.
 ``search_exceptional`` tabulates its strategy's bounds up to 2*limit (no
 group is larger) and scores whole rows of ``recipes._row_domain``: each
 group size is one affine form in (ell, m, x_ell, x_m) on the box
@@ -62,6 +63,7 @@ from .recipes import (
     _search_domain,
     _t2_size,
     group_intervals,
+    group_sizes,
 )
 
 EXPECTED_EXCEPTIONAL: frozenset[tuple[int, int, int, int]] = frozenset(EXCEPTIONAL_ROUTES)
@@ -77,11 +79,6 @@ _COMPILED: dict[str, tuple[tuple[int, ...], ...]] = {
     )
     for rid, r in RECIPES.items()
 }
-# the distinct terms of the f-recipes, and each f-recipe as indices into them
-_F_TERM_GROUPS = tuple(dict.fromkeys(t for rid in F_RECIPE_IDS for t in _COMPILED[rid]))
-_F_TERMS = tuple(
-    tuple(_F_TERM_GROUPS.index(t) for t in _COMPILED[rid]) for rid in F_RECIPE_IDS
-)
 
 
 @dataclass(frozen=True)
@@ -135,13 +132,7 @@ def _side_bound6(strategy: BoundStrategy, s: int, k: int) -> int:
 
 def _group_sizes(ell: int, m: int, xl: int, xm: int) -> list[int]:
     """Size of every group of GROUP_NAMES at the profile, in that order."""
-    sizes = []
-    for intervals in group_intervals(ell, m, xl, xm).values():
-        size = 0
-        for lo, hi in intervals:
-            size += hi - lo
-        sizes.append(size)
-    return sizes
+    return list(group_sizes(group_intervals(ell, m, xl, xm)).values())
 
 
 def _term_bounds6(
@@ -265,17 +256,19 @@ def evaluate_case_functions(
 ) -> CaseFunctionReport:
     """f_1..f_8 at a profile; a recipe passes when its f-value exceeds -3.
 
-    The reference scorer: the group table is read at the profile, each
-    distinct term of the f-recipes is scored once by the bound functions,
-    and f_i is the sum of recipe i's term bounds minus 3|T2|.
+    The reference scorer: the group sizes are read once at the profile,
+    and f_i is the sum of recipe i's term bounds by ``_term_bounds6`` (as
+    ``recipe_term_bounds`` scores them) minus 3|T2|.
     """
     tup = p.as_tuple()
     broken = _domain_violation(*tup)
     if broken is not None:
         raise ValueError(f"profile {tup} must satisfy {broken}")
-    bounds = _term_bounds6(_F_TERM_GROUPS, _group_sizes(*tup), strategy)
+    sizes = _group_sizes(*tup)
     t2_3 = 3 * _t2_size(*tup)
-    values = tuple([sum([bounds[i] for i in terms]) - t2_3 for terms in _F_TERMS])
+    values = tuple(
+        [sum(_term_bounds6(_COMPILED[r], sizes, strategy)) - t2_3 for r in F_RECIPE_IDS]
+    )
     passing = frozenset(i for i, v in enumerate(values) if v > -3)
     return CaseFunctionReport(p, values, passing, strategy)
 

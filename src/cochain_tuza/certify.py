@@ -39,8 +39,9 @@ builds either kind by id, a table row from the profile's vertex groups with
 ``_clique_triangles``/``_side_triangles``.  A recipe whose preconditions
 fail raises ``RecipeInapplicable``.  A table row that builds packs exactly
 its table size, ``_table_size``: ``feder_count`` per clique term and
-``side_count`` per apex term, the counts the case search scores; ``_build``
-checks that on every row it builds.
+``side_count`` per apex term of the ``recipes.group_sizes``, the counts the
+case search scores under its default strategy (a test ties the two);
+``_build`` checks the table size on every row it builds.
 
 Every packing is realized, not assumed: wherever the analysis asserts that
 some edge or perfect matching was left unused, the construction locates one
@@ -109,6 +110,7 @@ from .recipes import (
     Term,
     _t2_size,
     group_intervals,
+    group_sizes,
 )
 from .recognition import RecognitionFailure, recognize_cochain
 
@@ -324,18 +326,11 @@ def _map_certificate(cert: Certificate, order: Sequence[int]) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _used_edges(tris: Iterable[Triangle]) -> set[Edge]:
-    out: set[Edge] = set()
-    for a, b, c in tris:
-        out.update(((a, b), (a, c), (b, c)))
-    return out
-
-
-def _used_masks(ctx: "_Ctx", tris: list[Triangle]) -> list[int]:
-    """The edges of tris, a packing built sorted and edge-disjoint on the
-    context's graph, as ``graphs._packing_masks``: bit v of ``used[u]`` for
-    the edge (u, v), u < v."""
-    used = _packing_masks(tris, ctx.G.n)
+def _used_masks(tris: list[Triangle], n: int) -> list[int]:
+    """The edges of tris, a packing built sorted and edge-disjoint on ids
+    below n, as ``graphs._packing_masks``: bit v of ``used[u]`` for the edge
+    (u, v), u < v."""
+    used = _packing_masks(tris, n)
     if used is None:
         raise RuntimeError("a recipe's triangles are unsorted or share an edge")
     return used
@@ -380,22 +375,25 @@ def _transposition(a: int, b: int) -> Callable[[int], int]:
 def _free_pair(
     vs: Sequence[int], tris: list[Triangle], target: Edge
 ) -> list[Triangle]:
-    """tris, a packing of the clique on vs, relabeled so that the pair target
-    is unused; raises CertificationFailure if tris uses every pair."""
-    used = _used_edges(tris)
-    leave = [edge(u, v) for u, v in combinations(vs, 2) if edge(u, v) not in used]
-    if not leave:
+    """tris, a packing of the clique on the sorted vs, relabeled so that the
+    pair target (u < v) is unused; raises CertificationFailure if tris uses
+    every pair.  The target is kept if unused, else the first unused pair of
+    ``combinations(vs, 2)`` is moved onto it."""
+    n = vs[-1] + 1
+    used = _used_masks(tris, n)
+    unused = (e for e in combinations(vs, 2) if not used[e[0]] >> e[1] & 1)
+    chosen = next(unused, None) if used[target[0]] >> target[1] & 1 else target
+    if chosen is None:
         raise CertificationFailure(
             "unused-edge-scan", f"clique on {len(vs)} vertices has no unused edge"
         )
-    chosen = target if target in leave else leave[0]
     # t1 = (chosen[0] target[0]), then t2 = (t1(chosen[1]) target[1]): the
     # composite sends chosen[0] to target[0] and chosen[1] to target[1]
     t1 = _transposition(chosen[0], target[0])
     t2 = _transposition(t1(chosen[1]), target[1])
     perm = {v: t2(t1(v)) for v in vs}
     mapped = [triangle(perm[a], perm[b], perm[c]) for a, b, c in tris]
-    if target in _used_edges(mapped):
+    if _used_masks(mapped, n)[target[0]] >> target[1] & 1:
         raise RuntimeError(f"relabeling failed to free the pair {target}")
     return mapped
 
@@ -446,14 +444,8 @@ class _Ctx:
 
     @cached_property
     def sizes(self) -> dict[str, int]:
-        """Each group's size, the total length of its disjoint intervals."""
-        sizes = {}
-        for name, intervals in self.groups.items():
-            size = 0
-            for lo, hi in intervals:
-                size += hi - lo
-            sizes[name] = size
-        return sizes
+        """Each group's size, ``recipes.group_sizes`` of ``groups``."""
+        return group_sizes(self.groups)
 
     @cached_property
     def t1(self) -> HittingSet:
@@ -526,8 +518,10 @@ def _build(rid: str, ctx: _Ctx) -> list[Triangle]:
 
     A recipe is built at most once per context: the packing (a copy of it is
     returned) or the RecipeInapplicable is kept in ``ctx.built``.  A table
-    row that builds must have its ``_table_size``, else RuntimeError: the
-    count model the case search scores is checked on every row built.
+    row that builds must pack its ``_table_size``, certify's own count that
+    ``_largest_packing`` sorts by, else RuntimeError.  The case search's
+    default scores are tied to that count term by term by the test
+    ``test_table_recipes_meet_their_bounds_term_by_term``.
     """
     built = ctx.built.get(rid)
     if built is None:
@@ -554,7 +548,7 @@ def _extend(
     ctx: _Ctx, base: list[Triangle], extra: list[Triangle], tag: str
 ) -> list[Triangle]:
     """base plus extra sorted triangles whose edges are in the host and unused."""
-    used = _used_masks(ctx, base)
+    used = _used_masks(base, ctx.G.n)
     for t in extra:
         for u, v in triangle_edges(t):
             if not ctx.G.has_edge(u, v) or used[u] >> v & 1:
@@ -610,7 +604,7 @@ def _p10_prime(ctx: _Ctx) -> list[Triangle]:
     xm_high = ctx.vertices("X_m-m_bot")
     if not xm_high:
         return tris
-    used = _used_masks(ctx, tris)
+    used = _used_masks(tris, ctx.G.n)
     adj = ctx.G.adj
     m_bot, l_top = ctx.vertices("m_bot"), ctx.vertices("l_top")
     # c < dd < d_bot: l_top comes first, and X_m - m_bot lies in m_top
@@ -712,14 +706,15 @@ def _polish(
     G, and hitting cut down to a minimal hitting set, by dropping edges in
     sorted order while every triangle keeps an edge."""
     packing = list(tris)
-    used = _used_edges(packing)
+    used = _used_masks(packing, G.n)
     through: dict[Edge, list[Triangle]] = {}
     for t in enumerate_triangles(G):
-        edges = triangle_edges(t)
-        if used.isdisjoint(edges):
+        a, b, c = t
+        if not (used[a] & (1 << b | 1 << c) or used[b] >> c & 1):
             packing.append(t)
-            used.update(edges)
-        for e in edges:
+            used[a] |= 1 << b | 1 << c
+            used[b] |= 1 << c
+        for e in triangle_edges(t):
             through.setdefault(e, []).append(t)
     kept = set(hitting.edges)
     for e in sorted(hitting.edges):

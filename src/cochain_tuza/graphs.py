@@ -419,9 +419,6 @@ class TrianglePacking:
     def sorted_triangles(self) -> list[Triangle]:
         return sorted(self.triangles)
 
-    def used_edges(self) -> set[Edge]:
-        return {e for t in self.triangles for e in triangle_edges(t)}
-
 
 @dataclass(frozen=True, init=False)
 class HittingSet:

@@ -7,9 +7,10 @@ once: an optional profile precondition plus its terms ``Clique(group)`` and
 ``Side(S, K)``.  ``group_intervals`` maps a profile to every group's
 vertices as half-open intervals of vertex ids, so the one declaration gives
 both the construction (the certifier packs the intervals' vertices) and the
-profile-level lower bound (the interval lengths feed the count bounds of
-``casesearch``).  The T2 recipes, ``F_RECIPE_IDS``, are P13, P14, P15^l,
-P15^m, P16^l, P16^m, P17^l and P17^m; ``t2_size`` is |T2| at a profile.
+profile-level lower bound (``group_sizes``, the one sum of the interval
+lengths, feeds the count bounds of ``casesearch`` and the certifier's table
+sizes).  The T2 recipes, ``F_RECIPE_IDS``, are P13, P14, P15^l, P15^m,
+P16^l, P16^m, P17^l and P17^m; ``t2_size`` is |T2| at a profile.
 
 ``EXCEPTIONAL_ROUTES`` maps each published exceptional tuple to the
 certifier's leaf for it (the recipe P18 or P19, the "small" deferral or the
@@ -99,6 +100,18 @@ def group_intervals(ell: int, m: int, xl: int, xm: int) -> dict[str, Intervals]:
 
 
 GROUP_NAMES = tuple(group_intervals(1, 1, 0, 0))
+
+
+def group_sizes(groups: dict[str, Intervals]) -> dict[str, int]:
+    """The size of each group of a ``group_intervals`` dict, in
+    ``GROUP_NAMES`` order: the total length of its disjoint intervals."""
+    sizes = {}
+    for name, intervals in groups.items():
+        size = 0
+        for lo, hi in intervals:
+            size += hi - lo
+        sizes[name] = size
+    return sizes
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from cochain_tuza import audit, casesearch
 from cochain_tuza.audit import _Chain, audit_inequalities
 from cochain_tuza.casesearch import (
     ALL_STRATEGIES,
+    DEFAULT_STRATEGY,
     EXPECTED_EXCEPTIONAL,
     constrained_profiles,
     evaluate_case_functions,
@@ -28,6 +29,7 @@ from cochain_tuza.recipes import (
     GROUP_NAMES,
     RECIPES,
     group_intervals,
+    group_sizes,
     t2_size,
     F_RECIPE_IDS,
     _domain_violation,
@@ -408,14 +410,14 @@ def test_groups_match_graph_level_vertex_sets():
         p = profile(g)
         regimes.add(p.x_ell >= p.ell)
         ctx = _Ctx.of(g)
-        intervals = group_intervals(*p.as_tuple())
+        sizes = group_sizes(group_intervals(*p.as_tuple()))
         expected = _graph_level_groups(g)
         assert tuple(expected) == GROUP_NAMES
         for name, verts in expected.items():
             got = ctx.vertices(name)
             assert set(got) == verts and len(got) == len(verts), (name, p)
             # the bound's group size is the construction's vertex count
-            assert sum(hi - lo for lo, hi in intervals[name]) == len(verts), (name, p)
+            assert sizes[name] == len(verts), (name, p)
     assert regimes == {True, False}
 
 
@@ -437,7 +439,11 @@ def test_table_recipes_meet_their_bounds_term_by_term():
                 bounds = recipe_term_bounds(rid, p, strategy)
                 assert len(bounds) == len(parts)
                 for i, (part, bound) in enumerate(zip(parts, bounds)):
-                    assert 6 * len(part) >= bound, (rid, i, p, strategy)
+                    # the default strategy scores what the certifier builds
+                    if strategy == DEFAULT_STRATEGY:
+                        assert 6 * len(part) == bound, (rid, i, p)
+                    else:
+                        assert 6 * len(part) >= bound, (rid, i, p, strategy)
     assert built == set(RECIPES)
 
 

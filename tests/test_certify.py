@@ -605,13 +605,12 @@ def test_portfolio_recipes_build_or_report_inapplicable():
 
 
 def _census_contexts():
-    """The context of every even-sided co-chain graph with sides in {2, 4, 6},
-    and the context of its mirror, on which a swapped leaf builds."""
+    """The context of every even-sided co-chain graph with sides in {2, 4, 6}.
+    The census is closed under ``swap_sides``, so the mirror context a
+    swapped leaf builds on is some graph's own context here."""
     for l_size, m_size in product((2, 4, 6), repeat=2):
         for t in monotone_sequences(l_size, m_size):
-            g = build_cochain(l_size, m_size, t)
-            yield _Ctx.of(g)
-            yield _Ctx.of(swap_sides(g)[0])
+            yield _Ctx.of(build_cochain(l_size, m_size, t))
 
 
 def test_table_sizes_are_the_sizes_the_rows_realize():
@@ -629,7 +628,7 @@ def test_table_sizes_are_the_sizes_the_rows_realize():
             sizes = [_term_size(term, ctx.sizes) for term in recipe.terms]
             assert [len(part) for part in parts] == sizes, (rid, ctx)
             assert sum(sizes) == _table_size(rid, ctx), (rid, ctx)
-    assert rows == 46098, rows
+    assert rows == 23049, rows
 
 
 def test_largest_packing_equals_building_every_recipe():

@@ -112,7 +112,8 @@ def test_pack_side_unused_matching_guarantee():
     for k in range(4, 13, 2):
         for s in range(1, k - 1):
             host, S, K = _side_host(s, k)
-            used = pack_side(S, K, host).used_edges()
+            tris = pack_side(S, K, host).triangles
+            used = {e for t in tris for e in combinations(t, 2)}
             assert any(
                 all(e not in used for e in matching)
                 for matching in one_factorization(K)

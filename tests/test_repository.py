@@ -1,14 +1,41 @@
-"""Guards on the repository's layout: the package's checks survive
-``python -O``, and every pinned digest is stated once, in a test."""
+"""Guards on the repository's layout: the package stays stdlib-only, its
+checks survive ``python -O``, and every pinned digest is stated once, in a
+test."""
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 DIGEST = re.compile(r"\b[0-9a-f]{64}\b")
+
+
+def test_package_is_stdlib_only():
+    # every import in src/ names a standard-library module or the package
+    # itself, and the project declares no dependency
+    allowed = {*sys.stdlib_module_names, "cochain_tuza"}
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    assert not found, found
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    text = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert project and re.search(r"^dependencies = \[\]$", project.group(1), re.M)
 
 
 def test_src_has_no_assert_and_no_debug_flag():
