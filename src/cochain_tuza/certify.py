@@ -25,9 +25,9 @@ Portfolio mode (``_portfolio``), the fallback outside the paper's even
 sides, takes the smallest of a list of candidate hitting sets and the
 largest of a list of candidate packings, guided's among them; the ratio may
 fail.  Its largest recipe packing (``_largest_packing``, which a "small"
-leaf uses too) builds every code recipe but not every table row: the rows'
-sizes are read off the group sizes before any is built, and the rows are
-built largest first until one applies.  Guided and portfolio modes call no
+leaf uses too) does not build every recipe: every recipe's size is read off
+the group sizes before any is built, and the recipes are built largest
+first until one applies.  Guided and portfolio modes call no
 exact oracle; only exact mode does, and only it raises ``BudgetExhausted``.
 
 The recipes that are plain unions of clique and apex packings are declared
@@ -40,8 +40,10 @@ builds either kind by id, a table row from the profile's vertex groups with
 fail raises ``RecipeInapplicable``.  A table row that builds packs exactly
 its table size, ``_table_size``: ``feder_count`` per clique term and
 ``side_count`` per apex term of the ``recipes.group_sizes``, the counts the
-case search scores under its default strategy (a test ties the two);
-``_build`` checks the table size on every row it builds.
+case search scores under its default strategy (a test ties the two).  A
+code recipe that builds packs exactly its ``_CODE_SIZES`` entry, stated
+from the same group sizes.  ``_build`` checks that size on every recipe it
+builds.
 
 Every packing is realized, not assumed: wherever the analysis asserts that
 some edge or perfect matching was left unused, the construction locates one
@@ -52,7 +54,8 @@ builds the host graph once and verifies both witnesses against it once,
 through ``make_certificate``, just before it returns; the constructions
 below it return unverified certificates.  On an edge list the one check is
 against the input graph, after the certificate of the recognized co-chain
-graph is relabeled into its vertex ids.  Recipes pass plain lists of
+graph is relabeled into its vertex ids (``_map_certificate``, with the
+mask helpers of ``graphs``).  Recipes pass plain lists of
 sorted triangles, and each certificate gets one packing object, built by
 the trusted constructor without a check of its own.  A side swap builds the
 packing on the mirror graph (the conjugate thresholds) and relabels only
@@ -81,7 +84,10 @@ from .graphs import (
     HittingSet,
     Triangle,
     TrianglePacking,
+    _POWERS,
     _bits,
+    _LazyPowers,
+    _mask_edges,
     _packing_masks,
     edge,
     enumerate_triangles,
@@ -305,20 +311,31 @@ def _map_certificate(cert: Certificate, order: Sequence[int]) -> Certificate:
 
     order is a bijection, so the renamed witnesses are again a hitting set
     and an edge-disjoint packing; they are built canonical without a check,
-    and ``make_certificate`` on the renamed host is the one check.
+    and ``make_certificate`` on the renamed host is the one check.  The
+    hitting set's edges come from ``graphs._mask_edges`` and its new masks
+    from a table of powers of two, as in ``graphs._packing_masks``; each
+    renamed triangle is sorted with inline compares.
     """
-    masks = [0] * len(order)
-    for u, mask in enumerate(cert.hitting.masks):
-        image = 0
-        for v in _bits(mask):
-            image |= 1 << order[v]
-        masks[order[u]] = image
-    packing = TrianglePacking._trusted(
-        frozenset(
-            triangle(order[a], order[b], order[c]) for a, b, c in cert.packing.triangles
-        )
+    n = len(order)
+    masks = [0] * n
+    bit = _POWERS if n <= len(_POWERS) else _LazyPowers()
+    for u, v in _mask_edges(cert.hitting.masks):
+        u, v = order[u], order[v]
+        masks[u] |= bit[v]
+        masks[v] |= bit[u]
+    tris = []
+    for a, b, c in cert.packing.triangles:
+        a, b, c = order[a], order[b], order[c]
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        tris.append((a, b, c))
+    return Certificate(
+        HittingSet._from_masks(masks), TrianglePacking._trusted(frozenset(tris)), cert.method
     )
-    return Certificate(HittingSet._from_masks(masks), packing, cert.method)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +483,14 @@ def _term_size(term: Term, sizes: dict[str, int]) -> int:
     ``feder_count(q).count`` triangles (none when q = 0), s apexes over a
     k-clique pack ``side_count(s, k)``."""
     if isinstance(term, Clique):
-        q = sizes[term.group]
-        return feder_count(q).count if q else 0
+        return _clique_size(sizes[term.group])
     return side_count(sizes[term.apexes], sizes[term.clique])
+
+
+def _clique_size(q: int) -> int:
+    """The size of the clique packing on q vertices: ``feder_count(q).count``,
+    or none when q = 0."""
+    return feder_count(q).count if q else 0
 
 
 def _table_size(rid: str, ctx: _Ctx) -> int:
@@ -517,27 +539,29 @@ def _build(rid: str, ctx: _Ctx) -> list[Triangle]:
     """Build recipe ``rid``: a ``_CODE_RECIPES`` entry, or a ``RECIPES`` row.
 
     A recipe is built at most once per context: the packing (a copy of it is
-    returned) or the RecipeInapplicable is kept in ``ctx.built``.  A table
-    row that builds must pack its ``_table_size``, certify's own count that
+    returned) or the RecipeInapplicable is kept in ``ctx.built``.  A recipe
+    that builds must pack its ``_recipe_size``, certify's own count that
     ``_largest_packing`` sorts by, else RuntimeError.  The case search's
-    default scores are tied to that count term by term by the test
+    default scores are tied to a table row's count term by term by the test
     ``test_table_recipes_meet_their_bounds_term_by_term``.
     """
     built = ctx.built.get(rid)
     if built is None:
         try:
             if rid in _CODE_RECIPES:
-                built = _CODE_RECIPES[rid](ctx)
+                built, kind = _CODE_RECIPES[rid](ctx), "code"
             else:
                 built = [t for part in _term_packings(rid, ctx) for t in part]
-                size = _table_size(rid, ctx)
-                if len(built) != size:
-                    raise RuntimeError(
-                        f"{rid} packs {len(built)} triangles, not its table size "
-                        f"{size}, at {CaseProfile(ctx.ell, ctx.m, ctx.xl, ctx.xm)}"
-                    )
+                kind = "table"
         except RecipeInapplicable as exc:
             built = exc
+        else:
+            size = _recipe_size(rid, ctx)
+            if len(built) != size:
+                raise RuntimeError(
+                    f"{rid} packs {len(built)} triangles, not its {kind} size "
+                    f"{size}, at {CaseProfile(ctx.ell, ctx.m, ctx.xl, ctx.xm)}"
+                )
         ctx.built[rid] = built
     if isinstance(built, RecipeInapplicable):
         raise built.with_traceback(None)
@@ -670,6 +694,42 @@ _CODE_RECIPES: dict[str, Callable[[_Ctx], list[Triangle]]] = {
 }
 
 
+def _two_cliques_plus_two_size(ctx: _Ctx) -> int:
+    return _clique_size(ctx.sizes["side_l"]) + _clique_size(ctx.sizes["side_m"]) + 2
+
+
+def _p18_size(ctx: _Ctx) -> int:
+    """The clique on l_top + m_bot less the triangle through its missing
+    edge when the clique packing leaves no pair unused, plus both halves."""
+    sizes = ctx.sizes
+    full = feder_count(sizes["l_top"] + sizes["m_bot"])
+    return (
+        full.count
+        - (full.k == 0)
+        + _term_size(Side("m_bot", "m_top"), sizes)
+        + _term_size(Side("l_top", "l_bot"), sizes)
+    )
+
+
+#: each code recipe's size on a context wherever it builds, from the group
+#: sizes as ``_table_size`` gives a row's; P10' adds one triangle per X_m
+#: vertex above the bottom half to P10
+_CODE_SIZES: dict[str, Callable[[_Ctx], int]] = {
+    "P5'": lambda ctx: _clique_size(ctx.sizes["l_top+X_m"]) + 2,
+    "P6": _two_cliques_plus_two_size,
+    "P10'": lambda ctx: _table_size("P10", ctx) + ctx.sizes["X_m-m_bot"],
+    "P18": _p18_size,
+    "P19": _two_cliques_plus_two_size,
+}
+
+
+def _recipe_size(rid: str, ctx: _Ctx) -> int:
+    """The size of recipe ``rid`` on the context wherever it builds: its
+    ``_CODE_SIZES`` entry or its ``_table_size``."""
+    code_size = _CODE_SIZES.get(rid)
+    return code_size(ctx) if code_size else _table_size(rid, ctx)
+
+
 # ---------------------------------------------------------------------------
 # Certify: guided, portfolio, exact
 # ---------------------------------------------------------------------------
@@ -728,34 +788,27 @@ def _largest_packing(ctx: _Ctx) -> tuple[str, list[Triangle]]:
     """The largest packing over "trivial" and every applicable recipe, as
     (id, triangles); a tie goes to the greater id.
 
-    The code recipes are built.  A table row's size is known before it is
-    built (``_table_size``, which ``_build`` checks), so the rows whose
-    profile precondition holds are built in descending (size, id) order
-    until one builds: that row is the largest of the table, and the rows
-    after it are not built.
+    A recipe's size is known before it is built (``_recipe_size``, which
+    ``_build`` checks), so the code recipes and the table rows whose
+    profile precondition holds are built together in descending (size, id)
+    order until one builds: that recipe is the largest, and the ones after
+    it are not built.  At size 0 "trivial" wins the tie.
     """
     prof = (ctx.ell, ctx.m, ctx.xl, ctx.xm)
-    rows = sorted(
-        [
-            (_table_size(rid, ctx), rid)
-            for rid, recipe in RECIPES.items()
-            if recipe.applies is None or recipe.applies(*prof)
-        ],
-        reverse=True,
+    rows = [
+        rid for rid, recipe in RECIPES.items() if recipe.applies is None or recipe.applies(*prof)
+    ]
+    ranked = sorted(
+        [(_recipe_size(rid, ctx), rid) for rid in (*rows, *_CODE_RECIPES)], reverse=True
     )
-    packings: list[tuple[str, list[Triangle]]] = [("trivial", [])]
-    for _size, rid in rows:
+    for size, rid in ranked:
+        if not size:
+            break
         try:
-            packings.append((rid, _build(rid, ctx)))
+            return rid, _build(rid, ctx)
         except RecipeInapplicable:
             continue
-        break
-    for rid in _CODE_RECIPES:
-        try:
-            packings.append((rid, _build(rid, ctx)))
-        except RecipeInapplicable:
-            continue
-    return max(packings, key=lambda tp: (len(tp[1]), tp[0]))
+    return "trivial", []
 
 
 def _refined_T1(ctx: _Ctx) -> HittingSet:

@@ -36,19 +36,32 @@ certifier's recipes) through trusted constructors that skip those checks;
 
 Every packing check runs one kernel, ``_packing_masks``: the edges of
 sorted triangles become per-vertex masks (``used[a] |= 1 << b | 1 << c``,
-then ``used[b] |= 1 << c``), and two triangles share an edge exactly when
-the masks hold fewer than 3 bits per triangle.  ``verify_packing`` adds one
-mask test per vertex against the host's adjacency, and the
-``TrianglePacking`` constructor and the clique cache of ``packings`` run the
-same kernel.  Unsorted, out-of-range and repeated-vertex triangles take a
-slow path that sorts and range-checks each one, which only the callers'
-errors need.
+then ``used[b] |= 1 << c``, each power of two read from a table: the shared
+``_POWERS`` up to order 1,024, else a ``_LazyPowers`` filled per call with
+the ids the triangles use, so no table grows with an id's size), and two
+triangles share an edge exactly when the masks hold fewer than 3 bits per
+triangle.  ``verify_packing`` adds one mask test per vertex against the
+host's adjacency, and the ``TrianglePacking`` constructor and the clique
+cache of ``packings`` run the same kernel.  Unsorted, out-of-range and
+repeated-vertex triangles take a slow path that sorts and range-checks each
+one, which only the callers' errors need.
+
+A ``TrianglePacking`` keeps the masks of its first successful kernel run
+(the constructor's on dense ids, else the first ``verify_packing``'s), so a
+witness costs one kernel pass: a later ``verify_packing`` against a host
+whose ids cover the masks runs only its per-vertex test against that host,
+which every host still gets.  ``_mask_edges`` lists the edges of masks in
+sorted order, reading a vertex's many higher neighbours off its binary
+digits; ``GeneralGraph.edge_list``, ``enumerate_triangles`` and
+``HittingSet.edges`` all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, count, repeat
+from operator import and_, invert, itemgetter
 from typing import Collection, Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -131,7 +144,7 @@ class GeneralGraph:
         return u != v and bool(self.adj[u] >> v & 1)
 
     def edge_list(self) -> list[Edge]:
-        return sorted(self.edges)
+        return _mask_edges(self.adj)
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         """Whether every two of the given vertices are adjacent (a repeated
@@ -168,14 +181,27 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+#: maps the digits '0' and '1' to a false and a true byte, for ``compress``
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _mask_edges(masks: Sequence[int]) -> list[Edge]:
-    """The edges of symmetric per-vertex masks, canonical and sorted."""
+    """The edges of symmetric per-vertex masks, canonical and sorted.
+
+    A vertex with a few higher neighbours walks their bits; one with more
+    reads them off its reversed binary digits with ``compress``, whose
+    fixed cost is about that of six bit steps, and which then costs far
+    less per edge."""
     out = []
     for u, mask in enumerate(masks):
-        higher = mask >> (u + 1) << (u + 1)
+        higher = mask >> (u + 1)
+        if higher.bit_count() > 6:
+            flags = bin(higher)[:1:-1].encode().translate(_DIGIT_FLAGS)
+            out += zip(repeat(u), compress(count(u + 1), flags))
+            continue
         while higher:
             low = higher & -higher
-            out.append((u, low.bit_length() - 1))
+            out.append((u, u + low.bit_length()))
             higher ^= low
     return out
 
@@ -331,37 +357,61 @@ def profile(g: CoChainGraph) -> CaseProfile:
 # ---------------------------------------------------------------------------
 
 
+#: 1 << v for every id v below a fixed order, shared by the mask kernels
+_POWERS = tuple(1 << v for v in range(1024))
+
+
+class _LazyPowers(dict):
+    """1 << v for each id v looked up, computed on its first lookup: the
+    table of one call over ids beyond ``_POWERS``, which holds the ids a
+    witness uses rather than every id below its largest."""
+
+    def __missing__(self, v: int) -> int:
+        self[v] = power = 1 << v
+        return power
+
+
 def _packing_masks(tris: Collection[Triangle], n: int) -> list[int] | None:
     """The edges of triangles sorted a < b < c with ids in [0, n), as
     per-vertex masks (bit b of ``used[a]`` is the edge (a, b), a < b), or
     None if a triangle is out of order or out of range, or two share an edge.
 
     ``tris`` is a collection, iterated once.  Each triangle sets its three
-    edges' bits, which differ for distinct edges, so the triangles are
+    edges' bits, looked up in a table of powers of two rather than shifted,
+    and distinct edges set distinct bits, so the triangles are
     edge-disjoint exactly when the masks hold 3 bits per triangle.  This is
     the one packing check: ``verify_packing``, ``TrianglePacking`` and the
     clique cache all run it.
     """
+    bit = _POWERS if n <= len(_POWERS) else _LazyPowers()
     used = [0] * n
     for a, b, c in tris:
         if not 0 <= a < b < c < n:
             return None
-        used[a] |= 1 << b | 1 << c
-        used[b] |= 1 << c
+        bc = bit[c]
+        used[a] |= bit[b] | bc
+        used[b] |= bc
     return used if sum(map(int.bit_count, used)) == 3 * len(tris) else None
 
 
-def _is_packing(tris: Collection[Triangle]) -> bool:
-    """Whether ``_packing_masks`` accepts tris over ids 0..max id, checked
-    on the ranks of the ids when they are sparse (a negative id fails)."""
-    n = 1 + max((c for _a, _b, c in tris), default=-1)
-    if n > 3 * len(tris):
-        ids = sorted({v for t in tris for v in t})
-        if ids[0] < 0:
-            return False
-        rank = {v: i for i, v in enumerate(ids)}
-        tris, n = [(rank[a], rank[b], rank[c]) for a, b, c in tris], len(ids)
-    return _packing_masks(tris, n) is not None
+def _sorted_triangles(tris: Iterable[Sequence[int]]) -> list[Triangle]:
+    """``triangle(*t)`` of each t in turn, with the compares inline."""
+    out = []
+    for t in tris:
+        a, b, c = t
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        if a == b or b == c:
+            triangle(*t)  # raises triangle's own ValueError
+        out.append((a, b, c))
+    return out
+
+
+_third = itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -375,20 +425,44 @@ class TrianglePacking:
     Only when that fails, on a triangle out of order or a shared edge, does
     it sort every triangle, reject a negative id and run the check again,
     to store the sorted form or name the first shared edge.
+
+    A packing keeps the edge masks of its first successful kernel run, as a
+    tuple outside its fields (equality, hashing and ``repr`` see only the
+    triangles): the constructor's on dense ids, else the first
+    ``verify_packing``'s.  Every later ``verify_packing`` against a host
+    whose ids cover the masks' range runs only its per-vertex test.
     """
 
     triangles: frozenset[Triangle]
 
     def __post_init__(self) -> None:
-        if _is_packing(self.triangles):
+        if self._check(self.triangles):
             return
-        canonical = [triangle(*t) for t in self.triangles]
+        canonical = _sorted_triangles(self.triangles)
         for t in canonical:
             if t[0] < 0:
                 raise ValueError(f"negative vertex id in triangle {t}")
-        if not _is_packing(canonical):
+        if not self._check(canonical):
             raise ValueError(f"triangles share edge {self._first_shared_edge()}")
         object.__setattr__(self, "triangles", frozenset(canonical))
+
+    def _check(self, tris: Collection[Triangle]) -> bool:
+        """Whether ``_packing_masks`` accepts tris over ids 0..max id, whose
+        masks the packing then keeps, or over the ranks of the ids when they
+        are sparse (a negative id fails)."""
+        n = 1 + max(map(_third, tris), default=-1)
+        if n > 3 * len(tris):
+            ids = sorted({v for t in tris for v in t})
+            if ids[0] < 0:
+                return False
+            rank = {v: i for i, v in enumerate(ids)}
+            ranked = [(rank[a], rank[b], rank[c]) for a, b, c in tris]
+            return _packing_masks(ranked, len(ids)) is not None
+        used = _packing_masks(tris, n)
+        if used is None:
+            return False
+        self.__dict__["_masks"] = tuple(used)
+        return True
 
     def _first_shared_edge(self) -> Edge | None:
         """The first edge two triangles share, in sorted order, to name it."""
@@ -402,7 +476,7 @@ class TrianglePacking:
 
     @classmethod
     def of(cls, triangles: Iterable[tuple[int, int, int]]) -> "TrianglePacking":
-        return cls(frozenset([triangle(a, b, c) for a, b, c in triangles]))
+        return cls(frozenset(_sorted_triangles(triangles)))
 
     @classmethod
     def _trusted(cls, triangles: frozenset[Triangle]) -> "TrianglePacking":
@@ -436,15 +510,17 @@ class HittingSet:
 
     def __init__(self, edges: Iterable[Edge]) -> None:
         edges = frozenset(edges)
-        masks = [0] * (max(map(max, edges)) + 1 if edges else 0)
+        n = max(chain.from_iterable(edges), default=-1) + 1
+        masks = [0] * n
+        bit = _POWERS if n <= len(_POWERS) else _LazyPowers()
         canonical = True
         for u, v in edges:
             if not 0 <= u < v:
                 if u == v or u < 0 or v < 0:
                     raise ValueError(f"edge {(u, v)} is a self-loop or has a negative end")
                 canonical = False
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            masks[u] |= bit[v]
+            masks[v] |= bit[u]
         object.__setattr__(self, "masks", tuple(masks))
         if canonical:
             self.__dict__["edges"] = edges
@@ -474,7 +550,7 @@ class HittingSet:
 
     @cached_property
     def _size(self) -> int:
-        return sum(mask.bit_count() for mask in self.masks) >> 1
+        return sum(map(int.bit_count, self.masks)) >> 1
 
     def __len__(self) -> int:
         return self._size
@@ -486,7 +562,7 @@ class HittingSet:
 def enumerate_triangles(g: GeneralGraph) -> list[Triangle]:
     """All 3-cliques of g, each once, in lexicographic order."""
     out: list[Triangle] = []
-    for u, v in sorted(g.edges):
+    for u, v in _mask_edges(g.adj):
         common = g.adj[u] & g.adj[v] & ~((1 << (v + 1)) - 1)
         for w in _bits(common):
             out.append((u, v, w))
@@ -502,15 +578,29 @@ def verify_packing(
 ) -> bool:
     """True iff all triangles exist in g and are pairwise edge-disjoint.
 
-    Accepts a TrianglePacking or a raw iterable of triangles (read once) and
-    checks both the same way: ``_packing_masks`` over g's ids gives the
-    packed edges as per-vertex masks, and every mask must lie inside g's
-    adjacency mask.  When the kernel fails, every triangle is put in sorted
-    form (a repeated vertex raises ValueError) and range-checked (a vertex
-    id outside g raises ValueError, wherever it occurs), and the kernel runs
-    again: a shared edge, or a duplicate triangle, gives False.
+    Accepts a TrianglePacking or a raw iterable of triangles (read once).
+    ``_packing_masks`` over g's ids gives the packed edges as per-vertex
+    masks, and every mask must lie inside g's adjacency mask.  When the
+    kernel fails, every triangle is put in sorted form (a repeated vertex
+    raises ValueError) and range-checked (a vertex id outside g raises
+    ValueError, wherever it occurs), and the kernel runs again: a shared
+    edge, or a duplicate triangle, gives False.
+
+    A packing keeps the masks of its first successful kernel run (see
+    ``TrianglePacking``).  When they lie inside g's ids, only the test
+    against g's adjacency runs: the kernel's verdict on the triangles does
+    not depend on the host.  Kept masks over more ids than g has take the
+    path above, as does a packing that keeps none, which then keeps its
+    masks.
     """
-    tris = p.triangles if isinstance(p, TrianglePacking) else list(p)
+    is_packing = isinstance(p, TrianglePacking)
+    if is_packing:
+        used = p.__dict__.get("_masks")
+        if used is not None and len(used) <= g.n:
+            return not any(map(and_, used, map(invert, g.adj)))
+        tris = p.triangles
+    else:
+        tris = list(p)
     used = _packing_masks(tris, g.n)
     if used is None:
         canonical = []
@@ -522,7 +612,9 @@ def verify_packing(
         used = _packing_masks(canonical, g.n)
         if used is None:
             return False
-    return not any(u & ~a for u, a in zip(used, g.adj))
+    if is_packing:
+        p.__dict__["_masks"] = tuple(used)
+    return not any(map(and_, used, map(invert, g.adj)))
 
 
 def verify_hitting(

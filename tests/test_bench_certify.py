@@ -25,14 +25,22 @@ def test_harness_reports_every_path_at_a_tiny_n(tmp_path):
     assert {path: row["method"] for path, row in rows.items()} == harness.PATHS
     assert all(row["certify_s"] >= 0 and row["peak_rss_mb"] > 0 for row in rows.values())
     verify = doc["verify_packing"]["8"]
-    assert verify["triangles"] == 8 and verify["ns_per_triangle"] > 0
+    assert verify["triangles"] == 8
+    assert verify["ns_per_triangle"] > 0 and verify["kept_ns_per_triangle"] > 0
+    # both edge-list routes certify the permuted P13/swapped instance; the
+    # recognizer numbers its sides either way round
+    edge_list = doc["edge_list"]["16"]
+    assert edge_list["method"] in (harness.PATHS["P13"], harness.PATHS["P13/swapped"])
+    assert edge_list["triangles"] > 0 and edge_list["hitting_edges"] > 0
+    assert edge_list["certify_s"] >= 0 and edge_list["round_trip_s"] >= 0
     census = doc["census"]
     assert census["graphs"] == 582
     assert census["guided_s"] > 0 and census["portfolio_s"] > 0
-    # per portfolio call: the table rows _largest_packing tries until one
+    # per portfolio call: the recipes _largest_packing tries until one
     # applies (on g, and on the mirror for a swapped "small" leaf), plus the
-    # rows of guided's leaf
+    # recipes of guided's leaf; building every code recipe would read 5.4
     assert 0 < census["table_builds_per_portfolio_call"] <= 6
+    assert 0 < census["code_builds_per_portfolio_call"] < 3
 
 
 def test_harness_sizes_are_the_stated_scales():

@@ -3,7 +3,7 @@ import importlib
 import json
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from cochain_tuza.casesearch import recipe_lower_bound
 from cochain_tuza.certify import (
     _CODE_RECIPES,
+    _CODE_SIZES,
     BudgetExhausted,
     CertificationFailure,
     PreconditionError,
@@ -629,6 +630,24 @@ def test_table_sizes_are_the_sizes_the_rows_realize():
             assert [len(part) for part in parts] == sizes, (rid, ctx)
             assert sum(sizes) == _table_size(rid, ctx), (rid, ctx)
     assert rows == 23049, rows
+
+
+def test_code_sizes_are_the_sizes_the_code_recipes_realize():
+    # the code recipes' twin of the test above: every code recipe that builds
+    # packs its _CODE_SIZES entry, read off the group sizes alone, so that
+    # _largest_packing can rank it with the table rows before building it;
+    # P5' needs the profile (2, 4, 4, 8), so sides (4, 8) join the census
+    built = Counter()
+    sides_4_8 = (_Ctx.of(build_cochain(4, 8, t)) for t in monotone_sequences(4, 8))
+    for ctx in chain(_census_contexts(), sides_4_8):
+        for rid, build in _CODE_RECIPES.items():
+            try:
+                tris = build(ctx)
+            except RecipeInapplicable:
+                continue
+            built[rid] += 1
+            assert len(tris) == _CODE_SIZES[rid](ctx), (rid, ctx)
+    assert built == {"P5'": 15, "P6": 1327, "P10'": 1267, "P18": 218, "P19": 1520}, built
 
 
 def test_largest_packing_equals_building_every_recipe():

@@ -1,15 +1,17 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cochain_tuza.recipes import group_intervals
 from cochain_tuza.generators import random_cochain
 from cochain_tuza.graphs import (
     CaseProfile,
+    _mask_edges,
     GeneralGraph,
     HittingSet,
     TrianglePacking,
@@ -245,6 +247,77 @@ def test_a_packing_with_a_sparse_id_is_checked_quickly():
         (0, 1, huge), (2, 3, huge)
     }
     assert time.perf_counter() - start < 0.5
+
+
+def _verdict(host, packing):
+    """verify_packing's outcome: True, False or ValueError."""
+    try:
+        return verify_packing(host, packing)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_packing_gives_a_fresh_copys_verdict_on_every_check(data):
+    # a packing keeps the edge masks of its first successful kernel run (the
+    # constructor's, or the first verify_packing's), and a later check
+    # against a host covering their ids runs only the per-vertex test; on
+    # every check the verdict must be a fresh unchecked copy's
+    n = data.draw(st.integers(3, 9))
+    triples = data.draw(st.lists(st.permutations(range(n)), max_size=8))
+    tris, used = [], set()
+    for t in (tuple(p[:3]) for p in triples):
+        pairs = {frozenset(e) for e in combinations(t, 2)}
+        if not pairs & used:
+            tris.append(t)
+            used |= pairs
+    kind = data.draw(st.sampled_from(("of", "trusted", "overlapping")))
+    if kind == "of":
+        packing = TrianglePacking.of(tris)
+    else:
+        # as given, unsorted; "overlapping" adds a triangle written backwards
+        extra = [t[::-1] for t in tris[:1]] if kind == "overlapping" else []
+        packing = TrianglePacking._trusted(frozenset(tris + extra))
+    full = complete_graph(n + data.draw(st.integers(0, 2)))
+    hosts = [full]
+    if tris:
+        a, b = sorted(data.draw(st.sampled_from(tris))[:2])
+        hosts.append(GeneralGraph(full.n, full.edges - {(a, b)}))
+        hosts.append(complete_graph(max(map(max, tris))))  # lacks the top id
+    for host in data.draw(st.lists(st.sampled_from(hosts), min_size=1, max_size=6)):
+        fresh = TrianglePacking._trusted(packing.triangles)
+        assert _verdict(host, packing) == _verdict(host, fresh)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 200), st.sampled_from((0.01, 0.05, 0.3, 0.9)), st.integers(0, 2**32))
+@example(200, 0.05, 0)
+@example(200, 0.9, 1)
+def test_mask_edges_matches_a_bit_scan(n, density, seed):
+    rng = random.Random(seed)
+    masks = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    scan = [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1]
+    assert _mask_edges(masks) == scan
+
+
+def test_witnesses_with_large_ids_stay_small():
+    # a sparse id of 10**5 costs the witness its masks (a list over the
+    # ids, and the few masks), never a table over every id below it
+    big = 100_000
+    tracemalloc.start()
+    try:
+        p = TrianglePacking.of([(big, 0, 1), (2, big - 1, big), (big - 2, 3, big - 1)])
+        h = HittingSet.of([(0, big), (big - 1, big), (3, big - 1), (1, 2)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(p) == 3 and len(h) == 4
+    assert peak < 4_000_000, peak
 
 
 def test_verify_hitting_examples():

@@ -1,6 +1,7 @@
 """Scale harness: guided ``certify`` at n = 512, 1,024 and 2,048, the cost
-of ``verify_packing`` per triangle, and guided and portfolio ``certify`` over
-the small census.
+of ``verify_packing`` per triangle, two routes from an edge list to a
+checked certificate, and guided and portfolio ``certify`` over the small
+census.
 
 Guided certify runs on one fixed instance per main guided path.  Every
 instance has sides L = M = 2h with h = n/4, so ell = m = h:
@@ -23,15 +24,31 @@ medians over the repeats.
 
 ``verify_packing`` is timed in this process on the Feder-optimal packing of
 K_n (``pack_clique``) against K_n, at n = 64, 1,024 and 2,048: nanoseconds
-per triangle, the median over the repeats.
+per triangle, the median over the repeats, for the first check of a fresh
+packing object (``ns_per_triangle``: the kernel and the host test) and for a
+second check of the same object (``kept_ns_per_triangle``: the host test on
+the masks the packing keeps).
+
+The edge-list section takes the ``P13/swapped`` instance at each certify
+size, its vertices renamed by a fixed permutation (``random.Random(0)``),
+as the host graph an edge-list file gives.  After one untimed ``certify``
+that fills the clique cache, each repeat times, with
+``time.process_time``, two routes to a certificate checked against that
+host: ``certify(host)``, which recognizes the graph and renames its
+certificate through ``certify._map_certificate``; and the public round
+trip, which recognizes the graph, certifies the recognized co-chain graph,
+rebuilds the renamed witnesses with ``HittingSet.of`` and
+``TrianglePacking.of`` and checks them with ``make_certificate``.  The
+recognizer numbers the two sides its own way, so the section records the
+method it reaches.  The times are medians over the repeats.
 
 The census is every even-sided co-chain graph with sides in {2, 4, 6} and
 n <= 10, the 582 graphs of the ``oracle-sandwich`` benchmark.  Each repeat
 certifies them all in this process, in guided and then in portfolio mode,
 timed apart with ``time.process_time``; the times are medians over the
 repeats.  One more untimed portfolio pass counts the table recipes
-(``RECIPES`` rows) that ``certify._build`` builds, rather than reads from a
-context's cache, per portfolio call.
+(``RECIPES`` rows) and the code recipes that ``certify._build`` builds,
+rather than reads from a context's cache, per portfolio call.
 
 Run from the root of a source checkout::
 
@@ -46,6 +63,7 @@ import importlib
 import json
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -55,8 +73,16 @@ from pathlib import Path
 
 import cochain_tuza
 from cochain_tuza.generators import count_monotone_sequences, unrank_monotone_sequence
-from cochain_tuza.graphs import CoChainGraph, GeneralGraph, build_cochain, verify_packing
+from cochain_tuza.graphs import (
+    CoChainGraph,
+    GeneralGraph,
+    HittingSet,
+    TrianglePacking,
+    build_cochain,
+    verify_packing,
+)
 from cochain_tuza.packings import pack_clique
+from cochain_tuza.recognition import recognize_cochain
 
 # the package's __init__ exports certify(), which shadows its module
 certify_mod = importlib.import_module("cochain_tuza.certify")
@@ -132,20 +158,77 @@ def measure_certify(path: str, n: int, repeats: int) -> dict:
 
 
 def measure_verify(n: int, repeats: int) -> dict:
-    """``verify_packing`` of the K_n packing against K_n, per triangle."""
+    """``verify_packing`` of the K_n packing against K_n, per triangle: the
+    first check of a fresh packing object, which runs the kernel, and a
+    second check of the same object, which reuses the masks it keeps."""
     full = (1 << n) - 1
     host = GeneralGraph._from_masks(tuple(full ^ (1 << v) for v in range(n)))
-    packing = pack_clique(range(n))
-    times = []
+    triangles = pack_clique(range(n)).triangles
+    times: dict[str, list[float]] = {"ns_per_triangle": [], "kept_ns_per_triangle": []}
     for _ in range(repeats):
-        start = time.perf_counter()
-        ok = verify_packing(host, packing)
-        times.append(time.perf_counter() - start)
-        if not ok:
-            sys.exit(f"verify_packing rejects the K_{n} packing")
+        packing = TrianglePacking._trusted(triangles)
+        for key in times:
+            start = time.perf_counter()
+            ok = verify_packing(host, packing)
+            times[key].append(time.perf_counter() - start)
+            if not ok:
+                sys.exit(f"verify_packing rejects the K_{n} packing")
     return {
-        "triangles": len(packing),
-        "ns_per_triangle": round(statistics.median(times) / len(packing) * 1e9, 1),
+        "triangles": len(triangles),
+        **{
+            key: round(statistics.median(t) / len(triangles) * 1e9, 1)
+            for key, t in times.items()
+        },
+    }
+
+
+def permuted_host(g: CoChainGraph) -> GeneralGraph:
+    """g with its vertices renamed by the fixed permutation of
+    ``random.Random(0)``, as a general graph."""
+    perm = list(range(g.n))
+    random.Random(0).shuffle(perm)
+    masks = [0] * g.n
+    for u, mask in enumerate(g.adjacency_masks()):
+        image = 0
+        while mask:
+            low = mask & -mask
+            image |= 1 << perm[low.bit_length() - 1]
+            mask ^= low
+        masks[perm[u]] = image
+    return GeneralGraph._from_masks(tuple(masks))
+
+
+def round_trip(host: GeneralGraph) -> certify_mod.Certificate:
+    """The public route from an edge list to a checked certificate."""
+    recognized = recognize_cochain(host)
+    cert = certify_mod.certify(recognized.graph, "guided")
+    order = recognized.vertex_order
+    return certify_mod.make_certificate(
+        host,
+        HittingSet.of((order[u], order[v]) for u, v in cert.hitting.edges),
+        TrianglePacking.of(
+            (order[a], order[b], order[c]) for a, b, c in cert.packing.triangles
+        ),
+        cert.method,
+    )
+
+
+def measure_edge_list(n: int, repeats: int) -> dict:
+    """Process time of ``certify`` and of the public round trip on the
+    permuted ``P13/swapped`` instance (medians over the repeats)."""
+    host = permuted_host(instance("P13/swapped", n))
+    method = certify_mod.certify(host, "guided").method
+    seconds: dict[str, list[float]] = {"certify": [], "round_trip": []}
+    for _ in range(repeats):
+        for route, build in (("certify", certify_mod.certify), ("round_trip", round_trip)):
+            start = time.process_time()
+            cert = build(host)
+            seconds[route].append(time.process_time() - start)
+    return {
+        "method": method,
+        "triangles": cert.p_size,
+        "hitting_edges": cert.h_size,
+        **{f"{route}_s": round(statistics.median(t), 4) for route, t in seconds.items()},
     }
 
 
@@ -173,11 +256,11 @@ def measure_census(repeats: int) -> dict:
                 certify_mod.certify(g, mode)
             times.append(time.process_time() - start)
     build = certify_mod._build
-    builds = 0
+    builds = {"table": 0, "code": 0}
 
     def counted(rid, ctx):
-        nonlocal builds
-        builds += rid in certify_mod.RECIPES and rid not in ctx.built
+        if rid not in ctx.built:
+            builds["table" if rid in certify_mod.RECIPES else "code"] += 1
         return build(rid, ctx)
 
     certify_mod._build = counted
@@ -189,7 +272,10 @@ def measure_census(repeats: int) -> dict:
     return {
         "graphs": len(graphs),
         **{f"{mode}_s": round(statistics.median(t), 4) for mode, t in seconds.items()},
-        "table_builds_per_portfolio_call": round(builds / len(graphs), 2),
+        **{
+            f"{kind}_builds_per_portfolio_call": round(count / len(graphs), 2)
+            for kind, count in builds.items()
+        },
     }
 
 
@@ -199,13 +285,14 @@ def run(certify_sizes, verify_sizes, repeats: int) -> dict:
         "machine": platform.machine(),
         "repeats": repeats,
         "timer": "certify: time.process_time in a fresh interpreter per repeat; "
-        "verify: time.perf_counter; census: time.process_time in this process; "
-        "medians over repeats",
+        "verify: time.perf_counter; edge_list and census: time.process_time in "
+        "this process; medians over repeats",
         "certify": {
             str(n): {path: measure_certify(path, n, repeats) for path in PATHS}
             for n in certify_sizes
         },
         "verify_packing": {str(n): measure_verify(n, repeats) for n in verify_sizes},
+        "edge_list": {str(n): measure_edge_list(n, repeats) for n in certify_sizes},
         "census": measure_census(repeats),
     }
 
@@ -223,7 +310,8 @@ def main(argv: list[str] | None = None) -> None:
         parser.error("--repeats must be at least 1")
     doc = run(CERTIFY_SIZES, VERIFY_SIZES, args.repeats)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps({k: doc[k] for k in ("certify", "verify_packing", "census")}, indent=2))
+    sections = ("certify", "verify_packing", "edge_list", "census")
+    print(json.dumps({k: doc[k] for k in sections}, indent=2))
 
 
 if __name__ == "__main__":
