@@ -89,6 +89,7 @@ from .graphs import (
     _LazyPowers,
     _mask_edges,
     _packing_masks,
+    _sorted_triangles,
     edge,
     enumerate_triangles,
     profile,
@@ -313,8 +314,8 @@ def _map_certificate(cert: Certificate, order: Sequence[int]) -> Certificate:
     and an edge-disjoint packing; they are built canonical without a check,
     and ``make_certificate`` on the renamed host is the one check.  The
     hitting set's edges come from ``graphs._mask_edges`` and its new masks
-    from a table of powers of two, as in ``graphs._packing_masks``; each
-    renamed triangle is sorted with inline compares.
+    from a table of powers of two, as in ``graphs._packing_masks``; the
+    renamed triangles are sorted by ``graphs._sorted_triangles``.
     """
     n = len(order)
     masks = [0] * n
@@ -323,16 +324,7 @@ def _map_certificate(cert: Certificate, order: Sequence[int]) -> Certificate:
         u, v = order[u], order[v]
         masks[u] |= bit[v]
         masks[v] |= bit[u]
-    tris = []
-    for a, b, c in cert.packing.triangles:
-        a, b, c = order[a], order[b], order[c]
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-            if a > b:
-                a, b = b, a
-        tris.append((a, b, c))
+    tris = _sorted_triangles((order[a], order[b], order[c]) for a, b, c in cert.packing.triangles)
     return Certificate(
         HittingSet._from_masks(masks), TrianglePacking._trusted(frozenset(tris)), cert.method
     )
@@ -792,7 +784,8 @@ def _largest_packing(ctx: _Ctx) -> tuple[str, list[Triangle]]:
     ``_build`` checks), so the code recipes and the table rows whose
     profile precondition holds are built together in descending (size, id)
     order until one builds: that recipe is the largest, and the ones after
-    it are not built.  At size 0 "trivial" wins the tie.
+    it are not built.  The ranking stops at the first size of 0 or less,
+    where "trivial" is as large.
     """
     prof = (ctx.ell, ctx.m, ctx.xl, ctx.xm)
     rows = [
@@ -802,7 +795,7 @@ def _largest_packing(ctx: _Ctx) -> tuple[str, list[Triangle]]:
         [(_recipe_size(rid, ctx), rid) for rid in (*rows, *_CODE_RECIPES)], reverse=True
     )
     for size, rid in ranked:
-        if not size:
+        if size <= 0:
             break
         try:
             return rid, _build(rid, ctx)

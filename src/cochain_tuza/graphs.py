@@ -51,16 +51,15 @@ A ``TrianglePacking`` keeps the masks of its first successful kernel run
 witness costs one kernel pass: a later ``verify_packing`` against a host
 whose ids cover the masks runs only its per-vertex test against that host,
 which every host still gets.  ``_mask_edges`` lists the edges of masks in
-sorted order, reading a vertex's many higher neighbours off its binary
-digits; ``GeneralGraph.edge_list``, ``enumerate_triangles`` and
-``HittingSet.edges`` all read it.
+sorted order, one bit walk per vertex; ``GeneralGraph.edge_list``,
+``enumerate_triangles`` and ``HittingSet.edges`` all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import chain
 from operator import and_, invert, itemgetter
 from typing import Collection, Iterable, Sequence
 
@@ -181,24 +180,11 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-#: maps the digits '0' and '1' to a false and a true byte, for ``compress``
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _mask_edges(masks: Sequence[int]) -> list[Edge]:
-    """The edges of symmetric per-vertex masks, canonical and sorted.
-
-    A vertex with a few higher neighbours walks their bits; one with more
-    reads them off its reversed binary digits with ``compress``, whose
-    fixed cost is about that of six bit steps, and which then costs far
-    less per edge."""
+    """The edges of symmetric per-vertex masks, canonical and sorted."""
     out = []
     for u, mask in enumerate(masks):
         higher = mask >> (u + 1)
-        if higher.bit_count() > 6:
-            flags = bin(higher)[:1:-1].encode().translate(_DIGIT_FLAGS)
-            out += zip(repeat(u), compress(count(u + 1), flags))
-            continue
         while higher:
             low = higher & -higher
             out.append((u, u + low.bit_length()))
